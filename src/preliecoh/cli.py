@@ -27,9 +27,9 @@ from .algebra import PreLieAlgebra, Representation, check_prelie, check_represen
 from .cochain import (
     Cochain,
     CochainBasis,
+    CochainComplex,
     are_cohomologous,
     coboundary,
-    coboundary_matrix,
     cohomology,
     hom_module,
     lie_cohomology_dimension,
@@ -213,10 +213,10 @@ def cmd_cohomology(args) -> int:
         "dims": {},
     }
     failed = False
+    cx = CochainComplex(rep)
     if args.verify:
         square_zero = all(
-            (coboundary_matrix(rep, k + 1) @ coboundary_matrix(rep, k)).is_zero()
-            for k in range(1, args.n + 1)
+            (cx.d(k + 1) @ cx.d(k)).is_zero() for k in range(1, args.n + 1)
         )
         lines.append(
             f"d o d = 0 on C^1..C^{args.n}: {'PASS' if square_zero else 'FAIL'}"
@@ -229,7 +229,7 @@ def cmd_cohomology(args) -> int:
     if args.representatives:
         machine["representatives"] = {}
     for k in range(1, args.n + 1):
-        h = cohomology(rep, k)
+        h = cohomology(cx, k)
         lines.append(f"H^{k}: dim {h.dimension}")
         machine["dims"][str(k)] = h.dimension
         if args.phi:
@@ -257,7 +257,8 @@ def cmd_tmap(args) -> int:
     bad = check_extension(e)
     if bad is not None:
         raise InvalidInput(str(bad))
-    result = t_map(e)
+    cx = CochainComplex(e.v_rep)
+    result = t_map(e, h3=cohomology(cx, 3))
     names = _basis_names(e.g_algebra)
     mu_kills = all(is_zero_vector(e.mu.apply(v)) for v in result.theta_m)
     d_zero = coboundary(e.v_rep, result.theta).is_zero()
@@ -294,7 +295,7 @@ def cmd_tmap(args) -> int:
             h3=result.h3,
         )
         agree = perturbed.class_coordinates == result.class_coordinates
-        primitive = are_cohomologous(e.v_rep, result.theta, perturbed.theta)
+        primitive = are_cohomologous(cx, result.theta, perturbed.theta)
         lines.extend(
             [
                 f"perturbed sections (seed {args.seed}):",
@@ -391,7 +392,8 @@ def cmd_cohomologous(args) -> int:
     for f in (f1, f2):
         if f.algebra_dim != rep.algebra.dim or f.carrier_dim != rep.carrier_dim:
             raise ParseError("cochain dimensions do not match the representation")
-    primitive = are_cohomologous(rep, f1, f2)
+    cx = CochainComplex(rep)
+    primitive = are_cohomologous(cx, f1, f2)
     names = _basis_names(rep.algebra)
     if primitive is not None:
         lines = [
@@ -411,7 +413,7 @@ def cmd_cohomologous(args) -> int:
             },
         )
         return 0
-    h = cohomology(rep, f1.arity)
+    h = cohomology(cx, f1.arity)
     difference = h.class_coordinates(f1.sub(f2))
     _emit(
         args,

@@ -26,7 +26,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from math import comb
+from typing import Iterable, Sequence
 
 from .errors import ArityMismatch, DimensionMismatch, NotACocycle, ShapeError
 from .linalg import (
@@ -50,6 +51,18 @@ from .algebra import LieAlgebra, Representation, Tensor3, bilinear, subadjacent_
 
 def increasing_tuples(dim: int, length: int) -> list[tuple[int, ...]]:
     return list(itertools.combinations(range(dim), length))
+
+
+def tuple_rank(t: Sequence[int], dim: int) -> int:
+    """Index of the strictly increasing tuple t in increasing_tuples(dim, len(t)).
+
+    Combinatorial number system: the lexicographic rank of (c_0 < ... <
+    c_{m-1}) is C(dim, m) - 1 - sum_i C(dim - 1 - c_i, m - i).
+    """
+    m = len(t)
+    if m and (t[0] < 0 or t[-1] >= dim):
+        raise ShapeError(f"index out of range for dimension {dim}: {tuple(t)}")
+    return comb(dim, m) - 1 - sum(comb(dim - 1 - c, m - i) for i, c in enumerate(t))
 
 
 def sort_with_sign(args: Sequence[int]) -> tuple[tuple[int, ...], int]:
@@ -92,12 +105,9 @@ class CochainBasis:
         ]
 
     def position(self, prefix: tuple[int, ...], last: int) -> int:
-        incs = increasing_tuples(self.algebra_dim, self.arity - 1)
-        return incs.index(prefix) * self.algebra_dim + last
+        return tuple_rank(prefix, self.algebra_dim) * self.algebra_dim + last
 
     def __len__(self) -> int:
-        from math import comb
-
         return comb(self.algebra_dim, self.arity - 1) * self.algebra_dim
 
 
@@ -140,9 +150,6 @@ class Cochain:
     def to_coordinates(self) -> Vector:
         return tuple(c for v in self.values for c in v)
 
-    def _basis(self) -> CochainBasis:
-        return CochainBasis(self.arity, self.algebra_dim)
-
     def value_at(self, args: Sequence[int]) -> Vector:
         """Evaluate on a tuple of basis indices (length = arity)."""
         if len(args) != self.arity:
@@ -150,8 +157,7 @@ class Cochain:
         prefix, sign = sort_with_sign(args[:-1])
         if sign == 0:
             return zero_vector(self.carrier_dim)
-        pos = self._basis().position(prefix, args[-1])
-        v = self.values[pos]
+        v = self.values[tuple_rank(prefix, self.algebra_dim) * self.algebra_dim + args[-1]]
         return v if sign == 1 else vec_scale(Fraction(-1), v)
 
     def evaluate(self, vectors: Sequence[Vector]) -> Vector:
@@ -247,19 +253,100 @@ def coboundary(rep: Representation, f: Cochain) -> Cochain:
     return Cochain(n + 1, a.dim, rep.carrier_dim, tuple(values))
 
 
+def _assemble(rows: int, cols: int, terms: Iterable[tuple[int, int, Fraction]]) -> MatrixQ:
+    """The rows x cols matrix whose entry (r, c) sums every x in the
+    (r, c, x) triples of `terms`; the row rules below yield one triple per
+    nonzero structure constant they visit, so zero entries cost nothing."""
+    entries = [ZERO] * (rows * cols)
+    for r, c, x in terms:
+        entries[r * cols + c] += x
+    return MatrixQ(rows, cols, tuple(entries))
+
+
+def _nonzeros(t: Tensor3) -> list[list[list[tuple[int, Fraction]]]]:
+    """t[i][j] as its (k, value) pairs with value != 0."""
+    return [[[(k, c) for k, c in enumerate(row) if c != 0] for row in plane] for plane in t]
+
+
+def _prelie_terms(rep: Representation, n: int) -> Iterable[tuple[int, int, Fraction]]:
+    """Row rule of d: C^n -> C^{n+1}, term by term as in `coboundary`.
+
+    Output position (prefix, last) with prefix = (x_1..x_n) increasing
+    and x_{n+1} = last; dropping x_i leaves an increasing head, so only
+    the bracket term needs a sign from re-sorting.
+    """
+    a = rep.algebra
+    d, v = a.dim, rep.carrier_dim
+    prod = _nonzeros(a.product)
+    left = _nonzeros(rep.left)  # left[x][b] -> (b', c): x . v_b
+    right = _nonzeros(rep.right)  # right[b][y] -> (b', c): v_b . y
+    bracket = _nonzeros(subadjacent_lie(a).bracket)
+    for out, prefix in enumerate(itertools.combinations(range(d), n)):
+        for last in range(d):
+            row = (out * d + last) * v
+            for i, xi in enumerate(prefix):
+                s = 1 if i % 2 == 0 else -1
+                head = prefix[:i] + prefix[i + 1 :]
+                base = tuple_rank(head, d) * d
+                # x_i . f(head, x_{n+1})
+                col = (base + last) * v
+                for b in range(v):
+                    for bp, c in left[xi][b]:
+                        yield row + bp, col + b, s * c
+                # f(head, x_i) . x_{n+1}
+                col = (base + xi) * v
+                for b in range(v):
+                    for bp, c in right[b][last]:
+                        yield row + bp, col + b, s * c
+                # -f(head, x_i * x_{n+1})
+                for k, c in prod[xi][last]:
+                    col = (base + k) * v
+                    for b in range(v):
+                        yield row + b, col + b, -s * c
+            # f([x_i, x_j], ...no x_i, x_j..., x_{n+1})
+            for i, j in itertools.combinations(range(n), 2):
+                s = 1 if (i + j) % 2 == 0 else -1
+                rest = prefix[:i] + prefix[i + 1 : j] + prefix[j + 1 :]
+                for k, c in bracket[prefix[i]][prefix[j]]:
+                    key, sign = sort_with_sign((k,) + rest)
+                    if sign == 0:
+                        continue
+                    col = (tuple_rank(key, d) * d + last) * v
+                    for b in range(v):
+                        yield row + b, col + b, s * sign * c
+
+
 def coboundary_matrix(rep: Representation, n: int) -> MatrixQ:
-    """Matrix of d: C^n -> C^{n+1} in the CochainBasis coordinates."""
-    a_dim = rep.algebra.dim
-    v_dim = rep.carrier_dim
-    src = len(CochainBasis(n, a_dim)) * v_dim
-    cols = []
-    for p in range(src):
-        coords = [ZERO] * src
-        coords[p] = ONE
-        f = Cochain.from_coordinates(n, a_dim, v_dim, coords)
-        cols.append(coboundary(rep, f).to_coordinates())
-    dst = len(CochainBasis(n + 1, a_dim)) * v_dim
-    return MatrixQ.from_cols(cols, rows=dst) if cols else MatrixQ.zero(dst, 0)
+    """Matrix of d: C^n -> C^{n+1} in the CochainBasis coordinates,
+    assembled from the nonzero structure constants; `coboundary` is the
+    reference it is tested against."""
+    a_dim, v_dim = rep.algebra.dim, rep.carrier_dim
+    rows = len(CochainBasis(n + 1, a_dim)) * v_dim
+    cols = len(CochainBasis(n, a_dim)) * v_dim
+    return _assemble(rows, cols, _prelie_terms(rep, n))
+
+
+class CochainComplex:
+    """C^*(g, V) for one representation, building each d_n at most once.
+
+    Make one per command or call and hand it to `cohomology` and
+    `are_cohomologous` (and an h3 computed from it to `t_map`) so they
+    share the matrices; nothing outlives the object.
+    """
+
+    def __init__(self, rep: Representation) -> None:
+        self.rep = rep
+        self._d: dict[int, MatrixQ] = {}
+
+    @classmethod
+    def of(cls, source: Representation | CochainComplex) -> CochainComplex:
+        return source if isinstance(source, CochainComplex) else cls(source)
+
+    def d(self, n: int) -> MatrixQ:
+        """d: C^n -> C^{n+1}, built through `coboundary_matrix` on first use."""
+        if n not in self._d:
+            self._d[n] = coboundary_matrix(self.rep, n)
+        return self._d[n]
 
 
 @dataclass(frozen=True)
@@ -293,20 +380,24 @@ class CohomologySpace:
         return all(c == 0 for c in self.class_coordinates(z))
 
 
-def cohomology(rep: Representation, n: int) -> CohomologySpace:
-    """Kernel of d_n modulo image of d_{n-1}; for n = 1 just the kernel."""
+def cohomology(rep: Representation | CochainComplex, n: int) -> CohomologySpace:
+    """Kernel of d_n modulo image of d_{n-1}; for n = 1 just the kernel.
+
+    Pass a CochainComplex to reuse matrices it has already built.
+    """
     if n < 1:
         raise ShapeError("cohomology defined for arity >= 1")
-    a_dim = rep.algebra.dim
-    v_dim = rep.carrier_dim
-    d_n = coboundary_matrix(rep, n)
+    cx = CochainComplex.of(rep)
+    a_dim = cx.rep.algebra.dim
+    v_dim = cx.rep.carrier_dim
+    d_n = cx.d(n)
     _, kernel, _ = rank_kernel_image(d_n)
     space_dim = len(CochainBasis(n, a_dim)) * v_dim
     if n == 1:
         image = SubspaceBasis(space_dim, ())
         boundary = MatrixQ.zero(space_dim, 0)
     else:
-        boundary = coboundary_matrix(rep, n - 1)
+        boundary = cx.d(n - 1)
         _, _, image = rank_kernel_image(boundary)
     quot = QuotientMap.build(space_dim, image)
     reps: list[Vector] = []
@@ -330,25 +421,26 @@ def cohomology(rep: Representation, n: int) -> CohomologySpace:
     )
 
 
-def are_cohomologous(rep: Representation, f1: Cochain, f2: Cochain) -> Cochain | None:
+def are_cohomologous(rep: Representation | CochainComplex, f1: Cochain, f2: Cochain) -> Cochain | None:
     """A primitive b with d b = f1 - f2, or None when the classes differ.
 
-    Both inputs must be closed cocycles of equal arity >= 2.
+    Both inputs must be closed cocycles of equal arity >= 2. Pass a
+    CochainComplex to reuse matrices it has already built.
     """
     if f1.arity != f2.arity:
         raise ArityMismatch(f"arities {f1.arity} and {f2.arity}")
     n = f1.arity
     if n < 2:
         raise ArityMismatch("no coboundaries below arity 2")
+    cx = CochainComplex.of(rep)
     diff = f1.sub(f2)
     for z in (f1, f2):
-        if not coboundary(rep, z).is_zero():
+        if not coboundary(cx.rep, z).is_zero():
             raise NotACocycle("inputs must be closed")
-    d_prev = coboundary_matrix(rep, n - 1)
-    coords = solve_particular(d_prev, diff.to_coordinates())
+    coords = solve_particular(cx.d(n - 1), diff.to_coordinates())
     if coords is None:
         return None
-    return Cochain.from_coordinates(n - 1, rep.algebra.dim, rep.carrier_dim, coords)
+    return Cochain.from_coordinates(n - 1, cx.rep.algebra.dim, cx.rep.carrier_dim, coords)
 
 
 # --- Lie side ---------------------------------------------------------------
@@ -433,7 +525,7 @@ class LieCochain:
     values: tuple[Vector, ...]
 
     def __post_init__(self) -> None:
-        want = len(increasing_tuples(self.algebra_dim, self.arity))
+        want = comb(self.algebra_dim, self.arity)
         if len(self.values) != want:
             raise ShapeError(f"arity-{self.arity} Lie cochain needs {want} values")
         for v in self.values:
@@ -460,8 +552,7 @@ class LieCochain:
         key, sign = sort_with_sign(args)
         if sign == 0:
             return zero_vector(self.module_dim)
-        pos = increasing_tuples(self.algebra_dim, self.arity).index(key)
-        v = self.values[pos]
+        v = self.values[tuple_rank(key, self.algebra_dim)]
         return v if sign == 1 else vec_scale(Fraction(-1), v)
 
 
@@ -493,16 +584,39 @@ def lie_coboundary(mod: LieModule, f: LieCochain) -> LieCochain:
     return LieCochain(k + 1, lie.dim, mod.dim, tuple(values))
 
 
+def _lie_terms(mod: LieModule, k: int) -> Iterable[tuple[int, int, Fraction]]:
+    """Row rule of the Chevalley-Eilenberg d: C^k -> C^{k+1}, written
+    apart from `_prelie_terms` so the two complexes stay independent."""
+    lie = mod.algebra
+    d, m = lie.dim, mod.dim
+    action = _nonzeros(mod.action)  # action[x][w] -> (w', c): x . w
+    bracket = _nonzeros(lie.bracket)
+    for out, args in enumerate(itertools.combinations(range(d), k + 1)):
+        row = out * m
+        # x_i . f(...no x_i...)
+        for i, xi in enumerate(args):
+            s = 1 if i % 2 == 0 else -1
+            col = tuple_rank(args[:i] + args[i + 1 :], d) * m
+            for w in range(m):
+                for wp, c in action[xi][w]:
+                    yield row + wp, col + w, s * c
+        # f([x_i, x_j], ...no x_i, x_j...)
+        for i, j in itertools.combinations(range(k + 1), 2):
+            s = 1 if (i + j) % 2 == 0 else -1
+            rest = args[:i] + args[i + 1 : j] + args[j + 1 :]
+            for t, c in bracket[args[i]][args[j]]:
+                key, sign = sort_with_sign((t,) + rest)
+                if sign == 0:
+                    continue
+                col = tuple_rank(key, d) * m
+                for w in range(m):
+                    yield row + w, col + w, s * sign * c
+
+
 def lie_coboundary_matrix(mod: LieModule, k: int) -> MatrixQ:
-    src = len(increasing_tuples(mod.algebra.dim, k)) * mod.dim
-    dst = len(increasing_tuples(mod.algebra.dim, k + 1)) * mod.dim
-    cols = []
-    for p in range(src):
-        coords = [ZERO] * src
-        coords[p] = ONE
-        f = LieCochain.from_coordinates(k, mod.algebra.dim, mod.dim, coords)
-        cols.append(lie_coboundary(mod, f).to_coordinates())
-    return MatrixQ.from_cols(cols, rows=dst) if cols else MatrixQ.zero(dst, 0)
+    """Matrix of the CE differential; `lie_coboundary` is its reference."""
+    d = mod.algebra.dim
+    return _assemble(comb(d, k + 1) * mod.dim, comb(d, k) * mod.dim, _lie_terms(mod, k))
 
 
 def lie_cohomology_dimension(mod: LieModule, k: int) -> int:
@@ -549,15 +663,10 @@ def phi_inverse(f: LieCochain, carrier_dim: int) -> Cochain:
 
 
 def phi_matrix(rep: Representation, n: int) -> MatrixQ:
-    """Matrix of phi: C^n(g,V) -> C^{n-1}(g^c, Hom(g,V)) in coordinates."""
-    a_dim = rep.algebra.dim
-    v = rep.carrier_dim
-    src = len(CochainBasis(n, a_dim)) * v
-    cols = []
-    for p in range(src):
-        coords = [ZERO] * src
-        coords[p] = ONE
-        f = Cochain.from_coordinates(n, a_dim, v, coords)
-        cols.append(phi_map(f).to_coordinates())
-    dst = len(increasing_tuples(a_dim, n - 1)) * a_dim * v
-    return MatrixQ.from_cols(cols, rows=dst) if cols else MatrixQ.zero(dst, 0)
+    """Matrix of phi: C^n(g,V) -> C^{n-1}(g^c, Hom(g,V)) in coordinates.
+
+    phi only relabels: pre-Lie coordinate (p(I) * dim g + j) * dim V + b
+    and Lie coordinate p(I) * (dim g * dim V) + j * dim V + b are the same
+    number, so the matrix is the identity; tests check it against phi_map.
+    """
+    return MatrixQ.identity(len(CochainBasis(n, rep.algebra.dim)) * rep.carrier_dim)

@@ -28,10 +28,6 @@ class NotAnIdeal(PreLieError):
     """A subspace is not a two-sided ideal of the ambient algebra."""
 
 
-class ActionEscapesKernel(PreLieError):
-    """An action fails to preserve the kernel it must restrict to."""
-
-
 class NotACocycle(PreLieError):
     """A cochain that must be closed is not."""
 

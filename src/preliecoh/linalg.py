@@ -141,12 +141,18 @@ class MatrixQ:
     def __matmul__(self, other: "MatrixQ") -> "MatrixQ":
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        out = []
+        # row i of the product accumulates a * (row k of other) over the
+        # nonzero a = self[i][k], skipping zero entries of that row too
+        n = other.cols
+        out = [ZERO] * (self.rows * n)
+        other_rows = [[(j, b) for j, b in enumerate(other.row(k)) if b != 0] for k in range(other.rows)]
         for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum((ri[k] * other.at(k, j) for k in range(self.cols)), ZERO))
-        return MatrixQ(self.rows, other.cols, tuple(out))
+            base = i * n
+            for k, a in enumerate(self.row(i)):
+                if a != 0:
+                    for j, b in other_rows[k]:
+                        out[base + j] += a * b
+        return MatrixQ(self.rows, n, tuple(out))
 
     def __add__(self, other: "MatrixQ") -> "MatrixQ":
         if (self.rows, self.cols) != (other.rows, other.cols):

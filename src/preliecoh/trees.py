@@ -32,6 +32,12 @@ from .linalg import Vector, vec_add, vec_scale, vec_sub, zero_vector
 
 DEFAULT_NAMES = "abcdefghijklmnopqrstuvwxyz"
 
+# Deepest parenthesis nesting parse_tree accepts. Grafting, canonical
+# sorting and hashing recurse once per level, and a product of two trees
+# is up to twice as deep, so this keeps every tree operation well inside
+# Python's default recursion limit.
+MAX_TREE_DEPTH = 100
+
 
 @dataclass(frozen=True)
 class LabeledRootedTree:
@@ -71,7 +77,8 @@ def format_tree(t: LabeledRootedTree, names: str = DEFAULT_NAMES) -> str:
 
 
 def parse_tree(text: str, names: str = DEFAULT_NAMES) -> LabeledRootedTree:
-    """Inverse of format_tree; whitespace is ignored."""
+    """Inverse of format_tree; whitespace is ignored. Nesting deeper than
+    MAX_TREE_DEPTH raises ShapeError."""
     text = "".join(text.split())
     pos = 0
 
@@ -97,14 +104,18 @@ def parse_tree(text: str, names: str = DEFAULT_NAMES) -> LabeledRootedTree:
         pos += 1
         return names.index(ch)
 
-    def read_tree() -> LabeledRootedTree:
+    def read_tree(depth: int) -> LabeledRootedTree:
         nonlocal pos
         label = read_label()
         children = []
         if pos < len(text) and text[pos] == "(":
+            if depth == MAX_TREE_DEPTH:
+                raise ShapeError(
+                    f"bad tree at position {pos}: nesting deeper than {MAX_TREE_DEPTH} levels"
+                )
             pos += 1
             while True:
-                children.append(read_tree())
+                children.append(read_tree(depth + 1))
                 if pos >= len(text):
                     raise fail("unclosed parenthesis")
                 if text[pos] == ",":
@@ -116,7 +127,7 @@ def parse_tree(text: str, names: str = DEFAULT_NAMES) -> LabeledRootedTree:
                 raise fail("expected ',' or ')'")
         return LabeledRootedTree(label, tuple(children))
 
-    out = read_tree()
+    out = read_tree(0)
     if pos != len(text):
         raise fail("trailing input")
     return out

@@ -203,6 +203,30 @@ def test_trees_bad_arguments_exit_one() -> None:
         assert err.startswith("error:")
 
 
+def test_trees_nesting_too_deep_exits_one() -> None:
+    deep = "a(" * 3000 + "a" + ")" * 3000
+    code, out, err = run_cli("trees", "--product", "a", deep)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "nesting deeper than" in err
+    assert err.count("\n") == 1
+
+
+def test_cohomology_verify_phi_builds_each_differential_once(monkeypatch) -> None:
+    import preliecoh.cochain as cochain
+
+    built = []
+    original = cochain.coboundary_matrix
+
+    def counting(rep, n):
+        built.append(n)
+        return original(rep, n)
+
+    monkeypatch.setattr(cochain, "coboundary_matrix", counting)
+    code, _, _ = run_cli("cohomology", fx("rep_lmult2_regular"), "--n", "3", "--verify", "--phi")
+    assert code == 0
+    assert sorted(built) == [1, 2, 3, 4]
+
+
 def test_cohomology_rejects_nonpositive_n() -> None:
     code, _, err = run_cli("cohomology", fx("rep_lmult2_trivial1"), "--n", "0")
     assert code == 1 and "--n" in err

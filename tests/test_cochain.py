@@ -15,10 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from preliecoh.algebra import PreLieAlgebra, Representation, subadjacent_lie
+from preliecoh.algebra import PreLieAlgebra, Representation, check_prelie, subadjacent_lie
+from preliecoh.catalog import representation_pairs
 from preliecoh.cochain import (
     Cochain,
     CochainBasis,
+    CochainComplex,
     LieCochain,
     are_cohomologous,
     check_lie_module,
@@ -26,15 +28,19 @@ from preliecoh.cochain import (
     coboundary_matrix,
     cohomology,
     hom_module,
+    increasing_tuples,
+    lie_coboundary,
     lie_coboundary_matrix,
     lie_cohomology_dimension,
     phi_map,
     phi_inverse,
     phi_matrix,
     sort_with_sign,
+    tuple_rank,
 )
-from preliecoh.errors import ArityMismatch, NotACocycle
-from preliecoh.linalg import MatrixQ, vec_add, vec_scale, vec_sub, vector, zero_vector
+from preliecoh.errors import ArityMismatch, NotACocycle, ShapeError
+from preliecoh.linalg import MatrixQ, invert, vec_add, vec_scale, vec_sub, vector, zero_vector
+from preliecoh.xmodules import semidirect_product
 
 F = Fraction
 
@@ -291,3 +297,115 @@ def test_alternating_storage():
     f = random_cochain(Representation.trivial(ABELIAN3, 2), 3, rng)
     assert f.value_at((1, 0, 2)) == vec_scale(F(-1), f.value_at((0, 1, 2)))
     assert f.value_at((1, 1, 2)) == zero_vector(2)
+
+
+# --- sparse assembly against the reference formulas ---------------------------
+
+
+def left_unit(dim):
+    """e_1 * e_j = e_j: the left-unit family lu_dim."""
+    return sparse_algebra(dim, {(0, j, j): 1 for j in range(dim)})
+
+
+def transported(algebra, p):
+    """The same algebra in the basis given by the columns of p."""
+    p_inv = invert(p)
+    d = algebra.dim
+    cols = [p.col(i) for i in range(d)]
+    prod = tuple(
+        tuple(p_inv.mul_vec(algebra.multiply(cols[i], cols[j])) for j in range(d))
+        for i in range(d)
+    )
+    return PreLieAlgebra(d, prod)
+
+
+# lu2 extended by its regular module, in a basis where all 64 structure
+# constants are nonzero
+DENSE_BASIS = MatrixQ.from_rows(
+    [[1, F(1, 2), 2, 0], [F(-2, 3), 1, 1, 1], [3, F(1, 3), 1, F(1, 2)], [1, 0, F(2, 3), 1]]
+)
+DENSE_REGULAR = Representation.regular(
+    transported(semidirect_product(Representation.regular(left_unit(2))), DENSE_BASIS)
+)
+
+# catalog pairs (abelian trivial among them), lu2-lu5 regular, and one
+# representation with no zero structure constants
+SPARSE_CASES = (
+    [(name, rep) for name, rep in representation_pairs() if rep.algebra.dim <= 3]
+    + [(f"lu{d}/regular", Representation.regular(left_unit(d))) for d in (2, 3, 4, 5)]
+    + [("dense4/regular", DENSE_REGULAR)]
+)
+
+
+def unit_vectors(size):
+    for p in range(size):
+        coords = [F(0)] * size
+        coords[p] = F(1)
+        yield p, coords
+
+
+def test_tuple_rank_is_the_lexicographic_position():
+    for dim in range(7):
+        for m in range(dim + 1):
+            for pos, t in enumerate(increasing_tuples(dim, m)):
+                assert tuple_rank(t, dim) == pos
+    with pytest.raises(ShapeError):
+        tuple_rank((-1, 2), 3)
+    with pytest.raises(ShapeError):
+        tuple_rank((0, 3), 3)
+
+
+def test_dense_case_is_a_dense_prelie_algebra():
+    assert check_prelie(DENSE_REGULAR.algebra) is None
+    assert all(c != 0 for plane in DENSE_REGULAR.algebra.product for row in plane for c in row)
+
+
+def test_sparse_coboundary_matrix_matches_reference_columns():
+    for name, rep in SPARSE_CASES:
+        d, v = rep.algebra.dim, rep.carrier_dim
+        for n in (1, 2, 3, 4):
+            m = coboundary_matrix(rep, n)
+            assert (m.rows, m.cols) == (len(CochainBasis(n + 1, d)) * v, len(CochainBasis(n, d)) * v)
+            for p, unit in unit_vectors(m.cols):
+                f = Cochain.from_coordinates(n, d, v, unit)
+                assert m.col(p) == coboundary(rep, f).to_coordinates(), (name, n, p)
+
+
+def test_sparse_lie_matrix_and_phi_match_reference_columns():
+    for name, rep in SPARSE_CASES:
+        d, v = rep.algebra.dim, rep.carrier_dim
+        mod = hom_module(rep)
+        for n in (1, 2, 3, 4):
+            m = lie_coboundary_matrix(mod, n - 1)
+            assert m.cols == math.comb(d, n - 1) * mod.dim
+            for p, unit in unit_vectors(m.cols):
+                f = LieCochain.from_coordinates(n - 1, d, mod.dim, unit)
+                assert m.col(p) == lie_coboundary(mod, f).to_coordinates(), (name, n, p)
+            m = phi_matrix(rep, n)
+            for p, unit in unit_vectors(m.cols):
+                f = Cochain.from_coordinates(n, d, v, unit)
+                assert m.col(p) == phi_map(f).to_coordinates(), (name, n, p)
+
+
+def test_cochain_complex_builds_each_differential_once(monkeypatch):
+    import preliecoh.cochain as cochain
+
+    built = []
+    original = cochain.coboundary_matrix
+
+    def counting(rep, n):
+        built.append(n)
+        return original(rep, n)
+
+    monkeypatch.setattr(cochain, "coboundary_matrix", counting)
+    rep = Representation.regular(LMULT2)
+    cx = CochainComplex(rep)
+    spaces = [cohomology(cx, n) for n in (1, 2, 3)]
+    z = spaces[1].representatives[0]
+    assert are_cohomologous(cx, z, z) is not None
+    assert sorted(built) == [1, 2, 3]
+    monkeypatch.setattr(cochain, "coboundary_matrix", original)
+    for n, h in zip((1, 2, 3), spaces):
+        fresh = cohomology(rep, n)
+        assert h.representatives == fresh.representatives
+        assert h.reduced_reps == fresh.reduced_reps

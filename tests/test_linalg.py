@@ -138,6 +138,21 @@ def matrices(max_dim: int = 4):
 
 
 @settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 4), st.integers(1, 4), st.data())
+def test_matmul_equals_triple_sum(r, k, c, data):
+    # half the entries zero, so the zero-skipping product is exercised
+    entries = st.one_of(st.just(F(0)), fracs)
+    a = MatrixQ(r, k, tuple(data.draw(st.lists(entries, min_size=r * k, max_size=r * k))))
+    b = MatrixQ(k, c, tuple(data.draw(st.lists(entries, min_size=k * c, max_size=k * c))))
+    want = tuple(
+        sum((a.at(i, t) * b.at(t, j) for t in range(k)), F(0))
+        for i in range(r)
+        for j in range(c)
+    )
+    assert (a @ b).entries == want
+
+
+@settings(max_examples=60, deadline=None)
 @given(matrices())
 def test_rank_equals_transpose_rank(m):
     assert rank_of(m) == rank_of(m.transpose())

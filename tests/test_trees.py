@@ -14,6 +14,7 @@ from preliecoh.cochain import Cochain, CochainBasis, coboundary, cohomology
 from preliecoh.errors import NeedsHigherTruncation, ShapeError, TruncationMismatch
 from preliecoh.linalg import vector
 from preliecoh.trees import (
+    MAX_TREE_DEPTH,
     LabeledRootedTree,
     TreeEvaluator,
     TreePoly,
@@ -134,6 +135,21 @@ def test_format_parse_roundtrip():
         parse_tree("a(b")
     with pytest.raises(ShapeError):
         parse_tree("a)b")
+
+
+def test_parse_nesting_bound():
+    def chain(depth):
+        return "a(" * depth + "b" + ")" * depth
+
+    deepest = parse_tree(chain(MAX_TREE_DEPTH))
+    assert deepest.degree == MAX_TREE_DEPTH + 1
+    assert format_tree(deepest) == chain(MAX_TREE_DEPTH)
+    product = graft_product(
+        TreePoly.of_tree(deepest, 2 * deepest.degree), TreePoly.of_tree(deepest, 2 * deepest.degree)
+    )
+    assert len(product.terms) == deepest.degree
+    with pytest.raises(ShapeError, match="nesting deeper than"):
+        parse_tree(chain(MAX_TREE_DEPTH + 1))
 
 
 def test_evaluate_single_trees():
