@@ -28,6 +28,7 @@ from .cochain import (
     Cochain,
     CochainBasis,
     CochainComplex,
+    LieComplex,
     are_cohomologous,
     coboundary,
     cohomology,
@@ -225,7 +226,7 @@ def cmd_cohomology(args) -> int:
         failed = failed or not square_zero
     if args.phi:
         machine["lie_dims"] = {}
-        lie_mod = hom_module(rep)
+        lie_cx = LieComplex(hom_module(rep))
     if args.representatives:
         machine["representatives"] = {}
     for k in range(1, args.n + 1):
@@ -233,7 +234,7 @@ def cmd_cohomology(args) -> int:
         lines.append(f"H^{k}: dim {h.dimension}")
         machine["dims"][str(k)] = h.dimension
         if args.phi:
-            lie_dim = lie_cohomology_dimension(lie_mod, k - 1)
+            lie_dim = lie_cohomology_dimension(lie_cx, k - 1)
             agree = lie_dim == h.dimension
             lines.append(
                 f"  Lie H^{k - 1}(g^c, Hom(g, V)): dim {lie_dim} "

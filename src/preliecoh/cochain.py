@@ -37,6 +37,7 @@ from .linalg import (
     QuotientMap,
     SubspaceBasis,
     Vector,
+    greedy_independent,
     rank_kernel_image,
     rank_of,
     solve_particular,
@@ -327,7 +328,8 @@ def coboundary_matrix(rep: Representation, n: int) -> MatrixQ:
 
 
 class CochainComplex:
-    """C^*(g, V) for one representation, building each d_n at most once.
+    """C^*(g, V) for one representation, building and eliminating each
+    d_n at most once.
 
     Make one per command or call and hand it to `cohomology` and
     `are_cohomologous` (and an h3 computed from it to `t_map`) so they
@@ -337,6 +339,7 @@ class CochainComplex:
     def __init__(self, rep: Representation) -> None:
         self.rep = rep
         self._d: dict[int, MatrixQ] = {}
+        self._eliminated: dict[int, tuple[int, SubspaceBasis, SubspaceBasis]] = {}
 
     @classmethod
     def of(cls, source: Representation | CochainComplex) -> CochainComplex:
@@ -347,6 +350,12 @@ class CochainComplex:
         if n not in self._d:
             self._d[n] = coboundary_matrix(self.rep, n)
         return self._d[n]
+
+    def eliminated(self, n: int) -> tuple[int, SubspaceBasis, SubspaceBasis]:
+        """rank_kernel_image(d_n), computed on first use."""
+        if n not in self._eliminated:
+            self._eliminated[n] = rank_kernel_image(self.d(n))
+        return self._eliminated[n]
 
 
 @dataclass(frozen=True)
@@ -390,24 +399,19 @@ def cohomology(rep: Representation | CochainComplex, n: int) -> CohomologySpace:
     cx = CochainComplex.of(rep)
     a_dim = cx.rep.algebra.dim
     v_dim = cx.rep.carrier_dim
-    d_n = cx.d(n)
-    _, kernel, _ = rank_kernel_image(d_n)
+    _, kernel, _ = cx.eliminated(n)
     space_dim = len(CochainBasis(n, a_dim)) * v_dim
     if n == 1:
         image = SubspaceBasis(space_dim, ())
         boundary = MatrixQ.zero(space_dim, 0)
     else:
         boundary = cx.d(n - 1)
-        _, _, image = rank_kernel_image(boundary)
+        _, _, image = cx.eliminated(n - 1)
     quot = QuotientMap.build(space_dim, image)
-    reps: list[Vector] = []
-    reduced: list[Vector] = []
-    for v in kernel.vectors:
-        cand = quot.reduce(v)
-        trial = MatrixQ.from_cols(reduced + [cand], rows=quot.dim)
-        if rank_of(trial) == len(reduced) + 1:
-            reps.append(v)
-            reduced.append(cand)
+    candidates = [quot.reduce(v) for v in kernel.vectors]
+    kept = greedy_independent(candidates)
+    reps = [kernel.vectors[i] for i in kept]
+    reduced = [candidates[i] for i in kept]
     rep_cochains = tuple(
         Cochain.from_coordinates(n, a_dim, v_dim, v) for v in reps
     )
@@ -619,15 +623,37 @@ def lie_coboundary_matrix(mod: LieModule, k: int) -> MatrixQ:
     return _assemble(comb(d, k + 1) * mod.dim, comb(d, k) * mod.dim, _lie_terms(mod, k))
 
 
-def lie_cohomology_dimension(mod: LieModule, k: int) -> int:
-    """dim H^k(lie, mod) for k >= 0 via rank-nullity on the CE matrices."""
+class LieComplex:
+    """C^*(lie, mod) for one module, building and ranking each CE matrix
+    at most once; like CochainComplex, make one per command or call."""
+
+    def __init__(self, mod: LieModule) -> None:
+        self.mod = mod
+        self._rank: dict[int, int] = {}
+
+    @classmethod
+    def of(cls, source: LieModule | LieComplex) -> LieComplex:
+        return source if isinstance(source, LieComplex) else cls(source)
+
+    def rank(self, k: int) -> int:
+        """Rank of d: C^k -> C^{k+1}, built through `lie_coboundary_matrix`."""
+        if k not in self._rank:
+            self._rank[k] = rank_of(lie_coboundary_matrix(self.mod, k))
+        return self._rank[k]
+
+
+def lie_cohomology_dimension(mod: LieModule | LieComplex, k: int) -> int:
+    """dim H^k(lie, mod) for k >= 0 via rank-nullity on the CE matrices.
+
+    Pass a LieComplex to reuse ranks it has already computed.
+    """
     if k < 0:
         raise ShapeError("Lie cohomology defined for arity >= 0")
-    d_k = lie_coboundary_matrix(mod, k)
-    nullity = d_k.cols - rank_of(d_k)
+    cx = LieComplex.of(mod)
+    nullity = comb(cx.mod.algebra.dim, k) * cx.mod.dim - cx.rank(k)
     if k == 0:
         return nullity
-    return nullity - rank_of(lie_coboundary_matrix(mod, k - 1))
+    return nullity - cx.rank(k - 1)
 
 
 # --- the comparison map -----------------------------------------------------

@@ -1,15 +1,25 @@
 """Exact linear algebra over the rationals.
 
-Everything here is deterministic: row reduction always picks the first
-nonzero entry scanning rows top-down and columns left-right, so kernels,
-images, right inverses and quotient coordinates come out the same on
-every run. Scalars are fractions.Fraction throughout; floats are refused.
+Every elimination result is read off the reduced row echelon form, which
+is unique, so kernels (ordered by free column), images (the columns at
+pivot positions), right inverses and quotient coordinates are the same on
+every run and do not depend on how the elimination picks its pivots.
+Scalars are fractions.Fraction throughout; floats are refused.
+
+The elimination is integer and fraction-free. Each row is scaled by the
+lcm of its denominators and kept sparse as {column: int}. A row r is
+cleared against a pivot row p at column c by r <- a r - b p with a/b =
+p[c]/r[c] in lowest terms, after which r is divided by the gcd of its
+entries (its content). The forward pass and the back substitution both
+work this way, and fractions are formed only when the reduced rows are
+written out, as entry / pivot.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import BadBasis, DimensionMismatch, ShapeError
@@ -118,7 +128,7 @@ class MatrixQ:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
     def col(self, j: int) -> Vector:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return self.entries[j :: self.cols]
 
     def row_list(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
@@ -171,32 +181,88 @@ class MatrixQ:
         return all(a == 0 for a in self.entries)
 
 
+def _integer_rows(rows: Iterable[Sequence[Fraction]]) -> list[dict[int, int]]:
+    """The nonzero rows, each scaled by the lcm of its denominators and
+    stored sparsely as {column: integer}."""
+    out = []
+    for row in rows:
+        nonzero = [(j, x) for j, x in enumerate(row) if x]
+        if nonzero:
+            den = lcm(*(x.denominator for _, x in nonzero))
+            out.append({j: x.numerator * (den // x.denominator) for j, x in nonzero})
+    return out
+
+
+def _clear(r: dict[int, int], p: dict[int, int], c: int) -> None:
+    """r <- (a r - b p) / content, with a/b = p[c]/r[c] in lowest terms,
+    so that column c of r becomes zero."""
+    g = gcd(p[c], r[c])
+    a, b = p[c] // g, r[c] // g
+    if a != 1:
+        for j in r:
+            r[j] *= a
+    for j, x in p.items():
+        y = r.get(j, 0) - b * x
+        if y:
+            r[j] = y
+        else:
+            del r[j]
+    if r:
+        content = gcd(*r.values())
+        if content != 1:
+            for j in r:
+                r[j] //= content
+
+
+def _echelon(rows: list[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
+    """Forward pass: (pivot column, row) pairs in increasing column order.
+
+    Columns are visited left to right; among the rows leading at a column,
+    the one with fewest entries (then smallest pivot) clears the others.
+    The rows are consumed.
+    """
+    leading: dict[int, list[dict[int, int]]] = {}
+    for r in rows:
+        leading.setdefault(min(r), []).append(r)
+    echelon = []
+    while leading:
+        c = min(leading)
+        group = leading.pop(c)
+        p = min(group, key=lambda r: (len(r), abs(r[c])))
+        for r in group:
+            if r is not p:
+                _clear(r, p, c)
+                if r:
+                    leading.setdefault(min(r), []).append(r)
+        echelon.append((c, p))
+    return echelon
+
+
 def _rref(rows: list[list[Fraction]]) -> list[int]:
     """Reduce rows in place to reduced row echelon form; return pivot columns.
 
-    Pivot rule: columns left to right, within a column the first row
-    (top-down) with a nonzero entry.
+    The reduced row echelon form is unique, so the result does not depend
+    on how pivots are chosen. The work is done in integers (see the module
+    docstring); fractions appear only when the result is written back.
     """
-    nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = ONE / rows[r][c]
-        rows[r] = [inv * x for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return pivots
+    echelon = _echelon(_integer_rows(rows))
+    # back substitution: rows below t are already reduced, so clearing
+    # their pivot columns from row t disturbs no other pivot column
+    for t in range(len(echelon) - 1, -1, -1):
+        r = echelon[t][1]
+        for c, p in echelon[t + 1 :]:
+            if c in r:
+                _clear(r, p, c)
+    for t, (c, p) in enumerate(echelon):
+        row = [ZERO] * ncols
+        d = p[c]
+        for j, x in p.items():
+            row[j] = Fraction(x, d)
+        rows[t] = row
+    for t in range(len(echelon), len(rows)):
+        rows[t] = [ZERO] * ncols
+    return [c for c, _ in echelon]
 
 
 @dataclass(frozen=True)
@@ -242,15 +308,37 @@ def rank_kernel_image(m: MatrixQ) -> tuple[int, SubspaceBasis, SubspaceBasis]:
         v = [ZERO] * m.cols
         v[j] = ONE
         for t, p in enumerate(pivots):
-            v[p] = -rows[t][j]
+            x = rows[t][j]
+            if x:
+                v[p] = -x
         kernel.append(tuple(v))
     image = tuple(m.col(p) for p in pivots)
     return rank, SubspaceBasis(m.cols, tuple(kernel)), SubspaceBasis(m.rows, image)
 
 
+def greedy_independent(vectors: Iterable[Sequence[Fraction]]) -> list[int]:
+    """Indices of the vectors a left-to-right scan keeps when it keeps each
+    vector independent of those kept before it.
+
+    Each vector is reduced once against an echelon of the kept ones, so
+    this equals testing rank_of on the growing matrix without repeating it.
+    """
+    echelon: dict[int, dict[int, int]] = {}
+    kept = []
+    for i, v in enumerate(vectors):
+        for r in _integer_rows([v]):  # no row when v is zero
+            while r:
+                c = min(r)
+                if c not in echelon:
+                    echelon[c] = r
+                    kept.append(i)
+                    break
+                _clear(r, echelon[c], c)
+    return kept
+
+
 def rank_of(m: MatrixQ) -> int:
-    rows = m.row_list()
-    return len(_rref(rows))
+    return len(_echelon(_integer_rows(m.row(i) for i in range(m.rows))))
 
 
 def solve_particular(m: MatrixQ, b: Sequence[Fraction]) -> Vector | None:
@@ -319,6 +407,14 @@ class QuotientMap:
     sub_rref: tuple[Vector, ...]
     pivots: tuple[int, ...]
     complement: tuple[int, ...]
+    # the nonzero (column, entry) pairs of each sub_rref row
+    _support: tuple[tuple[tuple[int, Fraction], ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        support = tuple(tuple((j, b) for j, b in enumerate(row) if b) for row in self.sub_rref)
+        object.__setattr__(self, "_support", support)
 
     @classmethod
     def build(cls, ambient_dim: int, sub: SubspaceBasis) -> "QuotientMap":
@@ -339,10 +435,11 @@ class QuotientMap:
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector length differs from ambient dimension")
         w = list(v)
-        for t, p in enumerate(self.pivots):
+        for p, support in zip(self.pivots, self._support):
             coeff = w[p]
             if coeff != 0:
-                w = [a - coeff * b for a, b in zip(w, self.sub_rref[t])]
+                for j, b in support:
+                    w[j] -= coeff * b
         return tuple(w[j] for j in self.complement)
 
     def lift(self, coords: Sequence[Fraction]) -> Vector:

@@ -227,6 +227,28 @@ def test_cohomology_verify_phi_builds_each_differential_once(monkeypatch) -> Non
     assert sorted(built) == [1, 2, 3, 4]
 
 
+def test_cohomology_phi_builds_and_ranks_each_lie_matrix_once(monkeypatch) -> None:
+    import preliecoh.cochain as cochain
+
+    built, ranked = [], []
+    build, rank = cochain.lie_coboundary_matrix, cochain.rank_of
+
+    def counting_build(mod, k):
+        built.append(k)
+        return build(mod, k)
+
+    def counting_rank(m):
+        ranked.append((m.rows, m.cols))
+        return rank(m)
+
+    monkeypatch.setattr(cochain, "lie_coboundary_matrix", counting_build)
+    monkeypatch.setattr(cochain, "rank_of", counting_rank)
+    code, _, _ = run_cli("cohomology", fx("rep_lmult2_regular"), "--n", "3", "--phi")
+    assert code == 0
+    assert sorted(built) == [0, 1, 2]
+    assert len(ranked) == len(set(ranked)) == 3
+
+
 def test_cohomology_rejects_nonpositive_n() -> None:
     code, _, err = run_cli("cohomology", fx("rep_lmult2_trivial1"), "--n", "0")
     assert code == 1 and "--n" in err

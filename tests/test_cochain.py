@@ -39,7 +39,17 @@ from preliecoh.cochain import (
     tuple_rank,
 )
 from preliecoh.errors import ArityMismatch, NotACocycle, ShapeError
-from preliecoh.linalg import MatrixQ, invert, vec_add, vec_scale, vec_sub, vector, zero_vector
+from preliecoh.linalg import (
+    MatrixQ,
+    invert,
+    rank_kernel_image,
+    rank_of,
+    vec_add,
+    vec_scale,
+    vec_sub,
+    vector,
+    zero_vector,
+)
 from preliecoh.xmodules import semidirect_product
 
 F = Fraction
@@ -409,3 +419,45 @@ def test_cochain_complex_builds_each_differential_once(monkeypatch):
         fresh = cohomology(rep, n)
         assert h.representatives == fresh.representatives
         assert h.reduced_reps == fresh.reduced_reps
+
+
+def rank_rule_representatives(rep, n, quot):
+    """Representative choice by a full rank_of of the growing trial matrix
+    for every kernel vector: the rule the incremental selection replaced."""
+    _, kernel, _ = rank_kernel_image(coboundary_matrix(rep, n))
+    reps, reduced = [], []
+    for v in kernel.vectors:
+        cand = quot.reduce(v)
+        if rank_of(MatrixQ.from_cols(reduced + [cand], rows=quot.dim)) == len(reduced) + 1:
+            reps.append(v)
+            reduced.append(cand)
+    return reps, reduced
+
+
+def test_incremental_selection_picks_the_rank_rule_representatives():
+    cases = [rep for _, rep in representation_pairs()]
+    cases += [Representation.regular(left_unit(d)) for d in (2, 3, 4)]
+    for rep in cases:
+        for n in (1, 2, 3):
+            h = cohomology(rep, n)
+            reps, reduced = rank_rule_representatives(rep, n, h.quotient)
+            assert [r.to_coordinates() for r in h.representatives] == reps
+            assert h.reduced_reps == MatrixQ.from_cols(reduced, rows=h.quotient.dim)
+
+
+def test_cochain_complex_eliminates_each_differential_once(monkeypatch):
+    import preliecoh.cochain as cochain
+
+    eliminated = []
+    original = cochain.rank_kernel_image
+
+    def counting(m):
+        eliminated.append((m.rows, m.cols))
+        return original(m)
+
+    monkeypatch.setattr(cochain, "rank_kernel_image", counting)
+    cx = CochainComplex(Representation.regular(LMULT2))
+    for n in (1, 2, 3):
+        cohomology(cx, n)
+    assert eliminated == [(cx.d(n).rows, cx.d(n).cols) for n in (1, 2, 3)]
+

@@ -5,17 +5,21 @@ paper) before the implementation existed and must never be edited to
 match the code.
 """
 
+import contextlib
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from preliecoh import linalg
 from preliecoh.errors import BadBasis, DimensionMismatch
 from preliecoh.linalg import (
     MatrixQ,
     QuotientMap,
     SubspaceBasis,
+    _rref,
+    greedy_independent,
     invert,
     quotient_reduce,
     rank_kernel_image,
@@ -202,3 +206,132 @@ def test_quotient_kills_subspace_and_is_linear(m, data):
     assert lhs == rhs
     red = q.reduce_matrix()
     assert red.mul_vec(u) == q.reduce(u)
+
+
+# --- the integer engine against the dense oracle ----------------------------
+
+
+def dense_rref(rows):
+    """Reduce rows in place to reduced row echelon form; return pivot columns.
+
+    The dense Fraction Gauss-Jordan elimination the library used before
+    its integer engine, kept as the oracle: columns left to right, within
+    a column the first row (top-down) with a nonzero entry.
+    """
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [inv * x for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+@contextlib.contextmanager
+def dense_engine():
+    """Run the linalg functions on the oracle instead of the engine."""
+    saved = linalg._rref
+    linalg._rref = dense_rref
+    try:
+        yield
+    finally:
+        linalg._rref = saved
+
+
+sparse_fracs = st.one_of(st.just(F(0)), fracs)
+
+
+def rows_of(r, c):
+    return st.lists(st.lists(sparse_fracs, min_size=c, max_size=c), min_size=r, max_size=r)
+
+
+@st.composite
+def rational_rows(draw, max_dim=6):
+    """Rows of a rational matrix: plain, rank-deficient, with zero rows,
+    or augmented by an identity block."""
+    r, c = draw(st.integers(0, max_dim)), draw(st.integers(0, max_dim))
+    rows = draw(rows_of(r, c))
+    kind = draw(st.sampled_from(["plain", "low_rank", "zero_rows", "augmented"]))
+    if kind == "low_rank":
+        k = draw(st.integers(0, min(r, c)))
+        a, b = draw(rows_of(r, k)), draw(rows_of(k, c))
+        rows = [[sum((a[i][t] * b[t][j] for t in range(k)), F(0)) for j in range(c)] for i in range(r)]
+    elif kind == "zero_rows":
+        rows = [row if draw(st.booleans()) else [F(0)] * c for row in rows]
+    elif kind == "augmented":
+        rows = [row + [F(int(i == j)) for j in range(r)] for i, row in enumerate(rows)]
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_rows())
+@example([])
+@example([[], []])
+@example([[F(0), F(2), F(-3, 4)]])
+@example([[F(1, 2)], [F(0)], [F(-5)]])
+@example([[F(0)] * 3] * 3)
+def test_rref_equals_dense_oracle(rows):
+    got = [list(r) for r in rows]
+    want = [list(r) for r in rows]
+    assert _rref(got) == dense_rref(want)
+    assert got == want
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except BadBasis:
+        return BadBasis
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_rows(5), st.data())
+def test_linalg_results_equal_oracle_built_results(rows, data):
+    cols = len(rows[0]) if rows else data.draw(st.integers(0, 4))
+    m = MatrixQ.from_rows(rows) if rows else MatrixQ.zero(0, cols)
+    b = tuple(data.draw(st.lists(sparse_fracs, min_size=m.rows, max_size=m.rows)))
+    x0 = tuple(data.draw(st.lists(sparse_fracs, min_size=m.cols, max_size=m.cols)))
+    u = tuple(data.draw(st.lists(sparse_fracs, min_size=m.rows, max_size=m.rows)))
+
+    def results():
+        _, _, img = rank_kernel_image(m)
+        q = QuotientMap.build(m.rows, img)
+        return (
+            rank_kernel_image(m),
+            solve_particular(m, b),
+            solve_particular(m, m.mul_vec(x0)),
+            outcome(invert, m) if m.rows == m.cols else None,
+            right_inverse_on_image(m),
+            (q.sub_rref, q.pivots, q.complement, q.reduce(u), q.reduce_matrix()),
+        )
+
+    got = results()
+    with dense_engine():
+        want = results()
+    assert got == want
+    assert rank_of(m) == len(dense_rref(m.row_list()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda c: st.lists(
+    st.lists(sparse_fracs, min_size=c, max_size=c), max_size=6)))
+def test_greedy_independent_equals_rank_rule(vectors):
+    kept = []
+    for i, v in enumerate(vectors):
+        trial = MatrixQ.from_cols([vectors[j] for j in kept] + [v])
+        if rank_of(trial) == len(kept) + 1:
+            kept.append(i)
+    assert greedy_independent(vectors) == kept
