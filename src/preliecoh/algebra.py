@@ -405,26 +405,3 @@ def ideal_subalgebra(a: PreLieAlgebra, sub: SubspaceBasis) -> tuple[PreLieAlgebr
             row.append(coords)
         prod.append(tuple(row))
     return PreLieAlgebra(m, tuple(prod)), incl
-
-
-def first_prelie_violation_bruteforce(dim: int, product: Tensor3) -> tuple[int, ...] | None:
-    """Independent oracle: scan triples in lex order with a fully spelled
-    out evaluation of the defining identity; no shared code paths with
-    check_prelie beyond the tensor container."""
-    def mul(x: Vector, y: Vector) -> Vector:
-        out = [ZERO] * dim
-        for i in range(dim):
-            for j in range(dim):
-                for k in range(dim):
-                    out[k] += x[i] * y[j] * product[i][j][k]
-        return tuple(out)
-
-    e = [standard_basis_vector(dim, t) for t in range(dim)]
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                lhs = vec_sub(mul(mul(e[i], e[j]), e[k]), mul(e[i], mul(e[j], e[k])))
-                rhs = vec_sub(mul(mul(e[j], e[i]), e[k]), mul(e[j], mul(e[i], e[k])))
-                if lhs != rhs:
-                    return (i, j, k)
-    return None

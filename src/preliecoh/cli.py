@@ -37,6 +37,7 @@ from .cochain import (
 )
 from .documents import (
     DocumentModel,
+    _cochain_entries,
     dumps_pretty,
     parse_document,
     serialize_document,
@@ -122,17 +123,6 @@ def _cochain_lines(f: Cochain, name: str, arg_names: tuple[str, ...]) -> list[st
     if not lines:
         return [f"{name} = 0"]
     return lines
-
-
-def _cochain_entries(f: Cochain) -> list:
-    """Nonzero entries in the document format: [[args...], component, value]."""
-    basis = CochainBasis(f.arity, f.algebra_dim)
-    out = []
-    for pos, (prefix, last) in enumerate(basis.tuples):
-        for b, c in enumerate(f.values[pos]):
-            if c != 0:
-                out.append([[i + 1 for i in prefix + (last,)], b + 1, str(c)])
-    return out
 
 
 def _emit(args, human_lines: list[str], machine: dict) -> None:

@@ -468,20 +468,6 @@ class LieModule:
         return self.action[i][a]
 
 
-def check_lie_module(mod: LieModule) -> bool:
-    """[x,y].w = x.(y.w) - y.(x.w) on every basis tuple."""
-    lie = mod.algebra
-    for i, j, a in itertools.product(range(lie.dim), range(lie.dim), range(mod.dim)):
-        lhs = bilinear(mod.action, lie.basis_bracket(i, j), standard_basis_vector(mod.dim, a))
-        rhs = vec_sub(
-            mod.act(lie.basis_vector(i), mod.basis_act(j, a)),
-            mod.act(lie.basis_vector(j), mod.basis_act(i, a)),
-        )
-        if lhs != rhs:
-            return False
-    return True
-
-
 def hom_module(rep: Representation) -> LieModule:
     """Hom(g, V) as a module over the commutator Lie algebra of g, with
     (x |> f)(y) = x . f(y) + f(x) . y - f(x * y).
@@ -674,18 +660,6 @@ def phi_map(f: Cochain) -> LieCochain:
                 w[j * v + b] = val[b]
         values.append(tuple(w))
     return LieCochain(f.arity - 1, a_dim, w_dim, tuple(values))
-
-
-def phi_inverse(f: LieCochain, carrier_dim: int) -> Cochain:
-    """Inverse relabeling; module_dim must factor as algebra_dim * carrier."""
-    a_dim = f.algebra_dim
-    if f.module_dim != a_dim * carrier_dim:
-        raise DimensionMismatch("module dimension does not factor through Hom(g,V)")
-    values = []
-    for prefix, last in CochainBasis(f.arity + 1, a_dim).tuples:
-        w = f.value_at(prefix)
-        values.append(tuple(w[last * carrier_dim + b] for b in range(carrier_dim)))
-    return Cochain(f.arity + 1, a_dim, carrier_dim, tuple(values))
 
 
 def phi_matrix(rep: Representation, n: int) -> MatrixQ:

@@ -88,20 +88,7 @@ class DocumentModel:
     format_version: str = FORMAT_VERSION
 
 
-# --- low-level readers --------------------------------------------------------
-
-
-def _require_dict(obj, ptr: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict:
-    if not isinstance(obj, dict):
-        raise SchemaError(ptr or "/", "expected an object")
-    for key in required:
-        if key not in obj:
-            raise SchemaError(ptr or "/", f"missing field {key!r}")
-    allowed = set(required) | set(optional)
-    for key in obj:
-        if key not in allowed:
-            raise SchemaError(f"{ptr}/{key}", "unknown field")
-    return obj
+# --- field codecs ------------------------------------------------------------
 
 
 def _read_int(obj, ptr: str, minimum: int = 0) -> int:
@@ -141,171 +128,47 @@ def _read_entry_list(obj, ptr: str) -> list:
     return obj
 
 
-def _read_tensor(obj, ptr: str, d1: int, d2: int, d3: int) -> Tensor3:
-    cube = [[[Fraction(0)] * d3 for _ in range(d2)] for _ in range(d1)]
-    seen: set[tuple[int, int, int]] = set()
+def _read_sparse(obj, ptr: str, sizes: tuple[int, ...], shape: str) -> dict:
+    """{0-based index tuple: value} from sparse [index..., value] entries."""
+    out: dict[tuple[int, ...], Fraction] = {}
     for pos, entry in enumerate(_read_entry_list(obj, ptr)):
         eptr = f"{ptr}/{pos}"
-        if not isinstance(entry, list) or len(entry) != 4:
-            raise SchemaError(eptr, "expected [i, j, k, value]")
-        i = _read_index(entry[0], f"{eptr}/0", d1)
-        j = _read_index(entry[1], f"{eptr}/1", d2)
-        k = _read_index(entry[2], f"{eptr}/2", d3)
-        if (i, j, k) in seen:
+        if not isinstance(entry, list) or len(entry) != len(sizes) + 1:
+            raise SchemaError(eptr, f"expected {shape}")
+        key = tuple([_read_index(entry[t], f"{eptr}/{t}", n) for t, n in enumerate(sizes)])
+        if key in out:
             raise SchemaError(eptr, "duplicate entry")
-        seen.add((i, j, k))
-        cube[i][j][k] = _read_fraction(entry[3], f"{eptr}/3")
+        out[key] = _read_fraction(entry[-1], f"{eptr}/{len(sizes)}")
+    return out
+
+
+def _read_tensor(obj, ptr: str, d1: int, d2: int, d3: int) -> Tensor3:
+    cube = [[[Fraction(0)] * d3 for _ in range(d2)] for _ in range(d1)]
+    for (i, j, k), value in _read_sparse(obj, ptr, (d1, d2, d3), "[i, j, k, value]").items():
+        cube[i][j][k] = value
     return tuple(tuple(tuple(row) for row in plane) for plane in cube)
 
 
 def _read_matrix(obj, ptr: str, rows: int, cols: int) -> MatrixQ:
-    grid = [[Fraction(0)] * cols for _ in range(rows)]
+    flat = [Fraction(0)] * (rows * cols)
+    for (r, c), value in _read_sparse(obj, ptr, (rows, cols), "[row, col, value]").items():
+        flat[r * cols + c] = value
+    return MatrixQ(rows, cols, tuple(flat))
+
+
+def _read_labels(obj, ptr: str, dim: int) -> tuple[str, ...]:
+    if not isinstance(obj, list) or len(obj) != dim or not all(isinstance(s, str) for s in obj):
+        raise SchemaError(ptr, f"expected a list of {dim} strings")
+    return tuple(obj)
+
+
+def _read_cochain_entries(obj, ptr: str, arity: int, algebra_dim: int, carrier_dim: int):
+    """Cochain values from [[args...], component, value] entries."""
+    basis = CochainBasis(arity, algebra_dim)
+    values = [[Fraction(0)] * carrier_dim for _ in range(len(basis))]
     seen: set[tuple[int, int]] = set()
     for pos, entry in enumerate(_read_entry_list(obj, ptr)):
         eptr = f"{ptr}/{pos}"
-        if not isinstance(entry, list) or len(entry) != 3:
-            raise SchemaError(eptr, "expected [row, col, value]")
-        r = _read_index(entry[0], f"{eptr}/0", rows)
-        c = _read_index(entry[1], f"{eptr}/1", cols)
-        if (r, c) in seen:
-            raise SchemaError(eptr, "duplicate entry")
-        seen.add((r, c))
-        grid[r][c] = _read_fraction(entry[2], f"{eptr}/2")
-    return MatrixQ.from_rows(grid) if rows else MatrixQ(0, cols, ())
-
-
-# --- per-kind payload readers -------------------------------------------------
-
-
-def _read_prelie(obj, ptr: str) -> PreLieAlgebra:
-    _require_dict(obj, ptr, ("dim", "product"), ("labels",))
-    dim = _read_int(obj["dim"], f"{ptr}/dim")
-    product = _read_tensor(obj["product"], f"{ptr}/product", dim, dim, dim)
-    labels = None
-    if "labels" in obj:
-        raw = obj["labels"]
-        if not isinstance(raw, list) or len(raw) != dim or not all(isinstance(s, str) for s in raw):
-            raise SchemaError(f"{ptr}/labels", f"expected a list of {dim} strings")
-        labels = tuple(raw)
-    return PreLieAlgebra(dim, product, labels)
-
-
-def _read_lie(obj, ptr: str) -> LieAlgebra:
-    _require_dict(obj, ptr, ("dim", "bracket"))
-    dim = _read_int(obj["dim"], f"{ptr}/dim")
-    return LieAlgebra(dim, _read_tensor(obj["bracket"], f"{ptr}/bracket", dim, dim, dim))
-
-
-def _read_dendriform(obj, ptr: str) -> DendriformAlgebra:
-    _require_dict(obj, ptr, ("dim", "succ", "prec"))
-    dim = _read_int(obj["dim"], f"{ptr}/dim")
-    return DendriformAlgebra(
-        dim,
-        _read_tensor(obj["succ"], f"{ptr}/succ", dim, dim, dim),
-        _read_tensor(obj["prec"], f"{ptr}/prec", dim, dim, dim),
-    )
-
-
-def _read_representation(obj, ptr: str) -> Representation:
-    _require_dict(obj, ptr, ("algebra", "carrier_dim", "left", "right"))
-    algebra = _read_prelie(obj["algebra"], f"{ptr}/algebra")
-    carrier = _read_int(obj["carrier_dim"], f"{ptr}/carrier_dim")
-    left = _read_tensor(obj["left"], f"{ptr}/left", algebra.dim, carrier, carrier)
-    right = _read_tensor(obj["right"], f"{ptr}/right", carrier, algebra.dim, carrier)
-    return Representation(algebra, carrier, left, right)
-
-
-def _read_crossed_module(obj, ptr: str) -> CrossedModule:
-    _require_dict(obj, ptr, ("m", "n", "mu", "left", "right"))
-    m = _read_prelie(obj["m"], f"{ptr}/m")
-    n = _read_prelie(obj["n"], f"{ptr}/n")
-    mu = _read_matrix(obj["mu"], f"{ptr}/mu", n.dim, m.dim)
-    left = _read_tensor(obj["left"], f"{ptr}/left", n.dim, m.dim, m.dim)
-    right = _read_tensor(obj["right"], f"{ptr}/right", m.dim, n.dim, m.dim)
-    return CrossedModule(AlgebraMorphism(m, n, mu), ActionData(n, m, left, right))
-
-
-def _read_extension(obj, ptr: str) -> CrossedModuleExtension:
-    _require_dict(
-        obj,
-        ptr,
-        ("g", "v_dim", "v_left", "v_right", "m", "n", "i", "mu", "pi", "left", "right"),
-    )
-    g = _read_prelie(obj["g"], f"{ptr}/g")
-    v_dim = _read_int(obj["v_dim"], f"{ptr}/v_dim")
-    v_left = _read_tensor(obj["v_left"], f"{ptr}/v_left", g.dim, v_dim, v_dim)
-    v_right = _read_tensor(obj["v_right"], f"{ptr}/v_right", v_dim, g.dim, v_dim)
-    m = _read_prelie(obj["m"], f"{ptr}/m")
-    n = _read_prelie(obj["n"], f"{ptr}/n")
-    i = _read_matrix(obj["i"], f"{ptr}/i", m.dim, v_dim)
-    mu = _read_matrix(obj["mu"], f"{ptr}/mu", n.dim, m.dim)
-    pi = _read_matrix(obj["pi"], f"{ptr}/pi", g.dim, n.dim)
-    left = _read_tensor(obj["left"], f"{ptr}/left", n.dim, m.dim, m.dim)
-    right = _read_tensor(obj["right"], f"{ptr}/right", m.dim, n.dim, m.dim)
-    return CrossedModuleExtension(
-        Representation(g, v_dim, v_left, v_right),
-        i,
-        AlgebraMorphism(m, n, mu),
-        AlgebraMorphism(n, g, pi),
-        ActionData(n, m, left, right),
-    )
-
-
-def _read_rblie_xmod(obj, ptr: str) -> RotaBaxterLieCrossedModule:
-    _require_dict(obj, ptr, ("m", "n", "t_m", "t_n", "mu", "rho"))
-    m = _read_lie(obj["m"], f"{ptr}/m")
-    n = _read_lie(obj["n"], f"{ptr}/n")
-    return RotaBaxterLieCrossedModule(
-        m=m,
-        n=n,
-        t_m=_read_matrix(obj["t_m"], f"{ptr}/t_m", m.dim, m.dim),
-        t_n=_read_matrix(obj["t_n"], f"{ptr}/t_n", n.dim, n.dim),
-        mu=_read_matrix(obj["mu"], f"{ptr}/mu", n.dim, m.dim),
-        rho=_read_tensor(obj["rho"], f"{ptr}/rho", n.dim, m.dim, m.dim),
-    )
-
-
-def _read_dendriform_xmod(obj, ptr: str) -> DendriformCrossedModule:
-    _require_dict(
-        obj, ptr, ("m", "n", "mu", "succ_nm", "prec_mn", "succ_mn", "prec_nm")
-    )
-    m = _read_dendriform(obj["m"], f"{ptr}/m")
-    n = _read_dendriform(obj["n"], f"{ptr}/n")
-    return DendriformCrossedModule(
-        m=m,
-        n=n,
-        mu=_read_matrix(obj["mu"], f"{ptr}/mu", n.dim, m.dim),
-        succ_nm=_read_tensor(obj["succ_nm"], f"{ptr}/succ_nm", n.dim, m.dim, m.dim),
-        prec_mn=_read_tensor(obj["prec_mn"], f"{ptr}/prec_mn", m.dim, n.dim, m.dim),
-        succ_mn=_read_tensor(obj["succ_mn"], f"{ptr}/succ_mn", m.dim, n.dim, m.dim),
-        prec_nm=_read_tensor(obj["prec_nm"], f"{ptr}/prec_nm", n.dim, m.dim, m.dim),
-    )
-
-
-def _read_lie_xmod(obj, ptr: str) -> LieCrossedModule:
-    _require_dict(obj, ptr, ("m", "n", "mu", "action"))
-    m = _read_lie(obj["m"], f"{ptr}/m")
-    n = _read_lie(obj["n"], f"{ptr}/n")
-    return LieCrossedModule(
-        m,
-        n,
-        _read_matrix(obj["mu"], f"{ptr}/mu", n.dim, m.dim),
-        _read_tensor(obj["action"], f"{ptr}/action", n.dim, m.dim, m.dim),
-    )
-
-
-def _read_cochain(obj, ptr: str) -> Cochain:
-    _require_dict(obj, ptr, ("arity", "algebra_dim", "carrier_dim", "entries"))
-    arity = _read_int(obj["arity"], f"{ptr}/arity", minimum=1)
-    algebra_dim = _read_int(obj["algebra_dim"], f"{ptr}/algebra_dim")
-    carrier_dim = _read_int(obj["carrier_dim"], f"{ptr}/carrier_dim")
-    basis = CochainBasis(arity, algebra_dim)
-    values: list[list[Fraction]] = [
-        [Fraction(0)] * carrier_dim for _ in range(len(basis))
-    ]
-    seen: set[tuple[int, int]] = set()
-    for pos, entry in enumerate(_read_entry_list(obj["entries"], f"{ptr}/entries")):
-        eptr = f"{ptr}/entries/{pos}"
         if not isinstance(entry, list) or len(entry) != 3:
             raise SchemaError(eptr, "expected [[arguments], component, value]")
         args_obj = entry[0]
@@ -323,20 +186,196 @@ def _read_cochain(obj, ptr: str) -> Cochain:
             raise SchemaError(eptr, "duplicate entry")
         seen.add(slot)
         values[slot[0]][b] = _read_fraction(entry[2], f"{eptr}/2")
-    return Cochain(arity, algebra_dim, carrier_dim, tuple(tuple(v) for v in values))
+    return tuple(tuple(v) for v in values)
 
 
-_READERS = {
-    "prelie": _read_prelie,
-    "lie": _read_lie,
-    "representation": _read_representation,
-    "crossed_module": _read_crossed_module,
-    "extension": _read_extension,
-    "rblie_xmod": _read_rblie_xmod,
-    "dendriform_xmod": _read_dendriform_xmod,
-    "cochain": _read_cochain,
-    "lie_xmod": _read_lie_xmod,
+def _ser_tensor(cube: Tensor3) -> list:
+    return [
+        [i + 1, j + 1, k + 1, str(value)]
+        for i, plane in enumerate(cube)
+        for j, row in enumerate(plane)
+        for k, value in enumerate(row)
+        if value != 0
+    ]
+
+
+def _ser_matrix(m: MatrixQ) -> list:
+    return [
+        [pos // m.cols + 1, pos % m.cols + 1, str(value)]
+        for pos, value in enumerate(m.entries)
+        if value != 0
+    ]
+
+
+def _cochain_entries(f: Cochain) -> list:
+    """Nonzero entries of f in the document format: [[args...], component, value]."""
+    return [
+        [[t + 1 for t in prefix + (last,)], b + 1, str(value)]
+        for (prefix, last), row in zip(CochainBasis(f.arity, f.algebra_dim).tuples, f.values)
+        for b, value in enumerate(row)
+        if value != 0
+    ]
+
+
+# field type -> (reader, writer); a labels field is the one optional field
+_CODECS = {
+    "int": (_read_int, int),
+    "arity": (lambda obj, ptr: _read_int(obj, ptr, minimum=1), int),
+    "tensor": (_read_tensor, _ser_tensor),
+    "matrix": (_read_matrix, _ser_matrix),
+    "labels": (_read_labels, list),
+    "entries": (_read_cochain_entries, _cochain_entries),
 }
+
+
+# --- the kinds ----------------------------------------------------------------
+
+
+def _crossed_module(m, n, mu, left, right) -> CrossedModule:
+    return CrossedModule(AlgebraMorphism(m, n, mu), ActionData(n, m, left, right))
+
+
+def _crossed_module_parts(x: CrossedModule) -> dict:
+    a = x.action
+    return {
+        "m": x.m_algebra, "n": x.n_algebra, "mu": x.mu.matrix, "left": a.left, "right": a.right,
+    }
+
+
+def _extension(g, v_dim, v_left, v_right, m, n, i, mu, pi, left, right) -> CrossedModuleExtension:
+    return CrossedModuleExtension(
+        Representation(g, v_dim, v_left, v_right),
+        i,
+        AlgebraMorphism(m, n, mu),
+        AlgebraMorphism(n, g, pi),
+        ActionData(n, m, left, right),
+    )
+
+
+def _extension_parts(e: CrossedModuleExtension) -> dict:
+    v = e.v_rep
+    return {
+        **_crossed_module_parts(e.crossed_module()),
+        "g": e.g_algebra, "v_dim": v.carrier_dim, "v_left": v.left, "v_right": v.right,
+        "i": e.i, "pi": e.pi.matrix,
+    }
+
+
+def _cochain(arity, algebra_dim, carrier_dim, entries) -> Cochain:
+    return Cochain(arity, algebra_dim, carrier_dim, entries)
+
+
+def _cochain_parts(f: Cochain) -> dict:
+    return {
+        "arity": f.arity, "algebra_dim": f.algebra_dim, "carrier_dim": f.carrier_dim, "entries": f,
+    }
+
+
+# kind -> (make, fields[, parts]), one entry per document kind. fields are
+# (name, type, *dims) in document order; a type is a key of _CODECS or a
+# kind, read as a nested object. Each dim names an earlier field: an int
+# field stands for itself, a nested structure for its .dim. make takes the
+# fields as keywords; parts returns them from a payload, whose own
+# attributes supply them otherwise. "dendriform" is only ever nested.
+_CUBE = ("dim", "dim", "dim")
+_TABLE = {
+    "prelie": (PreLieAlgebra, (
+        ("dim", "int"), ("product", "tensor", *_CUBE), ("labels", "labels", "dim"),
+    )),
+    "lie": (LieAlgebra, (("dim", "int"), ("bracket", "tensor", *_CUBE))),
+    "dendriform": (DendriformAlgebra, (
+        ("dim", "int"), ("succ", "tensor", *_CUBE), ("prec", "tensor", *_CUBE),
+    )),
+    "representation": (Representation, (
+        ("algebra", "prelie"),
+        ("carrier_dim", "int"),
+        ("left", "tensor", "algebra", "carrier_dim", "carrier_dim"),
+        ("right", "tensor", "carrier_dim", "algebra", "carrier_dim"),
+    )),
+    "crossed_module": (_crossed_module, (
+        ("m", "prelie"),
+        ("n", "prelie"),
+        ("mu", "matrix", "n", "m"),
+        ("left", "tensor", "n", "m", "m"),
+        ("right", "tensor", "m", "n", "m"),
+    ), _crossed_module_parts),
+    "extension": (_extension, (
+        ("g", "prelie"),
+        ("v_dim", "int"),
+        ("v_left", "tensor", "g", "v_dim", "v_dim"),
+        ("v_right", "tensor", "v_dim", "g", "v_dim"),
+        ("m", "prelie"),
+        ("n", "prelie"),
+        ("i", "matrix", "m", "v_dim"),
+        ("mu", "matrix", "n", "m"),
+        ("pi", "matrix", "g", "n"),
+        ("left", "tensor", "n", "m", "m"),
+        ("right", "tensor", "m", "n", "m"),
+    ), _extension_parts),
+    "rblie_xmod": (RotaBaxterLieCrossedModule, (
+        ("m", "lie"),
+        ("n", "lie"),
+        ("t_m", "matrix", "m", "m"),
+        ("t_n", "matrix", "n", "n"),
+        ("mu", "matrix", "n", "m"),
+        ("rho", "tensor", "n", "m", "m"),
+    )),
+    "dendriform_xmod": (DendriformCrossedModule, (
+        ("m", "dendriform"),
+        ("n", "dendriform"),
+        ("mu", "matrix", "n", "m"),
+        ("succ_nm", "tensor", "n", "m", "m"),
+        ("prec_mn", "tensor", "m", "n", "m"),
+        ("succ_mn", "tensor", "m", "n", "m"),
+        ("prec_nm", "tensor", "n", "m", "m"),
+    )),
+    "cochain": (_cochain, (
+        ("arity", "arity"),
+        ("algebra_dim", "int"),
+        ("carrier_dim", "int"),
+        ("entries", "entries", "arity", "algebra_dim", "carrier_dim"),
+    ), _cochain_parts),
+    "lie_xmod": (LieCrossedModule, (
+        ("m", "lie"),
+        ("n", "lie"),
+        ("mu", "matrix", "n", "m"),
+        ("action", "tensor", "n", "m", "m"),
+    )),
+}
+
+
+def _read(kind: str, obj, ptr: str):
+    make, fields = _TABLE[kind][:2]
+    if not isinstance(obj, dict):
+        raise SchemaError(ptr or "/", "expected an object")
+    for name, type_, *_ in fields:
+        if name not in obj and type_ != "labels":
+            raise SchemaError(ptr or "/", f"missing field {name!r}")
+    names = [field[0] for field in fields]
+    for key in obj:
+        if key not in names:
+            raise SchemaError(f"{ptr}/{key}", "unknown field")
+    values = {}
+    for name, type_, *dims in fields:
+        if name in obj:
+            sizes = [v if isinstance(v, int) else v.dim for v in map(values.get, dims)]
+            fptr = f"{ptr}/{name}"
+            if type_ in _CODECS:
+                values[name] = _CODECS[type_][0](obj[name], fptr, *sizes)
+            else:
+                values[name] = _read(type_, obj[name], fptr)
+    return make(**values)
+
+
+def _write(kind: str, payload) -> dict:
+    _, fields, *parts = _TABLE[kind]
+    values = parts[0](payload) if parts else vars(payload)
+    out = {}
+    for name, type_, *_ in fields:
+        value = values[name]
+        if value is not None:
+            out[name] = _CODECS[type_][1](value) if type_ in _CODECS else _write(type_, value)
+    return out
 
 
 def document_from_obj(obj) -> DocumentModel:
@@ -345,14 +384,15 @@ def document_from_obj(obj) -> DocumentModel:
     if "kind" not in obj:
         raise SchemaError("/", "missing field 'kind'")
     kind = obj["kind"]
-    if kind not in _READERS:
+    if not isinstance(kind, str):
+        raise SchemaError("/kind", "expected a string")
+    if kind not in KINDS:
         raise SchemaError("/kind", f"unknown kind {kind!r}")
     version = obj.get("format_version", FORMAT_VERSION)
     if version != FORMAT_VERSION:
         raise SchemaError("/format_version", f"unsupported version {version!r}")
     body = {k: v for k, v in obj.items() if k not in ("kind", "format_version")}
-    payload = _READERS[kind](body, "")
-    return DocumentModel(kind, payload, FORMAT_VERSION)
+    return DocumentModel(kind, _read(kind, body, ""), FORMAT_VERSION)
 
 
 def parse_document(path: str) -> DocumentModel:
@@ -373,139 +413,9 @@ def parse_document(path: str) -> DocumentModel:
 # --- serialization ------------------------------------------------------------
 
 
-def _ser_tensor(cube: Tensor3) -> list:
-    out = []
-    for i, plane in enumerate(cube):
-        for j, row in enumerate(plane):
-            for k, value in enumerate(row):
-                if value != 0:
-                    out.append([i + 1, j + 1, k + 1, str(value)])
-    return out
-
-
-def _ser_matrix(m: MatrixQ) -> list:
-    out = []
-    for r in range(m.rows):
-        for c in range(m.cols):
-            if m.at(r, c) != 0:
-                out.append([r + 1, c + 1, str(m.at(r, c))])
-    return out
-
-
-def _ser_prelie(a: PreLieAlgebra) -> dict:
-    obj = {"dim": a.dim, "product": _ser_tensor(a.product)}
-    if a.labels is not None:
-        obj["labels"] = list(a.labels)
-    return obj
-
-
-def _ser_lie(a: LieAlgebra) -> dict:
-    return {"dim": a.dim, "bracket": _ser_tensor(a.bracket)}
-
-
-def _ser_dendriform(a: DendriformAlgebra) -> dict:
-    return {"dim": a.dim, "succ": _ser_tensor(a.succ), "prec": _ser_tensor(a.prec)}
-
-
-def _ser_representation(rep: Representation) -> dict:
-    return {
-        "algebra": _ser_prelie(rep.algebra),
-        "carrier_dim": rep.carrier_dim,
-        "left": _ser_tensor(rep.left),
-        "right": _ser_tensor(rep.right),
-    }
-
-
-def _ser_crossed_module(x: CrossedModule) -> dict:
-    return {
-        "m": _ser_prelie(x.m_algebra),
-        "n": _ser_prelie(x.n_algebra),
-        "mu": _ser_matrix(x.mu.matrix),
-        "left": _ser_tensor(x.action.left),
-        "right": _ser_tensor(x.action.right),
-    }
-
-
-def _ser_extension(e: CrossedModuleExtension) -> dict:
-    return {
-        "g": _ser_prelie(e.g_algebra),
-        "v_dim": e.v_dim,
-        "v_left": _ser_tensor(e.v_rep.left),
-        "v_right": _ser_tensor(e.v_rep.right),
-        "m": _ser_prelie(e.m_algebra),
-        "n": _ser_prelie(e.n_algebra),
-        "i": _ser_matrix(e.i),
-        "mu": _ser_matrix(e.mu.matrix),
-        "pi": _ser_matrix(e.pi.matrix),
-        "left": _ser_tensor(e.action.left),
-        "right": _ser_tensor(e.action.right),
-    }
-
-
-def _ser_rblie_xmod(x: RotaBaxterLieCrossedModule) -> dict:
-    return {
-        "m": _ser_lie(x.m),
-        "n": _ser_lie(x.n),
-        "t_m": _ser_matrix(x.t_m),
-        "t_n": _ser_matrix(x.t_n),
-        "mu": _ser_matrix(x.mu),
-        "rho": _ser_tensor(x.rho),
-    }
-
-
-def _ser_dendriform_xmod(x: DendriformCrossedModule) -> dict:
-    return {
-        "m": _ser_dendriform(x.m),
-        "n": _ser_dendriform(x.n),
-        "mu": _ser_matrix(x.mu),
-        "succ_nm": _ser_tensor(x.succ_nm),
-        "prec_mn": _ser_tensor(x.prec_mn),
-        "succ_mn": _ser_tensor(x.succ_mn),
-        "prec_nm": _ser_tensor(x.prec_nm),
-    }
-
-
-def _ser_lie_xmod(x: LieCrossedModule) -> dict:
-    return {
-        "m": _ser_lie(x.m),
-        "n": _ser_lie(x.n),
-        "mu": _ser_matrix(x.mu),
-        "action": _ser_tensor(x.action),
-    }
-
-
-def _ser_cochain(f: Cochain) -> dict:
-    basis = CochainBasis(f.arity, f.algebra_dim)
-    entries = []
-    for pos, (prefix, last) in enumerate(basis.tuples):
-        args = [t + 1 for t in prefix] + [last + 1]
-        for b, value in enumerate(f.values[pos]):
-            if value != 0:
-                entries.append([args, b + 1, str(value)])
-    return {
-        "arity": f.arity,
-        "algebra_dim": f.algebra_dim,
-        "carrier_dim": f.carrier_dim,
-        "entries": entries,
-    }
-
-
-_WRITERS = {
-    "prelie": _ser_prelie,
-    "lie": _ser_lie,
-    "representation": _ser_representation,
-    "crossed_module": _ser_crossed_module,
-    "extension": _ser_extension,
-    "rblie_xmod": _ser_rblie_xmod,
-    "dendriform_xmod": _ser_dendriform_xmod,
-    "cochain": _ser_cochain,
-    "lie_xmod": _ser_lie_xmod,
-}
-
-
 def document_to_obj(model: DocumentModel) -> dict:
     obj = {"kind": model.kind, "format_version": model.format_version}
-    obj.update(_WRITERS[model.kind](model.payload))
+    obj.update(_write(model.kind, model.payload))
     return obj
 
 

@@ -453,8 +453,3 @@ class QuotientMap:
     def reduce_matrix(self) -> MatrixQ:
         cols = [self.reduce(standard_basis_vector(self.ambient_dim, j)) for j in range(self.ambient_dim)]
         return MatrixQ.from_cols(cols, rows=self.dim)
-
-
-def quotient_reduce(ambient_dim: int, sub: SubspaceBasis, v: Sequence[Fraction]) -> Vector:
-    """Coordinates of v in Q^ambient_dim / span(sub); see QuotientMap."""
-    return QuotientMap.build(ambient_dim, sub).reduce(v)

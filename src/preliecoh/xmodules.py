@@ -137,31 +137,32 @@ def identity_xmod(n: PreLieAlgebra) -> CrossedModule:
     return CrossedModule(mu, ActionData(n, n, n.product, n.product))
 
 
+def _induced_action(act_left, act_right, xs, us, onto: MatrixQ, error: Exception):
+    """The tables left[x][u] and right[u][x] of act_left(x, u) and
+    act_right(u, x) in coordinates against the columns of `onto`, for x in
+    xs and u in us; raises `error` if a value leaves their span."""
+
+    def coords(w: Vector) -> Vector:
+        c = solve_particular(onto, w)
+        if c is None:
+            raise error
+        return c
+
+    left = tuple(tuple(coords(act_left(x, u)) for u in us) for x in xs)
+    right = tuple(tuple(coords(act_right(u, x)) for x in xs) for u in us)
+    return left, right
+
+
 def ideal_inclusion_xmod(n: PreLieAlgebra, sub: SubspaceBasis) -> CrossedModule:
     """A two-sided ideal with its inclusion; raises NotAnIdeal."""
     ideal, incl_cols = ideal_subalgebra(n, sub)
     incl = AlgebraMorphism(ideal, n, incl_cols)
-    left = []
-    for i in range(n.dim):
-        row = []
-        for u in range(ideal.dim):
-            w = n.multiply(n.basis_vector(i), sub.vectors[u])
-            coords = solve_particular(incl_cols, w)
-            if coords is None:
-                raise InternalAssertionFailed("ideal action left the subspace")
-            row.append(coords)
-        left.append(tuple(row))
-    right = []
-    for u in range(ideal.dim):
-        row = []
-        for i in range(n.dim):
-            w = n.multiply(sub.vectors[u], n.basis_vector(i))
-            coords = solve_particular(incl_cols, w)
-            if coords is None:
-                raise InternalAssertionFailed("ideal action left the subspace")
-            row.append(coords)
-        right.append(tuple(row))
-    return CrossedModule(incl, ActionData(n, ideal, tuple(left), tuple(right)))
+    basis = [n.basis_vector(i) for i in range(n.dim)]
+    left, right = _induced_action(
+        n.multiply, n.multiply, basis, sub.vectors, incl_cols,
+        InternalAssertionFailed("ideal action left the subspace"),
+    )
+    return CrossedModule(incl, ActionData(n, ideal, left, right))
 
 
 def kernel_xmod(f: AlgebraMorphism) -> CrossedModule:
@@ -242,28 +243,15 @@ def induced_representation(e: CrossedModuleExtension, section: MatrixQ | None = 
     rho = default_pi_section(e) if section is None else section
     if e.pi.matrix @ rho != MatrixQ.identity(g.dim):
         raise InvalidExtension("section is not a right inverse of pi")
-    v = e.v_dim
-    left = []
-    for x in range(g.dim):
-        row = []
-        for u in range(v):
-            w = e.action.act_left(rho.col(x), e.i.col(u))
-            coords = solve_particular(e.i, w)
-            if coords is None:
-                raise InvalidExtension("induced action escapes the image of i")
-            row.append(coords)
-        left.append(tuple(row))
-    right = []
-    for u in range(v):
-        row = []
-        for x in range(g.dim):
-            w = e.action.act_right(e.i.col(u), rho.col(x))
-            coords = solve_particular(e.i, w)
-            if coords is None:
-                raise InvalidExtension("induced action escapes the image of i")
-            row.append(coords)
-        right.append(tuple(row))
-    return Representation(g, v, tuple(left), tuple(right))
+    left, right = _induced_action(
+        e.action.act_left,
+        e.action.act_right,
+        [rho.col(x) for x in range(g.dim)],
+        [e.i.col(u) for u in range(e.v_dim)],
+        e.i,
+        InvalidExtension("induced action escapes the image of i"),
+    )
+    return Representation(g, e.v_dim, left, right)
 
 
 def check_extension(e: CrossedModuleExtension) -> Violation | None:
@@ -332,27 +320,15 @@ def canonical_extension(x: CrossedModule) -> CrossedModuleExtension:
     pi = AlgebraMorphism(n, g, quot.reduce_matrix())
     v_dim = kernel.dim
     rho = right_inverse_on_image(pi.matrix)
-    left = []
-    for xx in range(g_dim):
-        row = []
-        for u in range(v_dim):
-            w = x.action.act_left(rho.col(xx), i.col(u))
-            coords = solve_particular(i, w)
-            if coords is None:
-                raise InternalAssertionFailed("induced action escaped ker mu")
-            row.append(coords)
-        left.append(tuple(row))
-    right = []
-    for u in range(v_dim):
-        row = []
-        for xx in range(g_dim):
-            w = x.action.act_right(i.col(u), rho.col(xx))
-            coords = solve_particular(i, w)
-            if coords is None:
-                raise InternalAssertionFailed("induced action escaped ker mu")
-            row.append(coords)
-        right.append(tuple(row))
-    v_rep = Representation(g, v_dim, tuple(left), tuple(right))
+    left, right = _induced_action(
+        x.action.act_left,
+        x.action.act_right,
+        [rho.col(xx) for xx in range(g_dim)],
+        kernel.vectors,
+        i,
+        InternalAssertionFailed("induced action escaped ker mu"),
+    )
+    v_rep = Representation(g, v_dim, left, right)
     ext = CrossedModuleExtension(v_rep, i, x.mu, pi, x.action)
     bad = check_extension(ext)
     if bad is not None:

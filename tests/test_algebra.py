@@ -22,15 +22,37 @@ from preliecoh.algebra import (
     check_prelie,
     check_representation,
     check_two_sided_ideal,
-    first_prelie_violation_bruteforce,
     ideal_subalgebra,
     subadjacent_lie,
     zero_tensor3,
 )
 from preliecoh.errors import NotAnIdeal, ShapeError
-from preliecoh.linalg import MatrixQ, vector
+from preliecoh.linalg import MatrixQ, standard_basis_vector, vec_sub, vector
 
 F = Fraction
+
+
+def first_prelie_violation_bruteforce(dim, product):
+    """Independent oracle: scan triples in lex order with a fully spelled
+    out evaluation of the defining identity; no shared code paths with
+    check_prelie beyond the tensor container."""
+    def mul(x, y):
+        out = [F(0)] * dim
+        for i in range(dim):
+            for j in range(dim):
+                for k in range(dim):
+                    out[k] += x[i] * y[j] * product[i][j][k]
+        return tuple(out)
+
+    e = [standard_basis_vector(dim, t) for t in range(dim)]
+    for i in range(dim):
+        for j in range(dim):
+            for k in range(dim):
+                lhs = vec_sub(mul(mul(e[i], e[j]), e[k]), mul(e[i], mul(e[j], e[k])))
+                rhs = vec_sub(mul(mul(e[j], e[i]), e[k]), mul(e[j], mul(e[i], e[k])))
+                if lhs != rhs:
+                    return (i, j, k)
+    return None
 
 
 def sparse_algebra(dim, entries, labels=None):

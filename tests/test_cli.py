@@ -163,6 +163,18 @@ def test_schema_violation_is_an_input_error(tmp_path: Path) -> None:
     assert code == 1 and "/product/0/2" in err
 
 
+@pytest.mark.parametrize(
+    "kind", ['["prelie"]', '{"name": "prelie"}', "1"], ids=["list", "object", "number"]
+)
+def test_non_string_kind_is_an_input_error(tmp_path: Path, kind: str) -> None:
+    doc = tmp_path / "doc.json"
+    doc.write_text(f'{{"kind": {kind}, "dim": 1, "product": []}}')
+    code, out, err = run_cli("validate", str(doc))
+    assert (code, out) == (1, "")
+    assert err == "error: /kind: expected a string\n"
+    assert "Traceback" not in err
+
+
 def test_wrong_document_kind_is_an_input_error() -> None:
     code, _, err = run_cli("cohomology", fx("lmult2"))
     assert code == 1 and "expected a representation document" in err

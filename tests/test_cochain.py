@@ -23,7 +23,6 @@ from preliecoh.cochain import (
     CochainComplex,
     LieCochain,
     are_cohomologous,
-    check_lie_module,
     coboundary,
     coboundary_matrix,
     cohomology,
@@ -33,17 +32,17 @@ from preliecoh.cochain import (
     lie_coboundary_matrix,
     lie_cohomology_dimension,
     phi_map,
-    phi_inverse,
     phi_matrix,
     sort_with_sign,
     tuple_rank,
 )
-from preliecoh.errors import ArityMismatch, NotACocycle, ShapeError
+from preliecoh.errors import ArityMismatch, DimensionMismatch, NotACocycle, ShapeError
 from preliecoh.linalg import (
     MatrixQ,
     invert,
     rank_kernel_image,
     rank_of,
+    standard_basis_vector,
     vec_add,
     vec_scale,
     vec_sub,
@@ -53,6 +52,32 @@ from preliecoh.linalg import (
 from preliecoh.xmodules import semidirect_product
 
 F = Fraction
+
+
+def check_lie_module(mod):
+    """[x,y].w = x.(y.w) - y.(x.w) on every basis tuple."""
+    lie = mod.algebra
+    for i, j, a in itertools.product(range(lie.dim), range(lie.dim), range(mod.dim)):
+        lhs = mod.act(lie.basis_bracket(i, j), standard_basis_vector(mod.dim, a))
+        rhs = vec_sub(
+            mod.act(lie.basis_vector(i), mod.basis_act(j, a)),
+            mod.act(lie.basis_vector(j), mod.basis_act(i, a)),
+        )
+        if lhs != rhs:
+            return False
+    return True
+
+
+def phi_inverse(f, carrier_dim):
+    """Inverse of phi_map; module_dim must factor as algebra_dim * carrier."""
+    a_dim = f.algebra_dim
+    if f.module_dim != a_dim * carrier_dim:
+        raise DimensionMismatch("module dimension does not factor through Hom(g,V)")
+    values = []
+    for prefix, last in CochainBasis(f.arity + 1, a_dim).tuples:
+        w = f.value_at(prefix)
+        values.append(tuple(w[last * carrier_dim + b] for b in range(carrier_dim)))
+    return Cochain(f.arity + 1, a_dim, carrier_dim, tuple(values))
 
 
 def sparse_algebra(dim, entries):

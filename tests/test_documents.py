@@ -222,3 +222,145 @@ def test_sparse_zero_entries_are_dropped_on_output():
     algebra = PreLieAlgebra(2, sparse_tensor(2, 2, 2, {(0, 1, 1): 1}))
     obj = document_to_obj(DocumentModel("prelie", algebra))
     assert obj["product"] == [[1, 2, 2, "1"]]
+
+
+# --- error paths of every field -----------------------------------------------
+
+# Every field of every kind in document order, as name:shape. A shape that
+# names another entry is a nested object of that kind; labels are optional.
+SCHEMA = {
+    "prelie": "dim:int product:tensor labels:labels",
+    "lie": "dim:int bracket:tensor",
+    "dendriform": "dim:int succ:tensor prec:tensor",
+    "representation": "algebra:prelie carrier_dim:int left:tensor right:tensor",
+    "crossed_module": "m:prelie n:prelie mu:matrix left:tensor right:tensor",
+    "extension": "g:prelie v_dim:int v_left:tensor v_right:tensor m:prelie n:prelie "
+    "i:matrix mu:matrix pi:matrix left:tensor right:tensor",
+    "rblie_xmod": "m:lie n:lie t_m:matrix t_n:matrix mu:matrix rho:tensor",
+    "dendriform_xmod": "m:dendriform n:dendriform mu:matrix "
+    "succ_nm:tensor prec_mn:tensor succ_mn:tensor prec_nm:tensor",
+    "cochain": "arity:int algebra_dim:int carrier_dim:int entries:entries",
+    "lie_xmod": "m:lie n:lie mu:matrix action:tensor",
+}
+
+# shape -> (replacement, pointer suffix, message fragment); every sample
+# dimension is at least 1 and the sample cochain has arity 2.
+CORRUPTIONS = {
+    "int": [("x", "", "expected an integer")],
+    "labels": [([7], "", "strings")],
+    "tensor": [
+        ([[1, 1, 1, "x"]], "/0/3", "not a rational literal"),
+        ([[1, 99, 1, "1"]], "/0/1", "out of range"),
+    ],
+    "matrix": [
+        ([[1, 1, "x"]], "/0/2", "not a rational literal"),
+        ([[1, 99, "1"]], "/0/1", "out of range"),
+    ],
+    "entries": [
+        ([[[1, 1], 1, "x"]], "/0/2", "not a rational literal"),
+        ([[[1, 1], 99, "1"]], "/0/1", "out of range"),
+    ],
+}
+
+
+def _fields(kind, ptr=""):
+    """(pointer, shape) of every field of `kind`, nested ones included."""
+    for spec in SCHEMA[kind].split():
+        name, shape = spec.split(":")
+        yield f"{ptr}/{name}", shape
+        if shape in SCHEMA:
+            yield from _fields(shape, f"{ptr}/{name}")
+
+
+def _sample_doc(kind):
+    models = {"prelie": DocumentModel("prelie", PreLieAlgebra(2, LMULT2.product, ("x", "y")))}
+    for model in _sample_models():
+        models.setdefault(model.kind, model)
+    return document_to_obj(models[kind])
+
+
+def _object_at(doc, ptr):
+    for name in ptr.split("/")[1:]:
+        doc = doc[name]
+    return doc
+
+
+def _schema_error(doc):
+    with pytest.raises(SchemaError) as info:
+        document_from_obj(doc)
+    return info.value
+
+
+TOP_KINDS = [kind for kind in SCHEMA if kind != "dendriform"]
+FIELD_CASES = [(kind, ptr, shape) for kind in TOP_KINDS for ptr, shape in _fields(kind)]
+OBJECT_CASES = [(kind, "") for kind in TOP_KINDS] + [
+    (kind, ptr) for kind, ptr, shape in FIELD_CASES if shape in SCHEMA
+]
+
+
+def _pointers(obj, ptr=""):
+    """JSON pointer of every field of a document body, nested ones included."""
+    for name, value in obj.items():
+        yield f"{ptr}/{name}"
+        if isinstance(value, dict):
+            yield from _pointers(value, f"{ptr}/{name}")
+
+
+def test_samples_serialize_every_field_in_schema_order():
+    for kind in TOP_KINDS:
+        doc = _sample_doc(kind)
+        body = {k: v for k, v in doc.items() if k not in ("kind", "format_version")}
+        # only optional labels may be absent from a sample
+        expected = [
+            ptr for ptr, shape in _fields(kind)
+            if shape != "labels" or ptr.rsplit("/", 1)[1] in _object_at(doc, ptr.rsplit("/", 1)[0])
+        ]
+        assert list(_pointers(body)) == expected, kind
+
+
+@pytest.mark.parametrize(
+    "kind, ptr, shape", FIELD_CASES, ids=[f"{k}{p}" for k, p, _ in FIELD_CASES]
+)
+def test_error_path_of_every_field(kind, ptr, shape):
+    parent, name = ptr.rsplit("/", 1)
+    doc = _sample_doc(kind)
+    _object_at(doc, parent).pop(name, None)
+    if shape == "labels":
+        document_from_obj(doc)
+    else:
+        err = _schema_error(doc)
+        assert (err.path, str(err)) == (parent or "/", f"{parent or '/'}: missing field {name!r}")
+    corruptions = CORRUPTIONS.get(shape, [([], "", "expected an object")])
+    for replacement, suffix, fragment in corruptions:
+        doc = _sample_doc(kind)
+        _object_at(doc, parent)[name] = replacement
+        err = _schema_error(doc)
+        assert err.path == ptr + suffix
+        assert fragment in str(err)
+
+
+@pytest.mark.parametrize("kind, ptr", OBJECT_CASES, ids=[f"{k}{p}" for k, p in OBJECT_CASES])
+def test_unknown_field_in_every_object(kind, ptr):
+    doc = _sample_doc(kind)
+    _object_at(doc, ptr)["extra"] = 1
+    err = _schema_error(doc)
+    assert str(err) == f"{ptr}/extra: unknown field"
+
+
+def test_first_missing_field_is_reported_in_document_order():
+    for kind in TOP_KINDS:
+        names = [spec.split(":")[0] for spec in SCHEMA[kind].split()]
+        err = _schema_error({"kind": kind})
+        assert str(err) == f"/: missing field {names[0]!r}"
+
+
+def test_cochain_arity_must_be_positive():
+    doc = _sample_doc("cochain")
+    doc["arity"] = 0
+    err = _schema_error(doc)
+    assert str(err) == "/arity: must be at least 1"
+
+
+def test_dendriform_is_not_a_top_level_kind():
+    err = _schema_error({"kind": "dendriform", "dim": 1, "succ": [], "prec": []})
+    assert str(err) == "/kind: unknown kind 'dendriform'"

@@ -21,7 +21,6 @@ from preliecoh.linalg import (
     _rref,
     greedy_independent,
     invert,
-    quotient_reduce,
     rank_kernel_image,
     rank_of,
     right_inverse_on_image,
@@ -31,6 +30,11 @@ from preliecoh.linalg import (
 )
 
 F = Fraction
+
+
+def quotient_reduce(ambient_dim, sub, v):
+    """Coordinates of v in Q^ambient_dim / span(sub); see QuotientMap."""
+    return QuotientMap.build(ambient_dim, sub).reduce(v)
 
 
 def mat(rows):
