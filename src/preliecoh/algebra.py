@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionMismatch, NotAnIdeal, ShapeError
@@ -49,9 +50,16 @@ def tensor3(entries: Sequence[Sequence[Sequence[object]]], d1: int, d2: int, d3:
         for j, row in enumerate(plane):
             if len(row) != d3:
                 raise ShapeError(f"tensor entry [{i}][{j}] has length {len(row)}, expected {d3}")
-            rows.append(tuple(as_fraction(x) for x in row))
+            # a tuple of Fractions (as the document reader builds) is kept as is
+            if type(row) is tuple and set(map(type, row)) <= _FRACTION_ONLY:
+                rows.append(row)
+            else:
+                rows.append(tuple(as_fraction(x) for x in row))
         out.append(tuple(rows))
     return tuple(out)
+
+
+_FRACTION_ONLY = {Fraction}
 
 
 def zero_tensor3(d1: int, d2: int, d3: int) -> Tensor3:
@@ -75,6 +83,49 @@ def bilinear(t: Tensor3, x: Vector, y: Vector) -> Vector:
                 if v != 0:
                     out[k] += c * v
     return tuple(out)
+
+
+# Sparse structure constants: rows[i][j] lists the nonzero (k, t[i][j][k]).
+SparseRows = list[list[list[tuple[int, Fraction]]]]
+# One term of a basis identity: (sign, coefficients c_w, rows): it stands
+# for sign * sum_w c_w * rows[w].
+Term = tuple[int, list[tuple[int, Fraction]], list[list[tuple[int, Fraction]]]]
+
+
+def _sparse_rows(t: Tensor3) -> SparseRows:
+    return [[[(k, c) for k, c in enumerate(row) if c] for row in plane] for plane in t]
+
+
+def _transpose(rows: SparseRows) -> SparseRows:
+    """out[j][i] = rows[i][j]."""
+    return [list(column) for column in zip(*rows)]
+
+
+def _combine(terms: Sequence[Term], n: int) -> Vector:
+    out = [ZERO] * n
+    for sign, coeffs, rows in terms:
+        for w, c in coeffs:
+            for k, x in rows[w]:
+                out[k] += sign * c * x
+    return tuple(out)
+
+
+def _first_failure(axiom: str, tuples, sides, n: int) -> "Violation | None":
+    """Scan index tuples in order; sides(*idx) gives the (lhs, rhs) terms
+    of the identity there. Returns the first tuple where they differ,
+    with both sides as vectors of length n."""
+    for idx in tuples:
+        lhs, rhs = sides(*idx)
+        diff: dict[int, Fraction] = {}
+        for terms, outer in ((lhs, 1), (rhs, -1)):
+            for sign, coeffs, rows in terms:
+                for w, c in coeffs:
+                    c *= sign * outer
+                    for k, x in rows[w]:
+                        diff[k] = diff.get(k, ZERO) + c * x
+        if any(diff.values()):
+            return Violation(axiom, idx, _combine(lhs, n), _combine(rhs, n))
+    return None
 
 
 @dataclass(frozen=True)
@@ -149,17 +200,18 @@ class LieAlgebra:
 
 
 def check_prelie(a: PreLieAlgebra) -> Violation | None:
-    """Left-symmetry of the associator on every basis triple."""
-    for i, j, k in itertools.product(range(a.dim), repeat=3):
-        ij_k = a.multiply(a.basis_product(i, j), a.basis_vector(k))
-        i_jk = a.multiply(a.basis_vector(i), a.basis_product(j, k))
-        ji_k = a.multiply(a.basis_product(j, i), a.basis_vector(k))
-        j_ik = a.multiply(a.basis_vector(j), a.basis_product(i, k))
-        lhs = vec_sub(ij_k, i_jk)
-        rhs = vec_sub(ji_k, j_ik)
-        if lhs != rhs:
-            return Violation("left-symmetry", (i, j, k), lhs, rhs)
-    return None
+    """Left-symmetry of the associator on every basis triple, from the
+    nonzero structure constants: (e_i e_j) e_k = sum_m P[i][j][m] P[m][k]
+    and e_i (e_j e_k) = sum_m P[j][k][m] P[i][m]."""
+    p = _sparse_rows(a.product)
+    by_right = _transpose(p)
+
+    def sides(i: int, j: int, k: int) -> tuple[list[Term], list[Term]]:
+        lhs = [(1, p[i][j], by_right[k]), (-1, p[j][k], p[i])]
+        rhs = [(1, p[j][i], by_right[k]), (-1, p[i][k], p[j])]
+        return lhs, rhs
+
+    return _first_failure("left-symmetry", itertools.product(range(a.dim), repeat=3), sides, a.dim)
 
 
 def check_lie(l: LieAlgebra) -> Violation | None:
@@ -245,27 +297,27 @@ def check_representation(rep: Representation) -> Violation | None:
     identity ties the two actions to the pre-Lie product."""
     a = rep.algebra
     v = rep.carrier_dim
-    lie = subadjacent_lie(a)
-    for i, j, u in itertools.product(range(a.dim), range(a.dim), range(v)):
-        lhs = bilinear(rep.left, lie.basis_bracket(i, j), standard_basis_vector(v, u))
-        rhs = vec_sub(
-            rep.act_left(a.basis_vector(i), rep.basis_left(j, u)),
-            rep.act_left(a.basis_vector(j), rep.basis_left(i, u)),
-        )
-        if lhs != rhs:
-            return Violation("left-action-lie-module", (i, j, u), lhs, rhs)
-    for i, u, j in itertools.product(range(a.dim), range(v), range(a.dim)):
-        lhs = vec_sub(
-            rep.act_right(rep.basis_left(i, u), a.basis_vector(j)),
-            rep.act_left(a.basis_vector(i), rep.basis_right(u, j)),
-        )
-        rhs = vec_sub(
-            rep.act_right(rep.basis_right(u, i), a.basis_vector(j)),
-            rep.act_right(standard_basis_vector(v, u), a.basis_product(i, j)),
-        )
-        if lhs != rhs:
-            return Violation("mixed-identity", (i, u, j), lhs, rhs)
-    return None
+    p = _sparse_rows(a.product)
+    bracket = _sparse_rows(subadjacent_lie(a).bracket)
+    left, right = _sparse_rows(rep.left), _sparse_rows(rep.right)
+    left_t, right_t = _transpose(left), _transpose(right)
+
+    def lie_module(i: int, j: int, u: int) -> tuple[list[Term], list[Term]]:
+        # [e_i, e_j] . v_u  =  e_i . (e_j . v_u) - e_j . (e_i . v_u)
+        lhs = [(1, bracket[i][j], left_t[u])]
+        rhs = [(1, left[j][u], left[i]), (-1, left[i][u], left[j])]
+        return lhs, rhs
+
+    def mixed(i: int, u: int, j: int) -> tuple[list[Term], list[Term]]:
+        # (e_i . v_u) . e_j - e_i . (v_u . e_j)  =  (v_u . e_i) . e_j - v_u . (e_i * e_j)
+        lhs = [(1, left[i][u], right_t[j]), (-1, right[u][j], left[i])]
+        rhs = [(1, right[u][i], right_t[j]), (-1, p[i][j], right[u])]
+        return lhs, rhs
+
+    d = range(a.dim)
+    return _first_failure(
+        "left-action-lie-module", itertools.product(d, d, range(v)), lie_module, v
+    ) or _first_failure("mixed-identity", itertools.product(d, range(v), d), mixed, v)
 
 
 @dataclass(frozen=True)
@@ -310,33 +362,27 @@ def check_action(act: ActionData) -> Violation | None:
     bad = check_representation(act.representation())
     if bad is not None:
         return bad
-    n, m = act.acting.dim, act.module.dim
-    mod = act.module
-    for x, u, v in itertools.product(range(n), range(m), range(m)):
-        ev = act.basis_left(x, u)
-        lhs = vec_sub(
-            mod.multiply(ev, mod.basis_vector(v)),
-            act.act_left(act.acting.basis_vector(x), mod.basis_product(u, v)),
-        )
-        rhs = vec_sub(
-            mod.multiply(act.basis_right(u, x), mod.basis_vector(v)),
-            bilinear(mod.product, mod.basis_vector(u), act.basis_left(x, v)),
-        )
-        if lhs != rhs:
-            return Violation("action-left-compat", (x, u, v), lhs, rhs)
-    for u, v, x in itertools.product(range(m), range(m), range(n)):
-        ex = act.acting.basis_vector(x)
-        lhs = vec_sub(
-            act.act_right(mod.basis_product(u, v), ex),
-            mod.multiply(mod.basis_vector(u), act.basis_right(v, x)),
-        )
-        rhs = vec_sub(
-            act.act_right(mod.basis_product(v, u), ex),
-            mod.multiply(mod.basis_vector(v), act.basis_right(u, x)),
-        )
-        if lhs != rhs:
-            return Violation("action-right-compat", (u, v, x), lhs, rhs)
-    return None
+    n, m = range(act.acting.dim), range(act.module.dim)
+    q = _sparse_rows(act.module.product)
+    left, right = _sparse_rows(act.left), _sparse_rows(act.right)
+    q_t, right_t = _transpose(q), _transpose(right)
+
+    def left_compat(x: int, u: int, v: int) -> tuple[list[Term], list[Term]]:
+        # (e_x . m_u) m_v - e_x . (m_u m_v)  =  (m_u . e_x) m_v - m_u (e_x . m_v)
+        lhs = [(1, left[x][u], q_t[v]), (-1, q[u][v], left[x])]
+        rhs = [(1, right[u][x], q_t[v]), (-1, left[x][v], q[u])]
+        return lhs, rhs
+
+    def right_compat(u: int, v: int, x: int) -> tuple[list[Term], list[Term]]:
+        # (m_u m_v) . e_x - m_u (m_v . e_x)  =  (m_v m_u) . e_x - m_v (m_u . e_x)
+        lhs = [(1, q[u][v], right_t[x]), (-1, right[v][x], q[u])]
+        rhs = [(1, q[v][u], right_t[x]), (-1, right[u][x], q[v])]
+        return lhs, rhs
+
+    size = act.module.dim
+    return _first_failure(
+        "action-left-compat", itertools.product(n, m, m), left_compat, size
+    ) or _first_failure("action-right-compat", itertools.product(m, m, n), right_compat, size)
 
 
 @dataclass(frozen=True)

@@ -20,13 +20,15 @@ branches were merged below the root, so the recursion terminates.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import NeedsHigherTruncation, ShapeError, TruncationMismatch
-from .algebra import PreLieAlgebra, Representation, Violation
+from .algebra import PreLieAlgebra, Representation, Tensor3, Violation
 from .cochain import Cochain
 from .linalg import Vector, vec_add, vec_scale, vec_sub, zero_vector
 
@@ -350,20 +352,55 @@ def evaluate(
     return TreeEvaluator(algebra, assign).eval_poly(p)
 
 
+def _integer_family(vectors: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
+    """One common denominator D for a family of vectors, and each vector
+    times D, in integers."""
+    den = lcm(*(c.denominator for vec in vectors for c in vec))
+    return den, [[c.numerator * (den // c.denominator) for c in vec] for vec in vectors]
+
+
+# The nine terms of (d theta)(x1, x2, x3, x4) as (kind, sign, argument
+# positions); see the formula in check_cocycle_pullback.
+_PULLBACK_TERMS = (
+    ("left", 1, (0, 1, 2, 3)),
+    ("left", -1, (1, 0, 2, 3)),
+    ("left", 1, (2, 0, 1, 3)),
+    ("right", 1, (1, 2, 0, 3)),
+    ("right", -1, (0, 2, 1, 3)),
+    ("right", 1, (0, 1, 2, 3)),
+    ("bracket", -1, (0, 1, 2, 3)),
+    ("bracket", 1, (0, 2, 1, 3)),
+    ("bracket", -1, (1, 2, 0, 3)),
+)
+
+
 def check_cocycle_pullback(
     theta: Cochain,
     rep: Representation,
     assign: Mapping[int, Sequence[Fraction]],
     max_degree: int,
 ) -> Violation | None:
-    """Pull a closed 3-cochain back along the evaluation homomorphism
+    """Pull a closed 3-cochain back along the evaluation homomorphism E
     and verify its coboundary vanishes on all quadruples of basis trees
-    up to the total degree cutoff.
+    up to the total degree cutoff, in lexicographic order of indices.
 
-    The coboundary on the free side uses grafting for products and the
-    evaluation homomorphism for the module structure, so this exercises
-    both at once. Indices in a Violation refer to positions in the
-    concatenated list of basis trees ordered by (degree, canonical key).
+    On trees x1..x4 the coboundary of the pullback is
+
+        sum_i (-1)^(i+1) [x_i . th(..no x_i.., x4) + th(..no x_i.., x_i) . x4
+                          - th(..no x_i.., x_i * x4)]
+      + sum_{i<j<=3} (-1)^(i+j) th([x_i, x_j], ..no x_i, x_j.., x4)
+
+    with th(y1, y2, y3) = theta(E y1, E y2, E y3), . the module actions
+    of `rep` and * the grafting product, so both the free side and the
+    evaluation are exercised. Before the loop the basis trees and every
+    product of two that fits are evaluated once, theta is read once on
+    the basis triples, and each family (tree images, product images,
+    theta, left and right action) is scaled by one common denominator.
+    Every term kind then has a known integer scale; terms are cached by
+    tuples of tree indices and each quadruple is summed in integers.
+    Indices in a Violation refer to positions in the concatenated list
+    of basis trees ordered by (degree, canonical key); its lhs is the
+    coboundary value there and its rhs zero.
     """
     if theta.arity != 3:
         raise ShapeError("need a 3-cochain")
@@ -377,62 +414,142 @@ def check_cocycle_pullback(
     # degree max_degree - 3 can never appear
     for d in range(1, max(max_degree - 3, 1) + 1):
         trees.extend(enumerate_trees(num_labels, d))
+    degrees = [t.degree for t in trees]
+    # trees come sorted by degree, so those of degree <= r are a prefix
+    fits = [bisect_right(degrees, r) for r in range(max_degree + 1)]
+
+    def fit(r: int) -> int:
+        return fits[r] if r > 0 else 0
 
     free_degree = max_degree + 1  # room for single products inside d(theta)
     polys = [TreePoly.of_tree(t, free_degree) for t in trees]
-    indices = [
-        (i1, i2, i3, i4)
-        for i1, i2, i3, i4 in itertools.product(range(len(trees)), repeat=4)
-        if trees[i1].degree + trees[i2].degree + trees[i3].degree + trees[i4].degree
-        <= max_degree
+    # evaluation is linear and a homomorphism, so every tree and every
+    # product two partners short of the cutoff is evaluated once
+    e_den, singles = _integer_family([evaluator.eval_poly(p) for p in polys])
+    pairs = [(i, j) for i in range(len(trees)) for j in range(fit(max_degree - 2 - degrees[i]))]
+    p_den, products = _integer_family(
+        [evaluator.eval_poly(graft_product(polys[i], polys[j])) for i, j in pairs]
+    )
+    product_of = dict(zip(pairs, products))
+
+    v = rep.carrier_dim
+    triples = list(itertools.product(range(a.dim), repeat=3))
+    t_den, t_values = _integer_family([theta.value_at(t) for t in triples])
+    theta_rows: dict[tuple[int, int], list[tuple[int, list[int]]]] = {}
+    for (x, y, z), value in zip(triples, t_values):
+        if any(value):
+            theta_rows.setdefault((x, y), []).append((z, value))
+
+    def tensor_rows(t: Tensor3) -> tuple[int, dict[tuple[int, int], list[int]]]:
+        keys = [(i, j) for i in range(len(t)) for j in range(len(t[i]))]
+        den, values = _integer_family([t[i][j] for i, j in keys])
+        return den, {key: value for key, value in zip(keys, values) if any(value)}
+
+    l_den, left_rows = tensor_rows(rep.left)
+    r_den, right_rows = tensor_rows(rep.right)
+
+    # Each integer value is the true value times the product of the
+    # denominators of its factors: theta on three tree images carries
+    # t_den * e_den^3, an action term one more e_den and l_den or r_den,
+    # and a term with one product image t_den * e_den^2 * p_den. Scaling
+    # each kind up to their lcm puts every quadruple over one denominator.
+    pull_den = t_den * e_den**2
+    scale_left = l_den * e_den * pull_den * e_den
+    scale_right = pull_den * e_den * r_den * e_den
+    scale_graft = pull_den * p_den
+    den = lcm(scale_left, scale_right, scale_graft)
+    m_left, m_right, m_graft = den // scale_left, den // scale_right, den // scale_graft
+
+    def pull(p: list[int], q: list[int], r: list[int]) -> list[int]:
+        """theta on integer vectors."""
+        out = [0] * v
+        for x, px in enumerate(p):
+            if px:
+                for y, qy in enumerate(q):
+                    if qy:
+                        for z, value in theta_rows.get((x, y), ()):
+                            c = r[z]
+                            if c:
+                                c *= px * qy
+                                for b, t in enumerate(value):
+                                    out[b] += c * t
+        return out
+
+    def act(rows: dict, p: list[int], q: list[int], mult: int) -> list[int]:
+        """mult times the bilinear map with integer rows on (p, q)."""
+        out = [0] * v
+        for x, px in enumerate(p):
+            if px:
+                for u, qu in enumerate(q):
+                    if qu and (x, u) in rows:
+                        c = mult * px * qu
+                        for w, t in enumerate(rows[x, u]):
+                            out[w] += c * t
+        return out
+
+    pulled: dict[tuple[int, int, int], list[int]] = {}
+
+    def theta_of_trees(i: int, j: int, k: int) -> list[int]:
+        key = (i, j, k)
+        if key not in pulled:
+            pulled[key] = pull(singles[i], singles[j], singles[k])
+        return pulled[key]
+
+    def left_term(i: int, j: int, k: int, l: int) -> list[int]:
+        # x_i . th(x_j, x_k, x_l)
+        return act(left_rows, singles[i], theta_of_trees(j, k, l), m_left)
+
+    def right_term(i: int, j: int, k: int, l: int) -> list[int]:
+        # th(x_i, x_j, x_k) . x_l - th(x_i, x_j, x_k * x_l)
+        out = act(right_rows, theta_of_trees(i, j, k), singles[l], m_right)
+        for b, c in enumerate(pull(singles[i], singles[j], product_of[k, l])):
+            out[b] -= m_graft * c
+        return out
+
+    def bracket_term(i: int, j: int, k: int, l: int) -> list[int]:
+        # th([x_i, x_j], x_k, x_l)
+        ij = pull(product_of[i, j], singles[k], singles[l])
+        ji = pull(product_of[j, i], singles[k], singles[l])
+        return [m_graft * (x - y) for x, y in zip(ij, ji)]
+
+    # a kind whose factors are all zero adds nothing to any quadruple
+    grafts = theta_rows and any(map(any, products))
+    kinds = {
+        "left": left_term if theta_rows and left_rows else None,
+        "right": right_term if grafts or theta_rows and right_rows else None,
+        "bracket": bracket_term if grafts else None,
+    }
+    caches: dict[str, dict[tuple[int, int, int, int], list[int]]] = {kind: {} for kind in kinds}
+    plan = [
+        (kinds[kind], caches[kind], sign, order)
+        for kind, sign, order in _PULLBACK_TERMS
+        if kinds[kind] is not None
     ]
-    # evaluation is linear and a homomorphism, so every polynomial that
-    # appears can be evaluated once and the loop reduced to vector work
-    singles = [evaluator.eval_poly(p) for p in polys]
-    product_cache: dict[tuple[int, int], Vector] = {}
+    if not plan:
+        return None
 
-    def product_vec(i: int, j: int) -> Vector:
-        key = (i, j)
-        if key not in product_cache:
-            product_cache[key] = evaluator.eval_poly(graft_product(polys[i], polys[j]))
-        return product_cache[key]
-
-    theta_cache: dict[tuple[Vector, Vector, Vector], Vector] = {}
-
-    def pullback(v1: Vector, v2: Vector, v3: Vector) -> Vector:
-        key = (v1, v2, v3)
-        if key not in theta_cache:
-            theta_cache[key] = theta.evaluate([v1, v2, v3])
-        return theta_cache[key]
-
-    for quad in indices:
-        i1, i2, i3, i4 = quad
-        vecs = [singles[q] for q in quad]
-        total = zero_vector(rep.carrier_dim)
-        for i in (1, 2, 3):
-            sign = Fraction(1) if i % 2 == 1 else Fraction(-1)
-            rest = [vecs[t] for t in range(4) if t != i - 1]
-            term = rep.act_left(vecs[i - 1], pullback(rest[0], rest[1], rest[2]))
-            total = vec_add(total, vec_scale(sign, term))
-            shuffled = [vecs[t] for t in range(3) if t != i - 1] + [vecs[i - 1]]
-            term = rep.act_right(pullback(shuffled[0], shuffled[1], shuffled[2]), vecs[3])
-            total = vec_add(total, vec_scale(sign, term))
-            head = [vecs[t] for t in range(3) if t != i - 1]
-            prod = product_vec(quad[i - 1], quad[3])
-            term = pullback(head[0], head[1], prod)
-            total = vec_sub(total, vec_scale(sign, term))
-        for i in (1, 2, 3):
-            for j in range(i + 1, 4):
-                sign = Fraction(1) if (i + j) % 2 == 0 else Fraction(-1)
-                br = vec_sub(
-                    product_vec(quad[i - 1], quad[j - 1]),
-                    product_vec(quad[j - 1], quad[i - 1]),
-                )
-                rest = [vecs[t] for t in range(4) if t not in (i - 1, j - 1)]
-                term = pullback(br, rest[0], rest[1])
-                total = vec_add(total, vec_scale(sign, term))
-        if total != zero_vector(rep.carrier_dim):
-            return Violation(
-                "pullback-coboundary", (i1, i2, i3, i4), total, zero_vector(rep.carrier_dim)
-            )
+    n = len(trees)
+    for i1 in range(n):
+        r1 = max_degree - degrees[i1]
+        for i2 in range(fit(r1 - 2)):
+            r2 = r1 - degrees[i2]
+            for i3 in range(fit(r2 - 1)):
+                for i4 in range(fit(r2 - degrees[i3])):
+                    quad = (i1, i2, i3, i4)
+                    total = [0] * v
+                    for term_of, cache, sign, order in plan:
+                        key = (quad[order[0]], quad[order[1]], quad[order[2]], quad[order[3]])
+                        term = cache.get(key)
+                        if term is None:
+                            term = cache[key] = term_of(*key)
+                        for b, c in enumerate(term):
+                            total[b] += sign * c
+                    if any(total):
+                        return Violation(
+                            "pullback-coboundary",
+                            quad,
+                            tuple(Fraction(c, den) for c in total),
+                            zero_vector(v),
+                        )
     return None
+

@@ -16,6 +16,7 @@ from preliecoh.algebra import (
     PreLieAlgebra,
     Representation,
     SubspaceBasis,
+    Violation,
     check_action,
     check_lie,
     check_morphism,
@@ -26,10 +27,89 @@ from preliecoh.algebra import (
     subadjacent_lie,
     zero_tensor3,
 )
+from preliecoh.algebra import bilinear, tensor3
+from preliecoh.catalog import ALGEBRAS, BAD_ALGEBRA, fixture_documents, representation_pairs
 from preliecoh.errors import NotAnIdeal, ShapeError
 from preliecoh.linalg import MatrixQ, standard_basis_vector, vec_sub, vector
 
 F = Fraction
+
+
+# --- dense oracles for the sparse checkers ---------------------------------
+# The checkers as first written: every identity is evaluated with
+# `bilinear` on standard basis vectors, zeros included.
+
+
+def check_prelie_dense(a):
+    for i, j, k in itertools.product(range(a.dim), repeat=3):
+        ij_k = a.multiply(a.basis_product(i, j), a.basis_vector(k))
+        i_jk = a.multiply(a.basis_vector(i), a.basis_product(j, k))
+        ji_k = a.multiply(a.basis_product(j, i), a.basis_vector(k))
+        j_ik = a.multiply(a.basis_vector(j), a.basis_product(i, k))
+        lhs = vec_sub(ij_k, i_jk)
+        rhs = vec_sub(ji_k, j_ik)
+        if lhs != rhs:
+            return Violation("left-symmetry", (i, j, k), lhs, rhs)
+    return None
+
+
+def check_representation_dense(rep):
+    a = rep.algebra
+    v = rep.carrier_dim
+    lie = subadjacent_lie(a)
+    for i, j, u in itertools.product(range(a.dim), range(a.dim), range(v)):
+        lhs = bilinear(rep.left, lie.basis_bracket(i, j), standard_basis_vector(v, u))
+        rhs = vec_sub(
+            rep.act_left(a.basis_vector(i), rep.basis_left(j, u)),
+            rep.act_left(a.basis_vector(j), rep.basis_left(i, u)),
+        )
+        if lhs != rhs:
+            return Violation("left-action-lie-module", (i, j, u), lhs, rhs)
+    for i, u, j in itertools.product(range(a.dim), range(v), range(a.dim)):
+        lhs = vec_sub(
+            rep.act_right(rep.basis_left(i, u), a.basis_vector(j)),
+            rep.act_left(a.basis_vector(i), rep.basis_right(u, j)),
+        )
+        rhs = vec_sub(
+            rep.act_right(rep.basis_right(u, i), a.basis_vector(j)),
+            rep.act_right(standard_basis_vector(v, u), a.basis_product(i, j)),
+        )
+        if lhs != rhs:
+            return Violation("mixed-identity", (i, u, j), lhs, rhs)
+    return None
+
+
+def check_action_dense(act):
+    bad = check_representation_dense(act.representation())
+    if bad is not None:
+        return bad
+    n, m = act.acting.dim, act.module.dim
+    mod = act.module
+    for x, u, v in itertools.product(range(n), range(m), range(m)):
+        ev = act.basis_left(x, u)
+        lhs = vec_sub(
+            mod.multiply(ev, mod.basis_vector(v)),
+            act.act_left(act.acting.basis_vector(x), mod.basis_product(u, v)),
+        )
+        rhs = vec_sub(
+            mod.multiply(act.basis_right(u, x), mod.basis_vector(v)),
+            bilinear(mod.product, mod.basis_vector(u), act.basis_left(x, v)),
+        )
+        if lhs != rhs:
+            return Violation("action-left-compat", (x, u, v), lhs, rhs)
+    for u, v, x in itertools.product(range(m), range(m), range(n)):
+        ex = act.acting.basis_vector(x)
+        lhs = vec_sub(
+            act.act_right(mod.basis_product(u, v), ex),
+            mod.multiply(mod.basis_vector(u), act.basis_right(v, x)),
+        )
+        rhs = vec_sub(
+            act.act_right(mod.basis_product(v, u), ex),
+            mod.multiply(mod.basis_vector(v), act.basis_right(u, x)),
+        )
+        if lhs != rhs:
+            return Violation("action-right-compat", (u, v, x), lhs, rhs)
+    return None
 
 
 def first_prelie_violation_bruteforce(dim, product):
@@ -262,3 +342,117 @@ def test_checker_agrees_with_bruteforce_on_perturbations(a, data):
         assert oracle is None
     else:
         assert oracle == bad.indices
+
+
+# --- sparse checkers against the dense oracles ------------------------------
+
+small = st.sampled_from([F(0), F(0), F(0), F(1), F(-1), F(1, 2), F(2)])
+
+
+def random_tensor(data, d1, d2, d3):
+    return tuple(
+        tuple(tuple(data.draw(small) for _ in range(d3)) for _ in range(d2)) for _ in range(d1)
+    )
+
+
+def perturbed(data, t):
+    """t with one entry changed, or unchanged half of the time."""
+    cells = [list(map(list, plane)) for plane in t]
+    if cells and cells[0] and cells[0][0] and data.draw(st.booleans()):
+        i = data.draw(st.integers(0, len(cells) - 1))
+        j = data.draw(st.integers(0, len(cells[0]) - 1))
+        k = data.draw(st.integers(0, len(cells[0][0]) - 1))
+        cells[i][j][k] += data.draw(st.sampled_from([F(1), F(-1), F(1, 2)]))
+    return tuple(tuple(tuple(row) for row in plane) for plane in cells)
+
+
+def test_sparse_checkers_equal_dense_oracles_on_catalog():
+    for a in [*ALGEBRAS.values(), BAD_ALGEBRA, bad2()]:
+        assert check_prelie(a) == check_prelie_dense(a)
+    for _, rep in representation_pairs():
+        assert check_representation(rep) == check_representation_dense(rep)
+    payloads = [doc.payload for doc in fixture_documents().values()]
+    for p in payloads:
+        if isinstance(p, PreLieAlgebra):
+            assert check_prelie(p) == check_prelie_dense(p)
+        elif isinstance(p, Representation):
+            assert check_representation(p) == check_representation_dense(p)
+        elif hasattr(p, "action") and isinstance(p.action, ActionData):
+            assert check_action(p.action) == check_action_dense(p.action)
+            rep = getattr(p, "v_rep", None)
+            if rep is not None:
+                assert check_representation(rep) == check_representation_dense(rep)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_sparse_prelie_checker_equals_dense_oracle(data):
+    d = data.draw(st.integers(1, 3))
+    base = data.draw(st.sampled_from([a for a in POSITIVE if a.dim == d] + [None]))
+    product = random_tensor(data, d, d, d) if base is None else perturbed(data, base.product)
+    a = PreLieAlgebra(d, product)
+    assert check_prelie(a) == check_prelie_dense(a)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(POSITIVE), st.integers(1, 2), st.data())
+def test_sparse_representation_checker_equals_dense_oracle(a, v, data):
+    d = a.dim
+    if data.draw(st.booleans()):
+        regular = Representation.regular(a)
+        v, left, right = d, perturbed(data, regular.left), perturbed(data, regular.right)
+    else:
+        left, right = random_tensor(data, d, v, v), random_tensor(data, v, d, v)
+    rep = Representation(a, v, left, right)
+    assert check_representation(rep) == check_representation_dense(rep)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(POSITIVE), st.data())
+def test_sparse_action_checker_equals_dense_oracle(a, data):
+    how = data.draw(st.sampled_from(["module", "all", "random"]))
+    if how == "module":
+        module = PreLieAlgebra(a.dim, perturbed(data, a.product))
+        left, right = a.product, a.product
+    elif how == "all":
+        module = PreLieAlgebra(a.dim, perturbed(data, a.product))
+        left, right = perturbed(data, a.product), perturbed(data, a.product)
+    else:
+        module = data.draw(st.sampled_from(POSITIVE))
+        n, m = a.dim, module.dim
+        left, right = random_tensor(data, n, m, m), random_tensor(data, m, n, m)
+    act = ActionData(a, module, left, right)
+    assert check_action(act) == check_action_dense(act)
+
+
+def test_sparse_action_checker_right_compat_witness():
+    # module e3 * e1 = e2 over abelian3 acting by m_2 . e_1 = -m_1 only:
+    # both representation laws and the left identity hold, the right one fails
+    module = sparse_algebra(3, {(2, 0, 1): 1})
+    right = [[[F(0)] * 3 for _ in range(3)] for _ in range(3)]
+    right[1][0][0] = F(-1)
+    right = tuple(tuple(tuple(row) for row in plane) for plane in right)
+    act = ActionData(abelian(3), module, zero_tensor3(3, 3, 3), right)
+    bad = check_action(act)
+    assert bad == check_action_dense(act)
+    assert (bad.axiom, bad.indices) == ("action-right-compat", (0, 2, 0))
+
+
+def test_tensor3_keeps_shape_checks_and_input_types():
+    t = tensor3([[[1, "1/2"]], [[F(2), F(-1, 3)]]], 2, 1, 2)
+    assert t == (((F(1), F(1, 2)),), ((F(2), F(-1, 3)),))
+    assert all(type(x) is F for plane in t for row in plane for x in row)
+    built = (((F(1), F(0)),),)
+    assert tensor3(built, 1, 1, 2) == built
+    assert tensor3([[(F(1), 2)]], 1, 1, 2) == (((F(1), F(2)),),)
+    assert tensor3([[[]]], 1, 1, 0) == (((),),)
+    for bad, dims in [
+        ([[[1, 2]]], (2, 1, 2)),
+        ([[[1, 2]]], (1, 2, 2)),
+        ([[[1, 2, 3]]], (1, 1, 2)),
+        ([[(F(1),)]], (1, 1, 2)),
+        ([[[1.5, 2]]], (1, 1, 2)),
+        ([[[True, 2]]], (1, 1, 2)),
+    ]:
+        with pytest.raises(ShapeError):
+            tensor3(bad, *dims)

@@ -175,6 +175,16 @@ def test_non_string_kind_is_an_input_error(tmp_path: Path, kind: str) -> None:
     assert "Traceback" not in err
 
 
+def test_validate_large_zero_product(tmp_path: Path) -> None:
+    # 45 bytes that describe 40^3 zero structure constants; the checker
+    # visits only nonzero ones (the dense check took about 15 s)
+    doc = tmp_path / "doc.json"
+    doc.write_text('{"kind": "prelie", "dim": 40, "product": []}')
+    code, out, err = run_cli("validate", str(doc))
+    assert (code, err) == (0, "")
+    assert "result: valid" in out.splitlines()
+
+
 def test_wrong_document_kind_is_an_input_error() -> None:
     code, _, err = run_cli("cohomology", fx("lmult2"))
     assert code == 1 and "expected a representation document" in err

@@ -9,10 +9,11 @@ from fractions import Fraction
 
 import pytest
 
-from preliecoh.algebra import PreLieAlgebra, Representation
+from preliecoh.algebra import PreLieAlgebra, Representation, Violation
+from preliecoh.catalog import representation_pairs
 from preliecoh.cochain import Cochain, CochainBasis, coboundary, cohomology
 from preliecoh.errors import NeedsHigherTruncation, ShapeError, TruncationMismatch
-from preliecoh.linalg import vector
+from preliecoh.linalg import vec_add, vec_scale, vec_sub, vector, zero_vector
 from preliecoh.trees import (
     MAX_TREE_DEPTH,
     LabeledRootedTree,
@@ -44,6 +45,79 @@ IDEM1 = sparse_algebra(1, {(0, 0, 0): 1})
 ABELIAN2 = PreLieAlgebra.zero_product(2)
 
 CATALOG = [ABELIAN2, IDEM1, LMULT2, AFFINE2]
+
+
+def check_cocycle_pullback_oracle(theta, rep, assign, max_degree):
+    """The Fraction reference for check_cocycle_pullback: every term is
+    evaluated with Cochain.evaluate and the module actions on rational
+    vectors, and pullbacks are cached by the tuple of argument vectors."""
+    if theta.arity != 3:
+        raise ShapeError("need a 3-cochain")
+    a = rep.algebra
+    if theta.algebra_dim != a.dim or theta.carrier_dim != rep.carrier_dim:
+        raise ShapeError("cochain does not match the representation")
+    num_labels = max(assign.keys()) + 1
+    evaluator = TreeEvaluator(a, assign)
+    trees = []
+    for d in range(1, max(max_degree - 3, 1) + 1):
+        trees.extend(enumerate_trees(num_labels, d))
+
+    free_degree = max_degree + 1
+    polys = [TreePoly.of_tree(t, free_degree) for t in trees]
+    indices = [
+        (i1, i2, i3, i4)
+        for i1, i2, i3, i4 in itertools.product(range(len(trees)), repeat=4)
+        if trees[i1].degree + trees[i2].degree + trees[i3].degree + trees[i4].degree
+        <= max_degree
+    ]
+    singles = [evaluator.eval_poly(p) for p in polys]
+    product_cache = {}
+
+    def product_vec(i, j):
+        key = (i, j)
+        if key not in product_cache:
+            product_cache[key] = evaluator.eval_poly(graft_product(polys[i], polys[j]))
+        return product_cache[key]
+
+    theta_cache = {}
+
+    def pullback(v1, v2, v3):
+        key = (v1, v2, v3)
+        if key not in theta_cache:
+            theta_cache[key] = theta.evaluate([v1, v2, v3])
+        return theta_cache[key]
+
+    for quad in indices:
+        i1, i2, i3, i4 = quad
+        vecs = [singles[q] for q in quad]
+        total = zero_vector(rep.carrier_dim)
+        for i in (1, 2, 3):
+            sign = F(1) if i % 2 == 1 else F(-1)
+            rest = [vecs[t] for t in range(4) if t != i - 1]
+            term = rep.act_left(vecs[i - 1], pullback(rest[0], rest[1], rest[2]))
+            total = vec_add(total, vec_scale(sign, term))
+            shuffled = [vecs[t] for t in range(3) if t != i - 1] + [vecs[i - 1]]
+            term = rep.act_right(pullback(shuffled[0], shuffled[1], shuffled[2]), vecs[3])
+            total = vec_add(total, vec_scale(sign, term))
+            head = [vecs[t] for t in range(3) if t != i - 1]
+            prod = product_vec(quad[i - 1], quad[3])
+            term = pullback(head[0], head[1], prod)
+            total = vec_sub(total, vec_scale(sign, term))
+        for i in (1, 2, 3):
+            for j in range(i + 1, 4):
+                sign = F(1) if (i + j) % 2 == 0 else F(-1)
+                br = vec_sub(
+                    product_vec(quad[i - 1], quad[j - 1]),
+                    product_vec(quad[j - 1], quad[i - 1]),
+                )
+                rest = [vecs[t] for t in range(4) if t not in (i - 1, j - 1)]
+                term = pullback(br, rest[0], rest[1])
+                total = vec_add(total, vec_scale(sign, term))
+        if total != zero_vector(rep.carrier_dim):
+            return Violation(
+                "pullback-coboundary", (i1, i2, i3, i4), total, zero_vector(rep.carrier_dim)
+            )
+    return None
 
 
 def poly(t, d):
@@ -235,3 +309,107 @@ def test_cocycle_pullback_rejects_non_cocycle():
     bad = check_cocycle_pullback(found, rep, assign, 4)
     assert bad is not None
     assert bad.axiom == "pullback-coboundary"
+
+
+# --- the integer pullback against the Fraction oracle -------------------------
+
+
+def rational_assign(rng, dim, labels=None):
+    labels = dim if labels is None else labels
+    values = [F(0), F(0), F(1), F(-1), F(2), F(1, 2), F(-2, 3), F(3, 2)]
+    return {a: tuple(rng.choice(values) for _ in range(dim)) for a in range(labels)}
+
+
+def random_cochain(rng, rep):
+    a, v = rep.algebra.dim, rep.carrier_dim
+    values = [F(0), F(0), F(0), F(1), F(-1), F(2), F(1, 2), F(-1, 3)]
+    n = len(CochainBasis(3, a))
+    return Cochain(3, a, v, tuple(tuple(rng.choice(values) for _ in range(v)) for _ in range(n)))
+
+
+def test_pullback_equals_oracle_on_catalog_representatives():
+    rng = random.Random(33)
+    for name, rep in representation_pairs():
+        reps = cohomology(rep, 3).representatives
+        if not reps:
+            continue
+        a = rep.algebra
+        assigns = [{i: a.basis_vector(i) for i in range(a.dim)}, rational_assign(rng, a.dim)]
+        # the oracle sees one seeded rational combination of all representatives
+        combo = reps[0].scale(F(0))
+        for theta in reps:
+            combo = combo.add(theta.scale(F(rng.randint(-3, 3), rng.randint(1, 3))))
+        for assign in assigns:
+            for degree in (4, 5):
+                for theta in reps:
+                    assert check_cocycle_pullback(theta, rep, assign, degree) is None, name
+                if degree == 5 and a.dim > 2:
+                    continue  # the oracle takes 0.5-2 s per call there
+                want = check_cocycle_pullback_oracle(combo, rep, assign, degree)
+                assert want is None, name
+                assert check_cocycle_pullback(combo, rep, assign, degree) == want, name
+
+
+def test_pullback_equals_oracle_on_perturbed_cochains():
+    # generic 3-cochains on the dim-3 catalog representations are not
+    # closed: the first failing quadruple and its value must agree
+    rng = random.Random(34)
+    violations = 0
+    # the left unit scaled by 1/2 puts denominators into both actions
+    half_unit = sparse_algebra(3, {(0, j, j): F(1, 2) for j in range(3)})
+    pairs = representation_pairs() + [("half-unit/regular", Representation.regular(half_unit))]
+    for name, rep in pairs:
+        a = rep.algebra
+        if a.dim != 3:
+            continue
+        for _ in range(2):
+            theta = random_cochain(rng, rep)
+            if coboundary(rep, theta).is_zero():
+                continue
+            for assign in ({i: a.basis_vector(i) for i in range(3)}, rational_assign(rng, 3)):
+                for degree in (4, 5):
+                    want = check_cocycle_pullback_oracle(theta, rep, assign, degree)
+                    assert check_cocycle_pullback(theta, rep, assign, degree) == want, name
+                    violations += want is not None
+    assert violations >= 20
+
+
+def test_pullback_equals_oracle_past_degree_one():
+    # e1 * e2 = e3 / 2 with two labels on e1, e2 (or on rational vectors):
+    # E reaches e3 only through a degree-2 tree, so for some unit
+    # cochains the first failing quadruple contains one
+    n3 = sparse_algebra(3, {(0, 1, 2): F(1, 2)})
+    rng = random.Random(35)
+    deep = 0
+    for rep in (Representation.regular(n3), Representation.trivial(n3, 1)):
+        v = rep.carrier_dim
+        positions = len(CochainBasis(3, 3)) * v
+        for assign in (
+            {0: n3.basis_vector(0), 1: n3.basis_vector(1)},
+            rational_assign(rng, 3, labels=2),
+        ):
+            for p in rng.sample(range(positions), 8):
+                coords = [F(0)] * positions
+                coords[p] = F(1)
+                theta = Cochain.from_coordinates(3, 3, v, coords)
+                want = check_cocycle_pullback_oracle(theta, rep, assign, 5)
+                assert check_cocycle_pullback(theta, rep, assign, 5) == want, (v, p)
+                deep += want is not None and max(want.indices) >= 2
+    assert deep >= 3
+
+
+def test_pullback_equals_oracle_on_errors():
+    rep = Representation.regular(LMULT2)
+    theta = Cochain.zero(3, 2, 2)
+    assign = {0: LMULT2.basis_vector(0), 1: LMULT2.basis_vector(1)}
+    cases = [
+        (Cochain.zero(2, 2, 2), rep, assign, "need a 3-cochain"),
+        (Cochain.zero(3, 2, 1), rep, assign, "does not match"),
+        (Cochain.zero(3, 1, 2), rep, assign, "does not match"),
+        (theta, rep, {0: assign[0], 2: assign[1]}, "no image assigned to label 1"),
+        (theta, rep, {0: assign[0], 1: (F(1),)}, "wrong dimension"),
+    ]
+    for check in (check_cocycle_pullback, check_cocycle_pullback_oracle):
+        for theta_, rep_, assign_, message in cases:
+            with pytest.raises(ShapeError, match=message):
+                check(theta_, rep_, assign_, 5)
