@@ -8,8 +8,9 @@ associator is symmetric in its first two arguments:
 
 The commutator [x,y] = x*y - y*x then satisfies Jacobi, giving the
 sub-adjacent Lie algebra. All spaces here are finite-dimensional over Q
-and structures are stored as basis tensors; checkers evaluate every
-axiom on every basis tuple and report the first failing tuple in
+and structures are basis tensors, each stored once as its nonzeros per
+index pair (Tensor3); checkers evaluate every axiom on every basis
+tuple from those nonzeros and report the first failing tuple in
 lexicographic order (0-based indices).
 """
 
@@ -18,87 +19,140 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatch, NotAnIdeal, ShapeError
 from .linalg import (
+    ONE,
     ZERO,
     MatrixQ,
     SubspaceBasis,
     Vector,
     as_fraction,
-    is_zero_vector,
     solve_particular,
     standard_basis_vector,
-    vec_add,
-    vec_sub,
     zero_vector,
 )
 
-# product[i][j][k]: coefficient of e_k in e_i * e_j
-Tensor3 = tuple[tuple[Vector, ...], ...]
+# A row of a structure tensor: the (k, t[i][j][k]) with a nonzero value,
+# sorted by k.
+Row = tuple[tuple[int, Fraction], ...]
 
 
-def tensor3(entries: Sequence[Sequence[Sequence[object]]], d1: int, d2: int, d3: int) -> Tensor3:
+@dataclass(frozen=True)
+class Tensor3:
+    """A structure tensor t[i][j][k] of shape (d1, d2, d3), stored once as
+    its nonzeros per index pair: rows[i][j] is the Row of t[i][j]. The
+    layout is canonical, so equal tensors compare and hash equal."""
+
+    shape: tuple[int, int, int]
+    rows: tuple[tuple[Row, ...], ...]
+
+    def vector(self, i: int, j: int) -> Vector:
+        """t[i][j] as a dense vector of length d3."""
+        out = [ZERO] * self.shape[2]
+        for k, c in self.rows[i][j]:
+            out[k] = c
+        return tuple(out)
+
+    def entries(self) -> Iterator[tuple[int, int, int, Fraction]]:
+        """(i, j, k, value) of every nonzero, in lexicographic order."""
+        for i, plane in enumerate(self.rows):
+            for j, row in enumerate(plane):
+                for k, c in row:
+                    yield i, j, k, c
+
+    def is_zero(self) -> bool:
+        return not any(map(any, self.rows))
+
+
+def _from_cells(d1: int, d2: int, d3: int, cells: dict[tuple[int, int], list]) -> Tensor3:
+    """The tensor whose row (i, j) holds the nonzero pairs cells[i, j]."""
+    return Tensor3(
+        (d1, d2, d3),
+        tuple(
+            tuple(tuple(sorted(cells[i, j])) if (i, j) in cells else () for j in range(d2))
+            for i in range(d1)
+        ),
+    )
+
+
+def sparse_tensor(d1: int, d2: int, d3: int, entries: dict) -> Tensor3:
+    """The tensor with t[i][j][k] = c for each (i, j, k): c of entries, zero
+    elsewhere; explicit zeros are dropped."""
+    cells: dict[tuple[int, int], list] = {}
+    for (i, j, k), c in entries.items():
+        if not (0 <= i < d1 and 0 <= j < d2 and 0 <= k < d3):
+            raise ShapeError(f"tensor index ({i}, {j}, {k}) outside shape ({d1}, {d2}, {d3})")
+        c = as_fraction(c)
+        if c:
+            cells.setdefault((i, j), []).append((k, c))
+    return _from_cells(d1, d2, d3, cells)
+
+
+def tensor3(entries: Tensor3 | Sequence[Sequence[Sequence[object]]], d1: int, d2: int, d3: int) -> Tensor3:
+    """A Tensor3 of shape (d1, d2, d3) from nested lists (checked and
+    coerced through as_fraction) or from a Tensor3 of that shape."""
+    if isinstance(entries, Tensor3):
+        if entries.shape != (d1, d2, d3):
+            raise ShapeError(f"tensor has shape {entries.shape}, expected {(d1, d2, d3)}")
+        return entries
     if len(entries) != d1:
         raise ShapeError(f"tensor first axis has {len(entries)} slices, expected {d1}")
-    out = []
+    cells: dict[tuple[int, int], list] = {}
     for i, plane in enumerate(entries):
         if len(plane) != d2:
             raise ShapeError(f"tensor slice {i} has {len(plane)} rows, expected {d2}")
-        rows = []
         for j, row in enumerate(plane):
             if len(row) != d3:
                 raise ShapeError(f"tensor entry [{i}][{j}] has length {len(row)}, expected {d3}")
-            # a tuple of Fractions (as the document reader builds) is kept as is
-            if type(row) is tuple and set(map(type, row)) <= _FRACTION_ONLY:
-                rows.append(row)
-            else:
-                rows.append(tuple(as_fraction(x) for x in row))
-        out.append(tuple(rows))
-    return tuple(out)
-
-
-_FRACTION_ONLY = {Fraction}
+            pairs = [(k, c) for k, c in enumerate(map(as_fraction, row)) if c]
+            if pairs:
+                cells[i, j] = pairs
+    return _from_cells(d1, d2, d3, cells)
 
 
 def zero_tensor3(d1: int, d2: int, d3: int) -> Tensor3:
-    return tuple(tuple(zero_vector(d3) for _ in range(d2)) for _ in range(d1))
+    return sparse_tensor(d1, d2, d3, {})
+
+
+def minus_transposed(t: Tensor3, s: Tensor3) -> Tensor3:
+    """t[i][j] - s[j][i]: the commutator pattern of brackets and of the
+    products and actions the conversions build."""
+    d1, d2, d3 = t.shape
+    if s.shape != (d2, d1, d3):
+        raise ShapeError(f"cannot subtract a {s.shape} tensor transposed from a {t.shape} one")
+    cells = {(i, j, k): c for i, j, k, c in t.entries()}
+    for j, i, k, c in s.entries():
+        cells[i, j, k] = cells.get((i, j, k), ZERO) - c
+    return sparse_tensor(d1, d2, d3, cells)
 
 
 def bilinear(t: Tensor3, x: Vector, y: Vector) -> Vector:
     """Evaluate the bilinear map with structure tensor t on (x, y)."""
-    out = [ZERO] * (len(t[0][0]) if t and t[0] else 0)
-    if not out:
-        return ()
+    out = [ZERO] * t.shape[2]
     for i, xi in enumerate(x):
-        if xi == 0:
-            continue
-        for j, yj in enumerate(y):
-            if yj == 0:
-                continue
-            row = t[i][j]
-            c = xi * yj
-            for k, v in enumerate(row):
-                if v != 0:
-                    out[k] += c * v
+        if xi:
+            plane = t.rows[i]
+            for j, yj in enumerate(y):
+                if yj and plane[j]:
+                    c = xi * yj
+                    for k, v in plane[j]:
+                        out[k] += c * v
     return tuple(out)
 
 
-# Sparse structure constants: rows[i][j] lists the nonzero (k, t[i][j][k]).
-SparseRows = list[list[list[tuple[int, Fraction]]]]
 # One term of a basis identity: (sign, coefficients c_w, rows): it stands
 # for sign * sum_w c_w * rows[w].
-Term = tuple[int, list[tuple[int, Fraction]], list[list[tuple[int, Fraction]]]]
+Term = tuple[int, Sequence[tuple[int, Fraction]], Sequence[Row]]
+# An identity checked at each index tuple: its name and sides(*idx), the
+# (lhs, rhs) terms there.
+Check = tuple[str, Callable[..., tuple[list[Term], list[Term]]]]
 
 
-def _sparse_rows(t: Tensor3) -> SparseRows:
-    return [[[(k, c) for k, c in enumerate(row) if c] for row in plane] for plane in t]
-
-
-def _transpose(rows: SparseRows) -> SparseRows:
+def _transpose(rows: Sequence[Sequence[Row]]) -> list[tuple[Row, ...]]:
     """out[j][i] = rows[i][j]."""
-    return [list(column) for column in zip(*rows)]
+    return list(zip(*rows))
 
 
 def _combine(terms: Sequence[Term], n: int) -> Vector:
@@ -110,21 +164,22 @@ def _combine(terms: Sequence[Term], n: int) -> Vector:
     return tuple(out)
 
 
-def _first_failure(axiom: str, tuples, sides, n: int) -> "Violation | None":
-    """Scan index tuples in order; sides(*idx) gives the (lhs, rhs) terms
-    of the identity there. Returns the first tuple where they differ,
+def _first_failure(tuples: Iterable[tuple[int, ...]], checks: Sequence[Check], n: int) -> "Violation | None":
+    """Scan index tuples in order, and at each tuple the identities in
+    the order given; returns the first place where the two sides differ,
     with both sides as vectors of length n."""
     for idx in tuples:
-        lhs, rhs = sides(*idx)
-        diff: dict[int, Fraction] = {}
-        for terms, outer in ((lhs, 1), (rhs, -1)):
-            for sign, coeffs, rows in terms:
-                for w, c in coeffs:
-                    c *= sign * outer
-                    for k, x in rows[w]:
-                        diff[k] = diff.get(k, ZERO) + c * x
-        if any(diff.values()):
-            return Violation(axiom, idx, _combine(lhs, n), _combine(rhs, n))
+        for axiom, sides in checks:
+            lhs, rhs = sides(*idx)
+            diff: dict[int, Fraction] = {}
+            for terms, outer in ((lhs, 1), (rhs, -1)):
+                for sign, coeffs, rows in terms:
+                    for w, c in coeffs:
+                        c *= sign * outer
+                        for k, x in rows[w]:
+                            diff[k] = diff.get(k, ZERO) + c * x
+            if any(diff.values()):
+                return Violation(axiom, idx, _combine(lhs, n), _combine(rhs, n))
     return None
 
 
@@ -168,13 +223,13 @@ class PreLieAlgebra:
         return bilinear(self.product, x, y)
 
     def basis_product(self, i: int, j: int) -> Vector:
-        return self.product[i][j]
+        return self.product.vector(i, j)
 
     def basis_vector(self, i: int) -> Vector:
         return standard_basis_vector(self.dim, i)
 
     def is_zero_algebra(self) -> bool:
-        return all(is_zero_vector(self.product[i][j]) for i in range(self.dim) for j in range(self.dim))
+        return self.product.is_zero()
 
 
 @dataclass(frozen=True)
@@ -193,7 +248,7 @@ class LieAlgebra:
         return bilinear(self.bracket, x, y)
 
     def basis_bracket(self, i: int, j: int) -> Vector:
-        return self.bracket[i][j]
+        return self.bracket.vector(i, j)
 
     def basis_vector(self, i: int) -> Vector:
         return standard_basis_vector(self.dim, i)
@@ -203,7 +258,7 @@ def check_prelie(a: PreLieAlgebra) -> Violation | None:
     """Left-symmetry of the associator on every basis triple, from the
     nonzero structure constants: (e_i e_j) e_k = sum_m P[i][j][m] P[m][k]
     and e_i (e_j e_k) = sum_m P[j][k][m] P[i][m]."""
-    p = _sparse_rows(a.product)
+    p = a.product.rows
     by_right = _transpose(p)
 
     def sides(i: int, j: int, k: int) -> tuple[list[Term], list[Term]]:
@@ -211,32 +266,34 @@ def check_prelie(a: PreLieAlgebra) -> Violation | None:
         rhs = [(1, p[j][i], by_right[k]), (-1, p[i][k], p[j])]
         return lhs, rhs
 
-    return _first_failure("left-symmetry", itertools.product(range(a.dim), repeat=3), sides, a.dim)
+    return _first_failure(itertools.product(range(a.dim), repeat=3), [("left-symmetry", sides)], a.dim)
 
 
 def check_lie(l: LieAlgebra) -> Violation | None:
-    """Antisymmetry and the Jacobi identity on every basis tuple."""
-    for i, j in itertools.product(range(l.dim), repeat=2):
-        lhs = l.basis_bracket(i, j)
-        rhs = tuple(-c for c in l.basis_bracket(j, i))
-        if lhs != rhs:
-            return Violation("antisymmetry", (i, j), lhs, rhs)
-    for i, j, k in itertools.product(range(l.dim), repeat=3):
-        s = l.bracket_of(l.basis_bracket(i, j), l.basis_vector(k))
-        s = vec_add(s, l.bracket_of(l.basis_bracket(j, k), l.basis_vector(i)))
-        s = vec_add(s, l.bracket_of(l.basis_bracket(k, i), l.basis_vector(j)))
-        if not is_zero_vector(s):
-            return Violation("jacobi", (i, j, k), s, zero_vector(l.dim))
-    return None
+    """Antisymmetry on every basis pair, then the Jacobi identity on
+    every basis triple, from the nonzero structure constants:
+    [[e_i, e_j], e_k] = sum_m B[i][j][m] B[m][k]."""
+    b = l.bracket.rows
+    by_right = _transpose(b)
+
+    def antisymmetry(i: int, j: int) -> tuple[list[Term], list[Term]]:
+        # [e_i, e_j]  =  -[e_j, e_i]
+        return [(1, ((j, ONE),), b[i])], [(-1, ((i, ONE),), b[j])]
+
+    def jacobi(i: int, j: int, k: int) -> tuple[list[Term], list[Term]]:
+        # [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]  =  0
+        lhs = [(1, b[i][j], by_right[k]), (1, b[j][k], by_right[i]), (1, b[k][i], by_right[j])]
+        return lhs, []
+
+    d = range(l.dim)
+    return _first_failure(
+        itertools.product(d, repeat=2), [("antisymmetry", antisymmetry)], l.dim
+    ) or _first_failure(itertools.product(d, repeat=3), [("jacobi", jacobi)], l.dim)
 
 
 def subadjacent_lie(a: PreLieAlgebra) -> LieAlgebra:
     """Commutator Lie algebra [x,y] = x*y - y*x of a pre-Lie algebra."""
-    bracket = tuple(
-        tuple(vec_sub(a.basis_product(i, j), a.basis_product(j, i)) for j in range(a.dim))
-        for i in range(a.dim)
-    )
-    return LieAlgebra(a.dim, bracket)
+    return LieAlgebra(a.dim, minus_transposed(a.product, a.product))
 
 
 @dataclass(frozen=True)
@@ -270,10 +327,7 @@ class Representation:
     @classmethod
     def regular(cls, algebra: PreLieAlgebra) -> "Representation":
         """The algebra acting on itself by its own product."""
-        d = algebra.dim
-        left = tuple(tuple(algebra.basis_product(i, a) for a in range(d)) for i in range(d))
-        right = tuple(tuple(algebra.basis_product(a, i) for i in range(d)) for a in range(d))
-        return cls(algebra, d, left, right)
+        return cls(algebra, algebra.dim, algebra.product, algebra.product)
 
     def act_left(self, x: Vector, u: Vector) -> Vector:
         if len(x) != self.algebra.dim or len(u) != self.carrier_dim:
@@ -286,10 +340,10 @@ class Representation:
         return bilinear(self.right, u, x)
 
     def basis_left(self, i: int, a: int) -> Vector:
-        return self.left[i][a]
+        return self.left.vector(i, a)
 
     def basis_right(self, a: int, i: int) -> Vector:
-        return self.right[a][i]
+        return self.right.vector(a, i)
 
 
 def check_representation(rep: Representation) -> Violation | None:
@@ -297,9 +351,9 @@ def check_representation(rep: Representation) -> Violation | None:
     identity ties the two actions to the pre-Lie product."""
     a = rep.algebra
     v = rep.carrier_dim
-    p = _sparse_rows(a.product)
-    bracket = _sparse_rows(subadjacent_lie(a).bracket)
-    left, right = _sparse_rows(rep.left), _sparse_rows(rep.right)
+    p = a.product.rows
+    bracket = subadjacent_lie(a).bracket.rows
+    left, right = rep.left.rows, rep.right.rows
     left_t, right_t = _transpose(left), _transpose(right)
 
     def lie_module(i: int, j: int, u: int) -> tuple[list[Term], list[Term]]:
@@ -316,8 +370,8 @@ def check_representation(rep: Representation) -> Violation | None:
 
     d = range(a.dim)
     return _first_failure(
-        "left-action-lie-module", itertools.product(d, d, range(v)), lie_module, v
-    ) or _first_failure("mixed-identity", itertools.product(d, range(v), d), mixed, v)
+        itertools.product(d, d, range(v)), [("left-action-lie-module", lie_module)], v
+    ) or _first_failure(itertools.product(d, range(v), d), [("mixed-identity", mixed)], v)
 
 
 @dataclass(frozen=True)
@@ -350,10 +404,10 @@ class ActionData:
         return bilinear(self.right, u, x)
 
     def basis_left(self, i: int, a: int) -> Vector:
-        return self.left[i][a]
+        return self.left.vector(i, a)
 
     def basis_right(self, a: int, i: int) -> Vector:
-        return self.right[a][i]
+        return self.right.vector(a, i)
 
 
 def check_action(act: ActionData) -> Violation | None:
@@ -363,8 +417,8 @@ def check_action(act: ActionData) -> Violation | None:
     if bad is not None:
         return bad
     n, m = range(act.acting.dim), range(act.module.dim)
-    q = _sparse_rows(act.module.product)
-    left, right = _sparse_rows(act.left), _sparse_rows(act.right)
+    q = act.module.product.rows
+    left, right = act.left.rows, act.right.rows
     q_t, right_t = _transpose(q), _transpose(right)
 
     def left_compat(x: int, u: int, v: int) -> tuple[list[Term], list[Term]]:
@@ -381,8 +435,8 @@ def check_action(act: ActionData) -> Violation | None:
 
     size = act.module.dim
     return _first_failure(
-        "action-left-compat", itertools.product(n, m, m), left_compat, size
-    ) or _first_failure("action-right-compat", itertools.product(m, m, n), right_compat, size)
+        itertools.product(n, m, m), [("action-left-compat", left_compat)], size
+    ) or _first_failure(itertools.product(m, m, n), [("action-right-compat", right_compat)], size)
 
 
 @dataclass(frozen=True)

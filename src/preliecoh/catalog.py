@@ -22,7 +22,7 @@ from .algebra import (
     LieAlgebra,
     PreLieAlgebra,
     Representation,
-    Tensor3,
+    sparse_tensor,
     zero_tensor3,
 )
 from .cochain import Cochain
@@ -46,13 +46,6 @@ from .xmodules import (
 )
 
 F = Fraction
-
-
-def sparse_tensor(d1: int, d2: int, d3: int, entries: dict) -> Tensor3:
-    cube = [[[F(0)] * d3 for _ in range(d2)] for _ in range(d1)]
-    for (i, j, k), c in entries.items():
-        cube[i][j][k] = F(c)
-    return tuple(tuple(tuple(row) for row in plane) for plane in cube)
 
 
 def sparse_algebra(dim: int, entries: dict) -> PreLieAlgebra:

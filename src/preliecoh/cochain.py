@@ -41,13 +41,12 @@ from .linalg import (
     rank_kernel_image,
     rank_of,
     solve_particular,
-    standard_basis_vector,
     vec_add,
     vec_scale,
     vec_sub,
     zero_vector,
 )
-from .algebra import LieAlgebra, Representation, Tensor3, bilinear, subadjacent_lie, tensor3
+from .algebra import LieAlgebra, Representation, Tensor3, bilinear, sparse_tensor, subadjacent_lie, tensor3
 
 
 def increasing_tuples(dim: int, length: int) -> list[tuple[int, ...]]:
@@ -264,11 +263,6 @@ def _assemble(rows: int, cols: int, terms: Iterable[tuple[int, int, Fraction]]) 
     return MatrixQ(rows, cols, tuple(entries))
 
 
-def _nonzeros(t: Tensor3) -> list[list[list[tuple[int, Fraction]]]]:
-    """t[i][j] as its (k, value) pairs with value != 0."""
-    return [[[(k, c) for k, c in enumerate(row) if c != 0] for row in plane] for plane in t]
-
-
 def _prelie_terms(rep: Representation, n: int) -> Iterable[tuple[int, int, Fraction]]:
     """Row rule of d: C^n -> C^{n+1}, term by term as in `coboundary`.
 
@@ -278,10 +272,10 @@ def _prelie_terms(rep: Representation, n: int) -> Iterable[tuple[int, int, Fract
     """
     a = rep.algebra
     d, v = a.dim, rep.carrier_dim
-    prod = _nonzeros(a.product)
-    left = _nonzeros(rep.left)  # left[x][b] -> (b', c): x . v_b
-    right = _nonzeros(rep.right)  # right[b][y] -> (b', c): v_b . y
-    bracket = _nonzeros(subadjacent_lie(a).bracket)
+    prod = a.product.rows
+    left = rep.left.rows  # left[x][b] -> (b', c): x . v_b
+    right = rep.right.rows  # right[b][y] -> (b', c): v_b . y
+    bracket = subadjacent_lie(a).bracket.rows
     for out, prefix in enumerate(itertools.combinations(range(d), n)):
         for last in range(d):
             row = (out * d + last) * v
@@ -465,7 +459,7 @@ class LieModule:
         return bilinear(self.action, x, w)
 
     def basis_act(self, i: int, a: int) -> Vector:
-        return self.action[i][a]
+        return self.action.vector(i, a)
 
 
 def hom_module(rep: Representation) -> LieModule:
@@ -475,30 +469,25 @@ def hom_module(rep: Representation) -> LieModule:
     Basis: E_{j,b} sends e_j to v_b, index j * dim V + b.
     """
     a = rep.algebra
-    v = rep.carrier_dim
-    lie = subadjacent_lie(a)
-    w_dim = a.dim * v
-    action = []
-    for i in range(a.dim):
-        plane = []
-        for w in range(w_dim):
-            j, b = divmod(w, v)
-            out = [ZERO] * w_dim
-            for y in range(a.dim):
-                val = zero_vector(v)
-                if j == y:
-                    val = vec_add(val, rep.basis_left(i, b))
-                if j == i:
-                    val = vec_add(val, rep.basis_right(b, y))
-                c = a.product[i][y][j]
-                if c != 0:
-                    val = vec_sub(val, vec_scale(c, standard_basis_vector(v, b)))
-                for bp in range(v):
-                    if val[bp] != 0:
-                        out[y * v + bp] += val[bp]
-            plane.append(tuple(out))
-        action.append(tuple(plane))
-    return LieModule(lie, w_dim, tuple(action))
+    d, v = a.dim, rep.carrier_dim
+    w_dim = d * v
+    # action[i][j * v + b][y * v + b'] is the v_b' part of
+    # (e_i |> E_{j,b})(e_y) = e_i . E_{j,b}(e_y) + E_{j,b}(e_i) . e_y - E_{j,b}(e_i * e_y)
+    cells: dict[tuple[int, int, int], Fraction] = {}
+
+    def add(i: int, w: int, w2: int, c: Fraction) -> None:
+        cells[i, w, w2] = cells.get((i, w, w2), ZERO) + c
+
+    for i, b, bp, c in rep.left.entries():  # e_i . v_b, at y = j
+        for j in range(d):
+            add(i, j * v + b, j * v + bp, c)
+    for b, y, bp, c in rep.right.entries():  # v_b . e_y, when j = i
+        for i in range(d):
+            add(i, i * v + b, y * v + bp, c)
+    for i, y, j, c in a.product.entries():  # the e_j part of e_i * e_y, times -v_b
+        for b in range(v):
+            add(i, j * v + b, y * v + b, -c)
+    return LieModule(subadjacent_lie(a), w_dim, sparse_tensor(d, w_dim, w_dim, cells))
 
 
 @dataclass(frozen=True)
@@ -579,8 +568,8 @@ def _lie_terms(mod: LieModule, k: int) -> Iterable[tuple[int, int, Fraction]]:
     apart from `_prelie_terms` so the two complexes stay independent."""
     lie = mod.algebra
     d, m = lie.dim, mod.dim
-    action = _nonzeros(mod.action)  # action[x][w] -> (w', c): x . w
-    bracket = _nonzeros(lie.bracket)
+    action = mod.action.rows  # action[x][w] -> (w', c): x . w
+    bracket = lie.bracket.rows
     for out, args in enumerate(itertools.combinations(range(d), k + 1)):
         row = out * m
         # x_i . f(...no x_i...)
@@ -660,13 +649,3 @@ def phi_map(f: Cochain) -> LieCochain:
                 w[j * v + b] = val[b]
         values.append(tuple(w))
     return LieCochain(f.arity - 1, a_dim, w_dim, tuple(values))
-
-
-def phi_matrix(rep: Representation, n: int) -> MatrixQ:
-    """Matrix of phi: C^n(g,V) -> C^{n-1}(g^c, Hom(g,V)) in coordinates.
-
-    phi only relabels: pre-Lie coordinate (p(I) * dim g + j) * dim V + b
-    and Lie coordinate p(I) * (dim g * dim V) + j * dim V + b are the same
-    number, so the matrix is the identity; tests check it against phi_map.
-    """
-    return MatrixQ.identity(len(CochainBasis(n, rep.algebra.dim)) * rep.carrier_dim)

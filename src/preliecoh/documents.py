@@ -5,21 +5,23 @@ One document = one JSON object with a "kind" tag, an optional
 fields. Conventions, applied exactly once at this boundary:
 
   * indices in files are 1-based; everything in memory is 0-based;
-  * scalars are exact rationals, written "p/q" (or a bare integer)
-    and emitted as str(Fraction);
+  * scalars are exact rationals: a JSON integer, or a string of an
+    optional sign, digits and an optional "/digits"; emitted as
+    str(Fraction);
   * tensors and matrices are sparse entry lists, [i, j, k, value] and
     [row, col, value]; unlisted entries are zero; duplicates are
     rejected;
   * serialization is canonical: entries sorted by index, zeros omitted,
     two-space indent, so equal payloads produce identical bytes.
 
-Schema failures raise SchemaError carrying a JSON-pointer path;
-malformed JSON raises ParseError; a zero denominator raises ValueError.
+Schema failures, a zero denominator included, raise SchemaError carrying
+a JSON-pointer path; malformed JSON raises ParseError.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,6 +36,7 @@ from .algebra import (
     check_lie,
     check_prelie,
     check_representation,
+    sparse_tensor,
 )
 from .cochain import Cochain, CochainBasis
 from .errors import ParseError, SchemaError
@@ -99,18 +102,24 @@ def _read_int(obj, ptr: str, minimum: int = 0) -> int:
     return obj
 
 
+# an optional sign, digits, and an optional /digits; nothing else
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def _read_fraction(obj, ptr: str) -> Fraction:
     if isinstance(obj, bool):
         raise SchemaError(ptr, "expected an integer or a 'p/q' string")
     if isinstance(obj, int):
         return Fraction(obj)
     if isinstance(obj, str):
-        try:
-            return Fraction(obj)
-        except ZeroDivisionError:
-            raise ValueError(f"{ptr}: zero denominator") from None
-        except ValueError:
-            raise SchemaError(ptr, f"not a rational literal: {obj!r}") from None
+        if _RATIONAL.fullmatch(obj):
+            try:
+                return Fraction(obj)
+            except ZeroDivisionError:
+                raise SchemaError(ptr, "zero denominator") from None
+            except ValueError:  # more digits than int() converts
+                pass
+        raise SchemaError(ptr, f"not a rational literal: {obj!r}")
     raise SchemaError(ptr, "expected an integer or a 'p/q' string")
 
 
@@ -143,10 +152,7 @@ def _read_sparse(obj, ptr: str, sizes: tuple[int, ...], shape: str) -> dict:
 
 
 def _read_tensor(obj, ptr: str, d1: int, d2: int, d3: int) -> Tensor3:
-    cube = [[[Fraction(0)] * d3 for _ in range(d2)] for _ in range(d1)]
-    for (i, j, k), value in _read_sparse(obj, ptr, (d1, d2, d3), "[i, j, k, value]").items():
-        cube[i][j][k] = value
-    return tuple(tuple(tuple(row) for row in plane) for plane in cube)
+    return sparse_tensor(d1, d2, d3, _read_sparse(obj, ptr, (d1, d2, d3), "[i, j, k, value]"))
 
 
 def _read_matrix(obj, ptr: str, rows: int, cols: int) -> MatrixQ:
@@ -189,14 +195,8 @@ def _read_cochain_entries(obj, ptr: str, arity: int, algebra_dim: int, carrier_d
     return tuple(tuple(v) for v in values)
 
 
-def _ser_tensor(cube: Tensor3) -> list:
-    return [
-        [i + 1, j + 1, k + 1, str(value)]
-        for i, plane in enumerate(cube)
-        for j, row in enumerate(plane)
-        for k, value in enumerate(row)
-        if value != 0
-    ]
+def _ser_tensor(t: Tensor3) -> list:
+    return [[i + 1, j + 1, k + 1, str(value)] for i, j, k, value in t.entries()]
 
 
 def _ser_matrix(m: MatrixQ) -> list:

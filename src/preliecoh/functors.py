@@ -29,13 +29,17 @@ from .algebra import (
     LieAlgebra,
     PreLieAlgebra,
     Tensor3,
+    Term,
     Violation,
+    _first_failure,
+    _transpose,
     bilinear,
     check_lie,
+    minus_transposed,
     subadjacent_lie,
     tensor3,
 )
-from .linalg import MatrixQ, standard_basis_vector, vec_add, vec_sub
+from .linalg import MatrixQ, vec_add
 from .xmodules import CrossedModule, check_crossed_module
 
 
@@ -73,24 +77,25 @@ def check_lie_crossed_module(x: LieCrossedModule) -> Violation | None:
         rhs = n.bracket_of(x.mu.col(u), x.mu.col(v))
         if lhs != rhs:
             return Violation("lie-morphism", (u, v), lhs, rhs)
-    for i, j, u in itertools.product(range(n.dim), range(n.dim), range(m.dim)):
-        lhs = bilinear(x.action, n.basis_bracket(i, j), m.basis_vector(u))
-        rhs = vec_sub(
-            x.act(n.basis_vector(i), x.action[j][u]),
-            x.act(n.basis_vector(j), x.action[i][u]),
-        )
-        if lhs != rhs:
-            return Violation("lie-action", (i, j, u), lhs, rhs)
-    for i, u, v in itertools.product(range(n.dim), range(m.dim), range(m.dim)):
-        lhs = x.act(n.basis_vector(i), m.basis_bracket(u, v))
-        rhs = vec_add(
-            m.bracket_of(x.action[i][u], m.basis_vector(v)),
-            m.bracket_of(m.basis_vector(u), x.action[i][v]),
-        )
-        if lhs != rhs:
-            return Violation("derivation", (i, u, v), lhs, rhs)
+    act, bm, bn = x.action.rows, m.bracket.rows, n.bracket.rows
+    act_t, bm_t = _transpose(act), _transpose(bm)
+
+    def lie_action(i: int, j: int, u: int) -> tuple[list[Term], list[Term]]:
+        # [e_i, e_j] |> m_u  =  e_i |> (e_j |> m_u) - e_j |> (e_i |> m_u)
+        return [(1, bn[i][j], act_t[u])], [(1, act[j][u], act[i]), (-1, act[i][u], act[j])]
+
+    def derivation(i: int, u: int, v: int) -> tuple[list[Term], list[Term]]:
+        # e_i |> [m_u, m_v]  =  [e_i |> m_u, m_v] + [m_u, e_i |> m_v]
+        return [(1, bm[u][v], act[i])], [(1, act[i][u], bm_t[v]), (1, act[i][v], bm[u])]
+
+    nd, md = range(n.dim), range(m.dim)
+    bad = _first_failure(
+        itertools.product(nd, nd, md), [("lie-action", lie_action)], m.dim
+    ) or _first_failure(itertools.product(nd, md, md), [("derivation", derivation)], m.dim)
+    if bad is not None:
+        return bad
     for i, u in itertools.product(range(n.dim), range(m.dim)):
-        lhs = x.mu.mul_vec(x.action[i][u])
+        lhs = x.mu.mul_vec(x.action.vector(i, u))
         rhs = n.bracket_of(n.basis_vector(i), x.mu.col(u))
         if lhs != rhs:
             return Violation("lie-equivariance", (i, u), lhs, rhs)
@@ -174,28 +179,25 @@ class DendriformAlgebra:
     def p(self, x, y):
         return bilinear(self.prec, x, y)
 
-    def basis_vector(self, i: int):
-        return standard_basis_vector(self.dim, i)
-
 
 def check_dendriform(a: DendriformAlgebra) -> Violation | None:
     """(x<y)<z = x<(y<z + y>z); (x>y)<z = x>(y<z);
-    x>(y>z) = (x<y + x>y)>z, on every basis triple."""
-    for i, j, k in itertools.product(range(a.dim), repeat=3):
-        ei, ej, ek = (a.basis_vector(t) for t in (i, j, k))
-        lhs = a.p(a.p(ei, ej), ek)
-        rhs = a.p(ei, vec_add(a.p(ej, ek), a.s(ej, ek)))
-        if lhs != rhs:
-            return Violation("dendriform-1", (i, j, k), lhs, rhs)
-        lhs = a.p(a.s(ei, ej), ek)
-        rhs = a.s(ei, a.p(ej, ek))
-        if lhs != rhs:
-            return Violation("dendriform-2", (i, j, k), lhs, rhs)
-        lhs = a.s(ei, a.s(ej, ek))
-        rhs = a.s(vec_add(a.p(ei, ej), a.s(ei, ej)), ek)
-        if lhs != rhs:
-            return Violation("dendriform-3", (i, j, k), lhs, rhs)
-    return None
+    x>(y>z) = (x<y + x>y)>z, on every basis triple, the three in that
+    order at each triple, from the nonzero structure constants."""
+    s, p = a.succ.rows, a.prec.rows
+    s_t, p_t = _transpose(s), _transpose(p)
+
+    def first(i: int, j: int, k: int) -> tuple[list[Term], list[Term]]:
+        return [(1, p[i][j], p_t[k])], [(1, p[j][k], p[i]), (1, s[j][k], p[i])]
+
+    def second(i: int, j: int, k: int) -> tuple[list[Term], list[Term]]:
+        return [(1, s[i][j], p_t[k])], [(1, p[j][k], s[i])]
+
+    def third(i: int, j: int, k: int) -> tuple[list[Term], list[Term]]:
+        return [(1, s[j][k], s[i])], [(1, p[i][j], s_t[k]), (1, s[i][j], s_t[k])]
+
+    checks = [("dendriform-1", first), ("dendriform-2", second), ("dendriform-3", third)]
+    return _first_failure(itertools.product(range(a.dim), repeat=3), checks, a.dim)
 
 
 @dataclass(frozen=True)
@@ -236,11 +238,11 @@ def check_dendriform_xmod(x: DendriformCrossedModule) -> Violation | None:
     if bad is not None:
         return bad
     for u, v in itertools.product(range(x.m.dim), repeat=2):
-        lhs = x.mu.mul_vec(x.m.succ[u][v])
+        lhs = x.mu.mul_vec(x.m.succ.vector(u, v))
         rhs = x.n.s(x.mu.col(u), x.mu.col(v))
         if lhs != rhs:
             return Violation("mu-preserves-succ", (u, v), lhs, rhs)
-        lhs = x.mu.mul_vec(x.m.prec[u][v])
+        lhs = x.mu.mul_vec(x.m.prec.vector(u, v))
         rhs = x.n.p(x.mu.col(u), x.mu.col(v))
         if lhs != rhs:
             return Violation("mu-preserves-prec", (u, v), lhs, rhs)
@@ -257,13 +259,7 @@ def prelie_to_lie_xmod(x: CrossedModule) -> LieCrossedModule:
         raise InvalidInput(f"not a pre-Lie crossed module: {bad}")
     m = subadjacent_lie(x.m_algebra)
     n = subadjacent_lie(x.n_algebra)
-    action = tuple(
-        tuple(
-            vec_sub(x.action.basis_left(i, u), x.action.basis_right(u, i))
-            for u in range(m.dim)
-        )
-        for i in range(n.dim)
-    )
+    action = minus_transposed(x.action.left, x.action.right)
     out = LieCrossedModule(m, n, x.mu.matrix, action)
     bad = check_lie_crossed_module(out)
     if bad is not None:
@@ -314,24 +310,10 @@ def dendriform_to_prelie_xmod(x: DendriformCrossedModule) -> CrossedModule:
     bad = check_dendriform_xmod(x)
     if bad is not None:
         raise InvalidInput(f"not a dendriform crossed module: {bad}")
-    m_prod = tuple(
-        tuple(vec_sub(x.m.succ[u][v], x.m.prec[v][u]) for v in range(x.m.dim))
-        for u in range(x.m.dim)
-    )
-    n_prod = tuple(
-        tuple(vec_sub(x.n.succ[i][j], x.n.prec[j][i]) for j in range(x.n.dim))
-        for i in range(x.n.dim)
-    )
-    m_alg = PreLieAlgebra(x.m.dim, m_prod)
-    n_alg = PreLieAlgebra(x.n.dim, n_prod)
-    left = tuple(
-        tuple(vec_sub(x.succ_nm[i][u], x.prec_mn[u][i]) for u in range(x.m.dim))
-        for i in range(x.n.dim)
-    )
-    right = tuple(
-        tuple(vec_sub(x.succ_mn[u][i], x.prec_nm[i][u]) for i in range(x.n.dim))
-        for u in range(x.m.dim)
-    )
+    m_alg = PreLieAlgebra(x.m.dim, minus_transposed(x.m.succ, x.m.prec))
+    n_alg = PreLieAlgebra(x.n.dim, minus_transposed(x.n.succ, x.n.prec))
+    left = minus_transposed(x.succ_nm, x.prec_mn)
+    right = minus_transposed(x.succ_mn, x.prec_nm)
     out = CrossedModule(
         AlgebraMorphism(m_alg, n_alg, x.mu),
         ActionData(n_alg, m_alg, left, right),

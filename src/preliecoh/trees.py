@@ -440,10 +440,15 @@ def check_cocycle_pullback(
         if any(value):
             theta_rows.setdefault((x, y), []).append((z, value))
 
-    def tensor_rows(t: Tensor3) -> tuple[int, dict[tuple[int, int], list[int]]]:
-        keys = [(i, j) for i in range(len(t)) for j in range(len(t[i]))]
-        den, values = _integer_family([t[i][j] for i, j in keys])
-        return den, {key: value for key, value in zip(keys, values) if any(value)}
+    def tensor_rows(t: Tensor3) -> tuple[int, dict[tuple[int, int], list[tuple[int, int]]]]:
+        """One denominator for t, and its nonzero rows times it, in integers."""
+        den = lcm(*(c.denominator for _, _, _, c in t.entries()))
+        return den, {
+            (i, j): [(k, c.numerator * (den // c.denominator)) for k, c in row]
+            for i, plane in enumerate(t.rows)
+            for j, row in enumerate(plane)
+            if row
+        }
 
     l_den, left_rows = tensor_rows(rep.left)
     r_den, right_rows = tensor_rows(rep.right)
@@ -483,7 +488,7 @@ def check_cocycle_pullback(
                 for u, qu in enumerate(q):
                     if qu and (x, u) in rows:
                         c = mult * px * qu
-                        for w, t in enumerate(rows[x, u]):
+                        for w, t in rows[x, u]:
                             out[w] += c * t
         return out
 

@@ -48,11 +48,13 @@ from .algebra import (
     AlgebraMorphism,
     PreLieAlgebra,
     Representation,
+    Tensor3,
     Violation,
     check_action,
     check_morphism,
     check_prelie,
     ideal_subalgebra,
+    sparse_tensor,
 )
 from .cochain import Cochain, CochainBasis, CohomologySpace, coboundary, cohomology
 from .linalg import (
@@ -348,27 +350,20 @@ def trivial_extension(v_rep: Representation) -> CrossedModuleExtension:
 
 def semidirect_product(v_rep: Representation) -> PreLieAlgebra:
     """g (+) V with (x,u)*(y,w) = (x*y, x.w + u.y)."""
-    g = v_rep.algebra
-    d, v = g.dim, v_rep.carrier_dim
-    n_dim = d + v
-    prod = [[None] * n_dim for _ in range(n_dim)]
-    for a in range(n_dim):
-        for b in range(n_dim):
-            out = [Fraction(0)] * n_dim
-            if a < d and b < d:
-                p = g.basis_product(a, b)
-                for k, c in enumerate(p):
-                    out[k] = c
-            elif a < d:
-                p = v_rep.basis_left(a, b - d)
-                for k, c in enumerate(p):
-                    out[d + k] = c
-            elif b < d:
-                p = v_rep.basis_right(a - d, b)
-                for k, c in enumerate(p):
-                    out[d + k] = c
-            prod[a][b] = tuple(out)
-    return PreLieAlgebra(n_dim, tuple(tuple(r) for r in prod))
+    return PreLieAlgebra(v_rep.algebra.dim + v_rep.carrier_dim, _semidirect_tensor(v_rep))
+
+
+def _semidirect_tensor(v_rep: Representation, omega: Cochain | None = None) -> Tensor3:
+    """Product tensor of g (+) V, plus omega(x, y) in the V part of x*y."""
+    d, v = v_rep.algebra.dim, v_rep.carrier_dim
+    cells = {(a, b, k): c for a, b, k, c in v_rep.algebra.product.entries()}
+    cells.update(((a, d + u, d + k), c) for a, u, k, c in v_rep.left.entries())
+    cells.update(((d + u, b, d + k), c) for u, b, k, c in v_rep.right.entries())
+    if omega is not None:
+        for x, y in itertools.product(range(d), repeat=2):
+            for k, c in enumerate(omega.value_at((x, y))):
+                cells[x, y, d + k] = c
+    return sparse_tensor(d + v, d + v, d + v, cells)
 
 
 def double_extension(v_rep: Representation) -> CrossedModuleExtension:
@@ -390,31 +385,12 @@ def double_extension(v_rep: Representation) -> CrossedModuleExtension:
     )
     pi = AlgebraMorphism(n, g, pi_mat)
     # n = g(+)V acts on m = V(+)V through its g part, copy by copy
-    left = []
-    for a in range(d + v):
-        row = []
-        for u in range(2 * v):
-            out = [Fraction(0)] * (2 * v)
-            if a < d:
-                copy, uu = divmod(u, v)
-                val = v_rep.basis_left(a, uu)
-                for k, c in enumerate(val):
-                    out[copy * v + k] = c
-            row.append(tuple(out))
-        left.append(tuple(row))
-    right = []
-    for u in range(2 * v):
-        row = []
-        for a in range(d + v):
-            out = [Fraction(0)] * (2 * v)
-            if a < d:
-                copy, uu = divmod(u, v)
-                val = v_rep.basis_right(uu, a)
-                for k, c in enumerate(val):
-                    out[copy * v + k] = c
-            row.append(tuple(out))
-        right.append(tuple(row))
-    action = ActionData(n, m, tuple(left), tuple(right))
+    copies = range(0, 2 * v, v)
+    left = {(a, s + u, s + k): c for a, u, k, c in v_rep.left.entries() for s in copies}
+    right = {(s + u, a, s + k): c for u, a, k, c in v_rep.right.entries() for s in copies}
+    action = ActionData(
+        n, m, sparse_tensor(d + v, 2 * v, 2 * v, left), sparse_tensor(2 * v, d + v, 2 * v, right)
+    )
     return CrossedModuleExtension(v_rep, i_mat, mu, pi, action)
 
 
@@ -604,14 +580,7 @@ def abelian_extension_from_2cocycle(rep: Representation, omega: Cochain) -> Abel
     if not coboundary(rep, omega).is_zero():
         raise NotACocycle("the twisting 2-cochain is not closed")
     d, v = g.dim, rep.carrier_dim
-    base = semidirect_product(rep)
-    prod = [list(map(list, p)) for p in base.product]
-    for x in range(d):
-        for y in range(d):
-            val = omega.value_at((x, y))
-            for k, c in enumerate(val):
-                prod[x][y][d + k] += c
-    algebra = PreLieAlgebra(d + v, tuple(tuple(tuple(r) for r in p) for p in prod))
+    algebra = PreLieAlgebra(d + v, _semidirect_tensor(rep, omega))
     bad = check_prelie(algebra)
     if bad is not None:
         raise OutputCheckFailed(f"twisted product is not pre-Lie: {bad}")

@@ -27,12 +27,19 @@ from preliecoh.algebra import (
     subadjacent_lie,
     zero_tensor3,
 )
-from preliecoh.algebra import bilinear, tensor3
+from preliecoh.algebra import LieAlgebra, Tensor3, bilinear, sparse_tensor, tensor3
 from preliecoh.catalog import ALGEBRAS, BAD_ALGEBRA, fixture_documents, representation_pairs
+from preliecoh.documents import document_from_obj
 from preliecoh.errors import NotAnIdeal, ShapeError
-from preliecoh.linalg import MatrixQ, standard_basis_vector, vec_sub, vector
+from preliecoh.linalg import MatrixQ, standard_basis_vector, vec_add, vec_sub, vector, zero_vector
 
 F = Fraction
+
+
+def dense(t):
+    """The nested tuples t[i][j][k] of a Tensor3, zeros included."""
+    d1, d2, _ = t.shape
+    return tuple(tuple(t.vector(i, j) for j in range(d2)) for i in range(d1))
 
 
 # --- dense oracles for the sparse checkers ---------------------------------
@@ -50,6 +57,21 @@ def check_prelie_dense(a):
         rhs = vec_sub(ji_k, j_ik)
         if lhs != rhs:
             return Violation("left-symmetry", (i, j, k), lhs, rhs)
+    return None
+
+
+def check_lie_dense(l):
+    for i, j in itertools.product(range(l.dim), repeat=2):
+        lhs = l.basis_bracket(i, j)
+        rhs = tuple(-c for c in l.basis_bracket(j, i))
+        if lhs != rhs:
+            return Violation("antisymmetry", (i, j), lhs, rhs)
+    for i, j, k in itertools.product(range(l.dim), repeat=3):
+        s = l.bracket_of(l.basis_bracket(i, j), l.basis_vector(k))
+        s = vec_add(s, l.bracket_of(l.basis_bracket(j, k), l.basis_vector(i)))
+        s = vec_add(s, l.bracket_of(l.basis_bracket(k, i), l.basis_vector(j)))
+        if any(s):
+            return Violation("jacobi", (i, j, k), s, zero_vector(l.dim))
     return None
 
 
@@ -182,7 +204,7 @@ def test_violation_witness_matches_bruteforce_oracle():
     assert bad is not None
     # frozen from the hand-run oracle: first failing triple in lex order
     # is (0, 1, 0), i.e. (1, 2, 1) in 1-based reporting
-    assert first_prelie_violation_bruteforce(a.dim, a.product) == (0, 1, 0)
+    assert first_prelie_violation_bruteforce(a.dim, dense(a.product)) == (0, 1, 0)
     assert bad.indices == (0, 1, 0)
     assert bad.axiom == "left-symmetry"
 
@@ -330,14 +352,14 @@ def test_transported_structures_stay_prelie(a):
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(POSITIVE), st.data())
 def test_checker_agrees_with_bruteforce_on_perturbations(a, data):
-    entries = [list(map(list, p)) for p in a.product]
+    entries = [list(map(list, p)) for p in dense(a.product)]
     i = data.draw(st.integers(0, a.dim - 1))
     j = data.draw(st.integers(0, a.dim - 1))
     k = data.draw(st.integers(0, a.dim - 1))
     entries[i][j][k] += data.draw(st.sampled_from([F(1), F(-1), F(1, 2)]))
     cand = PreLieAlgebra(a.dim, tuple(tuple(tuple(r) for r in p) for p in entries))
     bad = check_prelie(cand)
-    oracle = first_prelie_violation_bruteforce(cand.dim, cand.product)
+    oracle = first_prelie_violation_bruteforce(cand.dim, dense(cand.product))
     if bad is None:
         assert oracle is None
     else:
@@ -357,7 +379,7 @@ def random_tensor(data, d1, d2, d3):
 
 def perturbed(data, t):
     """t with one entry changed, or unchanged half of the time."""
-    cells = [list(map(list, plane)) for plane in t]
+    cells = [list(map(list, plane)) for plane in dense(t)]
     if cells and cells[0] and cells[0][0] and data.draw(st.booleans()):
         i = data.draw(st.integers(0, len(cells) - 1))
         j = data.draw(st.integers(0, len(cells[0]) - 1))
@@ -440,12 +462,12 @@ def test_sparse_action_checker_right_compat_witness():
 
 def test_tensor3_keeps_shape_checks_and_input_types():
     t = tensor3([[[1, "1/2"]], [[F(2), F(-1, 3)]]], 2, 1, 2)
-    assert t == (((F(1), F(1, 2)),), ((F(2), F(-1, 3)),))
-    assert all(type(x) is F for plane in t for row in plane for x in row)
-    built = (((F(1), F(0)),),)
-    assert tensor3(built, 1, 1, 2) == built
-    assert tensor3([[(F(1), 2)]], 1, 1, 2) == (((F(1), F(2)),),)
-    assert tensor3([[[]]], 1, 1, 0) == (((),),)
+    assert dense(t) == (((F(1), F(1, 2)),), ((F(2), F(-1, 3)),))
+    assert all(type(x) is F for _, _, _, x in t.entries())
+    assert tensor3(t, 2, 1, 2) is t
+    assert tensor3((((F(1), F(0)),),), 1, 1, 2).rows == ((((0, F(1)),),),)
+    assert dense(tensor3([[(F(1), 2)]], 1, 1, 2)) == (((F(1), F(2)),),)
+    assert dense(tensor3([[[]]], 1, 1, 0)) == (((),),)
     for bad, dims in [
         ([[[1, 2]]], (2, 1, 2)),
         ([[[1, 2]]], (1, 2, 2)),
@@ -453,6 +475,58 @@ def test_tensor3_keeps_shape_checks_and_input_types():
         ([[(F(1),)]], (1, 1, 2)),
         ([[[1.5, 2]]], (1, 1, 2)),
         ([[[True, 2]]], (1, 1, 2)),
+        (t, (1, 2, 2)),
     ]:
         with pytest.raises(ShapeError):
             tensor3(bad, *dims)
+    for entries in [{(1, 0, 0): 1}, {(0, 0, 2): 1}, {(0, 0, 0): 0.5}]:
+        with pytest.raises(ShapeError):
+            sparse_tensor(1, 1, 2, entries)
+
+
+def test_tensor_equality_is_canonical():
+    # nested lists with explicit zeros, entries and the document reader
+    nested = tensor3([[[0, 0], [0, "-1/2"]], [[0, 0], [0, 0]]], 2, 2, 2)
+    entries = sparse_tensor(2, 2, 2, {(0, 1, 1): F(-1, 2), (1, 0, 0): 0})
+    doc = {"kind": "prelie", "dim": 2, "product": [[1, 2, 2, "-1/2"]]}
+    read = document_from_obj(doc).payload.product
+    assert nested == entries == read
+    assert hash(nested) == hash(entries) == hash(read)
+    assert nested.rows == entries.rows == read.rows == (((), ((1, F(-1, 2)),)), ((), ()))
+    assert list(read.entries()) == [(0, 1, 1, F(-1, 2))]
+    assert zero_tensor3(2, 2, 2) == tensor3([[[0, 0]] * 2] * 2, 2, 2, 2)
+    assert zero_tensor3(2, 2, 2).is_zero() and not read.is_zero()
+    assert isinstance(read, Tensor3) and read != zero_tensor3(2, 2, 2)
+
+
+# --- check_lie against its dense oracle --------------------------------------
+
+
+def test_sparse_lie_checker_equals_dense_oracle_on_catalog():
+    lies = [subadjacent_lie(a) for a in [*ALGEBRAS.values(), BAD_ALGEBRA, *POSITIVE]]
+    for doc in fixture_documents().values():
+        p = doc.payload
+        parts = (p, getattr(p, "m", None), getattr(p, "n", None))
+        lies.extend(x for x in parts if isinstance(x, LieAlgebra))
+    for l in lies:
+        assert check_lie(l) == check_lie_dense(l)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_sparse_lie_checker_equals_dense_oracle(data):
+    d = data.draw(st.integers(1, 3))
+    how = data.draw(st.sampled_from(["random", "commutator", "perturbed"]))
+    if how == "random":
+        bracket = random_tensor(data, d, d, d)
+    else:
+        # commutators are antisymmetric; those of pre-Lie products are Lie
+        if how == "commutator":
+            product = random_tensor(data, d, d, d)
+        else:
+            product = data.draw(st.sampled_from([a for a in POSITIVE if a.dim == d])).product
+        bracket = subadjacent_lie(PreLieAlgebra(d, product)).bracket
+        if how == "perturbed":
+            bracket = perturbed(data, bracket)
+    l = LieAlgebra(d, bracket)
+    assert check_lie(l) == check_lie_dense(l)

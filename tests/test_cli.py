@@ -14,8 +14,10 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from preliecoh.catalog import fixture_path
+from preliecoh.catalog import fixture_path, fixture_specs
 from preliecoh.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -176,13 +178,18 @@ def test_non_string_kind_is_an_input_error(tmp_path: Path, kind: str) -> None:
 
 
 def test_validate_large_zero_product(tmp_path: Path) -> None:
-    # 45 bytes that describe 40^3 zero structure constants; the checker
-    # visits only nonzero ones (the dense check took about 15 s)
+    # 45 bytes that describe 40^3 zero structure constants; the checkers
+    # visit only nonzero ones (the dense checks took about 15 s and, for
+    # the dim-24 bracket, 1.8 s)
     doc = tmp_path / "doc.json"
-    doc.write_text('{"kind": "prelie", "dim": 40, "product": []}')
-    code, out, err = run_cli("validate", str(doc))
-    assert (code, err) == (0, "")
-    assert "result: valid" in out.splitlines()
+    for text in (
+        '{"kind": "prelie", "dim": 40, "product": []}',
+        '{"kind": "lie", "dim": 24, "bracket": []}',
+    ):
+        doc.write_text(text)
+        code, out, err = run_cli("validate", str(doc))
+        assert (code, err) == (0, "")
+        assert "result: valid" in out.splitlines()
 
 
 def test_wrong_document_kind_is_an_input_error() -> None:
@@ -296,6 +303,76 @@ def test_cohomologous_nonclosed_exits_two() -> None:
 def test_no_subcommand_is_a_usage_error() -> None:
     code, _, err = run_cli()
     assert code == 1 and err.startswith("error:")
+
+
+# --- validate on mutated fixtures ---------------------------------------------
+
+# integer fields that size a document; they are never mutated
+SIZES = ("dim", "carrier_dim", "v_dim", "algebra_dim", "arity")
+
+
+def _entry_lists(doc: dict) -> list[list]:
+    """Every tensor, matrix and cochain entry list of doc, nested ones too."""
+    out = []
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            out.extend(_entry_lists(value))
+        elif isinstance(value, list) and key != "labels":
+            out.append(value)
+    return out
+
+
+def _sizes(doc: dict) -> list[int]:
+    nested = [n for v in doc.values() if isinstance(v, dict) for n in _sizes(v)]
+    return nested + [doc[k] for k in SIZES if k in doc]
+
+
+def _small_fixtures() -> list[dict]:
+    docs = [json.loads(Path(fixture_path(spec.name)).read_text()) for spec in fixture_specs()]
+    return [doc for doc in docs if max(_sizes(doc)) <= 4 and _entry_lists(doc)]
+
+
+SCALARS = st.one_of(
+    st.integers(-3, 3),
+    st.integers(),
+    st.sampled_from(["1/2", "-3/4", "+2", "1e3", "0.5", "1/0", "x", "", " 1", "1/-2", "1_0"]),
+    st.text(max_size=6),
+    st.floats(allow_nan=False),
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(0, 5), max_size=3),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_small_fixtures()), st.data())
+def test_validate_survives_mutated_fixtures(tmp_path_factory, doc, data) -> None:
+    doc = json.loads(json.dumps(doc))
+    for _ in range(data.draw(st.integers(1, 3))):
+        entries = data.draw(st.sampled_from(_entry_lists(doc)))
+        op = data.draw(st.sampled_from(["set", "set", "drop", "copy", "append"]))
+        if op == "append" or not entries:
+            entries.append(data.draw(st.lists(SCALARS, max_size=5)))
+            continue
+        pos = data.draw(st.integers(0, len(entries) - 1))
+        if op == "drop":
+            del entries[pos]
+        elif op == "copy":
+            entries.append(json.loads(json.dumps(entries[pos])))
+        elif isinstance(entries[pos], list) and entries[pos]:
+            # an index or the value of one entry, or one cochain argument
+            cell = entries[pos]
+            t = data.draw(st.integers(0, len(cell) - 1))
+            if isinstance(cell[t], list) and cell[t] and data.draw(st.booleans()):
+                cell, t = cell[t], data.draw(st.integers(0, len(cell[t]) - 1))
+            cell[t] = data.draw(SCALARS)
+        else:
+            entries[pos] = data.draw(SCALARS)
+    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli("validate", str(path))
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
 
 
 def _regenerate() -> None:

@@ -7,6 +7,7 @@ kind and that serialization is canonical (byte-stable).
 """
 
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -61,8 +62,8 @@ def test_integer_and_string_scalars_agree():
     assert c.payload.basis_product(0, 0) == (F(-3, 7),)
 
 
-def test_zero_denominator_is_a_value_error():
-    with pytest.raises(ValueError, match="zero denominator"):
+def test_zero_denominator_is_a_schema_error():
+    with pytest.raises(SchemaError, match="^/product/0/3: zero denominator$"):
         document_from_obj({"kind": "prelie", "dim": 1, "product": [[1, 1, 1, "1/0"]]})
 
 
@@ -250,14 +251,23 @@ CORRUPTIONS = {
     "labels": [([7], "", "strings")],
     "tensor": [
         ([[1, 1, 1, "x"]], "/0/3", "not a rational literal"),
+        ([[1, 1, 1, "1e3"]], "/0/3", "not a rational literal"),
+        ([[1, 1, 1, "0.5"]], "/0/3", "not a rational literal"),
+        ([[1, 1, 1, "1/0"]], "/0/3", "zero denominator"),
         ([[1, 99, 1, "1"]], "/0/1", "out of range"),
     ],
     "matrix": [
         ([[1, 1, "x"]], "/0/2", "not a rational literal"),
+        ([[1, 1, "1e3"]], "/0/2", "not a rational literal"),
+        ([[1, 1, "0.5"]], "/0/2", "not a rational literal"),
+        ([[1, 1, "1/0"]], "/0/2", "zero denominator"),
         ([[1, 99, "1"]], "/0/1", "out of range"),
     ],
     "entries": [
         ([[[1, 1], 1, "x"]], "/0/2", "not a rational literal"),
+        ([[[1, 1], 1, "1e3"]], "/0/2", "not a rational literal"),
+        ([[[1, 1], 1, "0.5"]], "/0/2", "not a rational literal"),
+        ([[[1, 1], 1, "1/0"]], "/0/2", "zero denominator"),
         ([[[1, 1], 99, "1"]], "/0/1", "out of range"),
     ],
 }
@@ -364,3 +374,15 @@ def test_cochain_arity_must_be_positive():
 def test_dendriform_is_not_a_top_level_kind():
     err = _schema_error({"kind": "dendriform", "dim": 1, "succ": [], "prec": []})
     assert str(err) == "/kind: unknown kind 'dendriform'"
+
+
+def test_reading_a_zero_product_allocates_no_dense_cube():
+    # the reader stores nonzeros only: one empty row per index pair
+    tracemalloc.start()
+    try:
+        doc = document_from_obj({"kind": "prelie", "dim": 120, "product": []})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert doc.payload.product.is_zero()
+    assert peak < 2_000_000, peak

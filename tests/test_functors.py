@@ -11,14 +11,20 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from preliecoh.algebra import (
     AlgebraMorphism,
     LieAlgebra,
     PreLieAlgebra,
     Representation,
+    Violation,
+    bilinear,
+    sparse_tensor,
     subadjacent_lie,
 )
+from preliecoh.catalog import fixture_documents
 from preliecoh.errors import InvalidInput, OutputCheckFailed, ShapeError
 from preliecoh.functors import (
     DendriformAlgebra,
@@ -33,17 +39,12 @@ from preliecoh.functors import (
     prelie_to_lie_xmod,
     rblie_to_prelie_xmod,
 )
-from preliecoh.linalg import MatrixQ, vector, zero_vector
+from preliecoh.linalg import MatrixQ, standard_basis_vector, vec_add, vec_sub, vector, zero_vector
 from preliecoh.xmodules import CrossedModule, identity_xmod, trivial_module_xmod
 
+from test_algebra import check_lie_dense, perturbed, random_tensor
+
 F = Fraction
-
-
-def sparse_tensor(d1, d2, d3, entries):
-    t = [[[F(0)] * d3 for _ in range(d2)] for _ in range(d1)]
-    for (i, j, k), c in entries.items():
-        t[i][j][k] = F(c)
-    return tuple(tuple(tuple(r) for r in p) for p in t)
 
 
 def sparse_algebra(dim, entries):
@@ -71,7 +72,7 @@ def test_prelie_to_lie_on_abelian_identity():
     assert out.mu == MatrixQ.identity(2)
     for i, j in itertools.product(range(2), repeat=2):
         assert out.n.basis_bracket(i, j) == zero_vector(2)
-        assert out.action[i][j] == zero_vector(2)
+        assert out.action.vector(i, j) == zero_vector(2)
 
 
 def test_prelie_to_lie_on_lmult2_identity():
@@ -80,10 +81,10 @@ def test_prelie_to_lie_on_lmult2_identity():
     assert out.n.basis_bracket(1, 0) == vector([0, -1])
     assert out.m.bracket == out.n.bracket
     # e1 |> e2 = e1.e2 - e2.e1 = e2, e2 |> e1 = -e2, diagonals vanish
-    assert out.action[0][1] == vector([0, 1])
-    assert out.action[1][0] == vector([0, -1])
-    assert out.action[0][0] == zero_vector(2)
-    assert out.action[1][1] == zero_vector(2)
+    assert out.action.vector(0, 1) == vector([0, 1])
+    assert out.action.vector(1, 0) == vector([0, -1])
+    assert out.action.vector(0, 0) == zero_vector(2)
+    assert out.action.vector(1, 1) == zero_vector(2)
 
 
 def test_prelie_to_lie_on_trivial_module():
@@ -94,7 +95,7 @@ def test_prelie_to_lie_on_trivial_module():
         expect = tuple(
             a - b for a, b in zip(rep.basis_left(i, u), rep.basis_right(u, i))
         )
-        assert out.action[i][u] == expect
+        assert out.action.vector(i, u) == expect
 
 
 def test_prelie_to_lie_across_catalog():
@@ -347,3 +348,132 @@ def test_dendriform_output_certification_catches_bad_actions():
     assert check_dendriform_xmod(x) is None
     with pytest.raises(OutputCheckFailed, match="mixed-identity"):
         dendriform_to_prelie_xmod(x)
+
+
+# --- dense oracles for the sparse checkers ---------------------------------
+# The checkers as first written: every identity is evaluated with
+# `bilinear` on standard basis vectors, zeros included.
+
+
+def check_lie_crossed_module_dense(x):
+    for lie in (x.m, x.n):
+        bad = check_lie_dense(lie)
+        if bad is not None:
+            return bad
+    m, n = x.m, x.n
+    for u, v in itertools.product(range(m.dim), repeat=2):
+        lhs = x.mu.mul_vec(m.basis_bracket(u, v))
+        rhs = n.bracket_of(x.mu.col(u), x.mu.col(v))
+        if lhs != rhs:
+            return Violation("lie-morphism", (u, v), lhs, rhs)
+    for i, j, u in itertools.product(range(n.dim), range(n.dim), range(m.dim)):
+        lhs = bilinear(x.action, n.basis_bracket(i, j), m.basis_vector(u))
+        rhs = vec_sub(
+            x.act(n.basis_vector(i), x.action.vector(j, u)),
+            x.act(n.basis_vector(j), x.action.vector(i, u)),
+        )
+        if lhs != rhs:
+            return Violation("lie-action", (i, j, u), lhs, rhs)
+    for i, u, v in itertools.product(range(n.dim), range(m.dim), range(m.dim)):
+        lhs = x.act(n.basis_vector(i), m.basis_bracket(u, v))
+        rhs = vec_add(
+            m.bracket_of(x.action.vector(i, u), m.basis_vector(v)),
+            m.bracket_of(m.basis_vector(u), x.action.vector(i, v)),
+        )
+        if lhs != rhs:
+            return Violation("derivation", (i, u, v), lhs, rhs)
+    for i, u in itertools.product(range(n.dim), range(m.dim)):
+        lhs = x.mu.mul_vec(x.action.vector(i, u))
+        rhs = n.bracket_of(n.basis_vector(i), x.mu.col(u))
+        if lhs != rhs:
+            return Violation("lie-equivariance", (i, u), lhs, rhs)
+    for u, v in itertools.product(range(m.dim), repeat=2):
+        lhs = x.act(x.mu.col(u), m.basis_vector(v))
+        rhs = m.basis_bracket(u, v)
+        if lhs != rhs:
+            return Violation("lie-peiffer", (u, v), lhs, rhs)
+    return None
+
+
+def check_dendriform_dense(a):
+    for i, j, k in itertools.product(range(a.dim), repeat=3):
+        ei, ej, ek = (standard_basis_vector(a.dim, t) for t in (i, j, k))
+        lhs = a.p(a.p(ei, ej), ek)
+        rhs = a.p(ei, vec_add(a.p(ej, ek), a.s(ej, ek)))
+        if lhs != rhs:
+            return Violation("dendriform-1", (i, j, k), lhs, rhs)
+        lhs = a.p(a.s(ei, ej), ek)
+        rhs = a.s(ei, a.p(ej, ek))
+        if lhs != rhs:
+            return Violation("dendriform-2", (i, j, k), lhs, rhs)
+        lhs = a.s(ei, a.s(ej, ek))
+        rhs = a.s(vec_add(a.p(ei, ej), a.s(ei, ej)), ek)
+        if lhs != rhs:
+            return Violation("dendriform-3", (i, j, k), lhs, rhs)
+    return None
+
+
+# --- sparse checkers against the dense oracles ------------------------------
+
+# dendriform algebras that pass: zero, e1 > e1 = e1, e1 > e1 = e2
+DENDRIFORMS = [
+    zero_dendriform(1),
+    zero_dendriform(2),
+    DendriformAlgebra(1, sparse_tensor(1, 1, 1, {(0, 0, 0): 1}), sparse_tensor(1, 1, 1, {})),
+    DendriformAlgebra(2, sparse_tensor(2, 2, 2, {(0, 0, 1): 1}), sparse_tensor(2, 2, 2, {})),
+]
+
+
+def lie_xmods():
+    """Lie crossed modules that pass: converted catalog crossed modules."""
+    out = []
+    for g in (PreLieAlgebra.zero_product(2), IDEM1, LMULT2, AFFINE2):
+        out.append(prelie_to_lie_xmod(identity_xmod(g)))
+        out.append(prelie_to_lie_xmod(trivial_module_xmod(Representation.regular(g))))
+    return out
+
+
+def test_sparse_functor_checkers_equal_dense_oracles_on_catalog():
+    xmods = lie_xmods()
+    dendriforms = list(DENDRIFORMS)
+    for doc in fixture_documents().values():
+        p = doc.payload
+        if isinstance(p, LieCrossedModule):
+            xmods.append(p)
+        elif isinstance(p, RotaBaxterLieCrossedModule):
+            xmods.append(p.lie_crossed_module())
+        elif isinstance(p, DendriformCrossedModule):
+            dendriforms.extend((p.m, p.n))
+    for x in xmods:
+        assert check_lie_crossed_module(x) == check_lie_crossed_module_dense(x)
+    for a in dendriforms:
+        assert check_dendriform(a) == check_dendriform_dense(a)
+    assert any(check_dendriform(a) is not None for a in dendriforms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_sparse_dendriform_checker_equals_dense_oracle(data):
+    if data.draw(st.booleans()):
+        base = data.draw(st.sampled_from(DENDRIFORMS))
+        d, succ, prec = base.dim, perturbed(data, base.succ), perturbed(data, base.prec)
+    else:
+        d = data.draw(st.integers(1, 3))
+        succ, prec = random_tensor(data, d, d, d), random_tensor(data, d, d, d)
+    a = DendriformAlgebra(d, succ, prec)
+    assert check_dendriform(a) == check_dendriform_dense(a)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(lie_xmods()), st.data())
+def test_sparse_lie_xmod_checker_equals_dense_oracle(base, data):
+    m, n = base.m.dim, base.n.dim
+    how = data.draw(st.sampled_from(["action", "bracket", "random"]))
+    mu, m_lie, action = base.mu, base.m, perturbed(data, base.action)
+    if how == "bracket":
+        m_lie = LieAlgebra(m, perturbed(data, base.m.bracket))
+    elif how == "random":
+        # mu = 0 passes the morphism identity, so the action laws are reached
+        mu, action = MatrixQ.zero(n, m), random_tensor(data, n, m, m)
+    x = LieCrossedModule(m_lie, base.n, mu, action)
+    assert check_lie_crossed_module(x) == check_lie_crossed_module_dense(x)

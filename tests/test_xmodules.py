@@ -18,6 +18,7 @@ from preliecoh.algebra import (
     PreLieAlgebra,
     Representation,
     check_representation,
+    sparse_tensor,
 )
 from preliecoh.cochain import Cochain, CochainBasis, coboundary, cohomology
 from preliecoh.errors import (
@@ -112,11 +113,9 @@ def test_trivial_module_crossed_module():
 
 def test_crossed_module_negative_perturbed_action():
     base = identity_xmod(LMULT2)
-    left = [list(map(list, p)) for p in base.action.left]
-    left[1][0][0] += F(1)
-    act = ActionData(
-        LMULT2, LMULT2, tuple(tuple(tuple(r) for r in p) for p in left), base.action.right
-    )
+    left = {(i, u, k): c for i, u, k, c in base.action.left.entries()}
+    left[1, 0, 0] = left.get((1, 0, 0), 0) + F(1)
+    act = ActionData(LMULT2, LMULT2, sparse_tensor(2, 2, 2, left), base.action.right)
     bad = check_crossed_module(CrossedModule(base.mu, act))
     assert bad is not None
 
