@@ -26,17 +26,15 @@ from .linalg import (
     ONE,
     ZERO,
     MatrixQ,
+    Row,
     SubspaceBasis,
     Vector,
     as_fraction,
+    dense_vector,
     solve_particular,
     standard_basis_vector,
     zero_vector,
 )
-
-# A row of a structure tensor: the (k, t[i][j][k]) with a nonzero value,
-# sorted by k.
-Row = tuple[tuple[int, Fraction], ...]
 
 
 @dataclass(frozen=True)
@@ -50,10 +48,7 @@ class Tensor3:
 
     def vector(self, i: int, j: int) -> Vector:
         """t[i][j] as a dense vector of length d3."""
-        out = [ZERO] * self.shape[2]
-        for k, c in self.rows[i][j]:
-            out[k] = c
-        return tuple(out)
+        return dense_vector(self.rows[i][j], self.shape[2])
 
     def entries(self) -> Iterator[tuple[int, int, int, Fraction]]:
         """(i, j, k, value) of every nonzero, in lexicographic order."""

@@ -38,6 +38,7 @@ from .linalg import (
     SubspaceBasis,
     Vector,
     greedy_independent,
+    is_zero_vector,
     rank_kernel_image,
     rank_of,
     solve_particular,
@@ -257,10 +258,10 @@ def _assemble(rows: int, cols: int, terms: Iterable[tuple[int, int, Fraction]]) 
     """The rows x cols matrix whose entry (r, c) sums every x in the
     (r, c, x) triples of `terms`; the row rules below yield one triple per
     nonzero structure constant they visit, so zero entries cost nothing."""
-    entries = [ZERO] * (rows * cols)
+    entries: dict[tuple[int, int], Fraction] = {}
     for r, c, x in terms:
-        entries[r * cols + c] += x
-    return MatrixQ(rows, cols, tuple(entries))
+        entries[r, c] = entries.get((r, c), ZERO) + x
+    return MatrixQ.from_entries(rows, cols, entries)
 
 
 def _prelie_terms(rep: Representation, n: int) -> Iterable[tuple[int, int, Fraction]]:
@@ -433,7 +434,7 @@ def are_cohomologous(rep: Representation | CochainComplex, f1: Cochain, f2: Coch
     cx = CochainComplex.of(rep)
     diff = f1.sub(f2)
     for z in (f1, f2):
-        if not coboundary(cx.rep, z).is_zero():
+        if not is_zero_vector(cx.d(n).mul_vec(z.to_coordinates())):
             raise NotACocycle("inputs must be closed")
     coords = solve_particular(cx.d(n - 1), diff.to_coordinates())
     if coords is None:

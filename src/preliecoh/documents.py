@@ -156,10 +156,7 @@ def _read_tensor(obj, ptr: str, d1: int, d2: int, d3: int) -> Tensor3:
 
 
 def _read_matrix(obj, ptr: str, rows: int, cols: int) -> MatrixQ:
-    flat = [Fraction(0)] * (rows * cols)
-    for (r, c), value in _read_sparse(obj, ptr, (rows, cols), "[row, col, value]").items():
-        flat[r * cols + c] = value
-    return MatrixQ(rows, cols, tuple(flat))
+    return MatrixQ.from_entries(rows, cols, _read_sparse(obj, ptr, (rows, cols), "[row, col, value]"))
 
 
 def _read_labels(obj, ptr: str, dim: int) -> tuple[str, ...]:
@@ -200,11 +197,7 @@ def _ser_tensor(t: Tensor3) -> list:
 
 
 def _ser_matrix(m: MatrixQ) -> list:
-    return [
-        [pos // m.cols + 1, pos % m.cols + 1, str(value)]
-        for pos, value in enumerate(m.entries)
-        if value != 0
-    ]
+    return [[i + 1, j + 1, str(value)] for i, row in enumerate(m.nonzeros) for j, value in row]
 
 
 def _cochain_entries(f: Cochain) -> list:

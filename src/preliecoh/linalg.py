@@ -6,26 +6,32 @@ pivot positions), right inverses and quotient coordinates are the same on
 every run and do not depend on how the elimination picks its pivots.
 Scalars are fractions.Fraction throughout; floats are refused.
 
-The elimination is integer and fraction-free. Each row is scaled by the
+A matrix is stored once, as its nonzeros per row: each row is a Row, the
+sorted (column, value) pairs with a nonzero value. Every pass reads
+those pairs, so its cost follows the nonzeros rather than rows * cols.
+
+The elimination is integer and fraction-free. Each Row is scaled by the
 lcm of its denominators and kept sparse as {column: int}. A row r is
 cleared against a pivot row p at column c by r <- a r - b p with a/b =
 p[c]/r[c] in lowest terms, after which r is divided by the gcd of its
 entries (its content). The forward pass and the back substitution both
-work this way, and fractions are formed only when the reduced rows are
-written out, as entry / pivot.
+work this way, and fractions are formed only as the Row entries of the
+reduced rows, entry / pivot.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import BadBasis, DimensionMismatch, ShapeError
 
-Scalar = Fraction
 Vector = tuple[Fraction, ...]
+# A sparse row: the (column, value) pairs with a nonzero value, sorted by
+# column.
+Row = tuple[tuple[int, Fraction], ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -76,120 +82,133 @@ def standard_basis_vector(n: int, i: int) -> Vector:
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
+def dense_vector(row: Row, n: int) -> Vector:
+    """The Row as a dense vector of length n."""
+    out = [ZERO] * n
+    for j, x in row:
+        out[j] = x
+    return tuple(out)
+
+
+def sparse_row(v: Iterable[Fraction]) -> Row:
+    """The Row of a dense vector."""
+    return tuple((j, x) for j, x in enumerate(v) if x)
+
+
+def _summed(terms: Iterable[tuple[int, Fraction]]) -> Row:
+    """The Row of the sum of the (column, value) terms."""
+    acc: dict[int, Fraction] = {}
+    for j, x in terms:
+        acc[j] = acc.get(j, ZERO) + x
+    return tuple(sorted((j, x) for j, x in acc.items() if x))
+
+
 @dataclass(frozen=True)
 class MatrixQ:
-    """Dense rational matrix, row-major, immutable."""
+    """Rational matrix, immutable, stored once as its nonzeros per row:
+    nonzeros[i] is the Row of row i. Build one through the classmethods;
+    the layout is canonical, so equal matrices compare and hash equal."""
 
     rows: int
     cols: int
-    entries: tuple[Fraction, ...]
+    nonzeros: tuple[Row, ...]
 
     def __post_init__(self) -> None:
         if self.rows < 0 or self.cols < 0:
             raise ShapeError("negative matrix dimension")
-        if len(self.entries) != self.rows * self.cols:
-            raise ShapeError(
-                f"{self.rows}x{self.cols} matrix needs "
-                f"{self.rows * self.cols} entries, got {len(self.entries)}"
-            )
+        if len(self.nonzeros) != self.rows:
+            raise ShapeError(f"{self.rows}x{self.cols} matrix needs {self.rows} rows, got {len(self.nonzeros)}")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[object]], cols: int | None = None) -> "MatrixQ":
-        rows = [vector(r) for r in rows]
-        if rows:
-            cols = len(rows[0])
-            if any(len(r) != cols for r in rows):
-                raise ShapeError("ragged rows")
-        elif cols is None:
-            cols = 0
-        return cls(len(rows), cols, tuple(x for r in rows for x in r))
+        vecs = [vector(r) for r in rows]
+        if cols is None:
+            cols = len(vecs[0]) if vecs else 0
+        for v in vecs:
+            if len(v) != cols:
+                raise ShapeError(f"expected vectors of length {cols}, got one of length {len(v)}")
+        return cls(len(vecs), cols, tuple(map(sparse_row, vecs)))
 
     @classmethod
     def from_cols(cls, cols: Sequence[Sequence[object]], rows: int | None = None) -> "MatrixQ":
-        if not cols:
-            return cls(rows if rows is not None else 0, 0, ())
-        vecs = [vector(c) for c in cols]
-        if not vecs[0]:
-            return cls(0, len(vecs), ())
-        return cls.from_rows(list(zip(*vecs)))
+        return cls.from_rows(cols, rows).transpose()
+
+    @classmethod
+    def from_entries(cls, rows: int, cols: int, entries: dict) -> "MatrixQ":
+        """The rows x cols matrix with entry (r, c) = x for each (r, c): x
+        of entries, zero elsewhere; explicit zeros are dropped."""
+        cells: dict[int, list] = {}
+        for (r, c), x in entries.items():
+            if not (0 <= r < rows and 0 <= c < cols):
+                raise ShapeError(f"matrix index ({r}, {c}) outside shape {rows}x{cols}")
+            x = as_fraction(x)
+            if x:
+                cells.setdefault(r, []).append((c, x))
+        return cls(rows, cols, tuple(tuple(sorted(cells[r])) if r in cells else () for r in range(rows)))
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "MatrixQ":
-        return cls(rows, cols, (ZERO,) * (rows * cols))
+        return cls(rows, cols, ((),) * rows)
 
     @classmethod
     def identity(cls, n: int) -> "MatrixQ":
-        return cls(n, n, tuple(ONE if i == j else ZERO for i in range(n) for j in range(n)))
+        return cls(n, n, tuple(((i, ONE),) for i in range(n)))
+
+    @property
+    def entries(self) -> tuple[Fraction, ...]:
+        """All rows * cols entries, row-major."""
+        return tuple(x for i in range(self.rows) for x in self.row(i))
 
     def at(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.cols + j]
+        return dict(self.nonzeros[i]).get(j, ZERO)
 
     def row(self, i: int) -> Vector:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        return dense_vector(self.nonzeros[i], self.cols)
 
     def col(self, j: int) -> Vector:
-        return self.entries[j :: self.cols]
-
-    def row_list(self) -> list[list[Fraction]]:
-        return [list(self.row(i)) for i in range(self.rows)]
+        return tuple(self.at(i, j) for i in range(self.rows))
 
     def transpose(self) -> "MatrixQ":
-        return MatrixQ(
-            self.cols,
-            self.rows,
-            tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
+        cols: list[list[tuple[int, Fraction]]] = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self.nonzeros):
+            for j, x in row:
+                cols[j].append((i, x))
+        return MatrixQ(self.cols, self.rows, tuple(map(tuple, cols)))
 
     def mul_vec(self, v: Sequence[Fraction]) -> Vector:
         if len(v) != self.cols:
             raise DimensionMismatch(f"matrix has {self.cols} cols, vector has {len(v)}")
-        return tuple(
-            sum((self.at(i, j) * v[j] for j in range(self.cols)), ZERO)
-            for i in range(self.rows)
-        )
+        return tuple(sum((x * v[j] for j, x in row), ZERO) for row in self.nonzeros)
 
     def __matmul__(self, other: "MatrixQ") -> "MatrixQ":
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        # row i of the product accumulates a * (row k of other) over the
-        # nonzero a = self[i][k], skipping zero entries of that row too
-        n = other.cols
-        out = [ZERO] * (self.rows * n)
-        other_rows = [[(j, b) for j, b in enumerate(other.row(k)) if b != 0] for k in range(other.rows)]
-        for i in range(self.rows):
-            base = i * n
-            for k, a in enumerate(self.row(i)):
-                if a != 0:
-                    for j, b in other_rows[k]:
-                        out[base + j] += a * b
-        return MatrixQ(self.rows, n, tuple(out))
+        return MatrixQ(
+            self.rows,
+            other.cols,
+            tuple(
+                _summed((j, a * b) for k, a in row for j, b in other.nonzeros[k])
+                for row in self.nonzeros
+            ),
+        )
 
     def __add__(self, other: "MatrixQ") -> "MatrixQ":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("matrix shapes differ")
-        return MatrixQ(self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries)))
-
-    def __sub__(self, other: "MatrixQ") -> "MatrixQ":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("matrix shapes differ")
-        return MatrixQ(self.rows, self.cols, tuple(a - b for a, b in zip(self.entries, other.entries)))
-
-    def scale(self, c: Fraction) -> "MatrixQ":
-        return MatrixQ(self.rows, self.cols, tuple(c * a for a in self.entries))
+        return MatrixQ(self.rows, self.cols, tuple(_summed(r + s) for r, s in zip(self.nonzeros, other.nonzeros)))
 
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.entries)
+        return not any(self.nonzeros)
 
 
-def _integer_rows(rows: Iterable[Sequence[Fraction]]) -> list[dict[int, int]]:
+def _integer_rows(rows: Iterable[Row]) -> list[dict[int, int]]:
     """The nonzero rows, each scaled by the lcm of its denominators and
-    stored sparsely as {column: integer}."""
+    stored as {column: integer}."""
     out = []
     for row in rows:
-        nonzero = [(j, x) for j, x in enumerate(row) if x]
-        if nonzero:
-            den = lcm(*(x.denominator for _, x in nonzero))
-            out.append({j: x.numerator * (den // x.denominator) for j, x in nonzero})
+        if row:
+            den = lcm(*(x.denominator for _, x in row))
+            out.append({j: x.numerator * (den // x.denominator) for j, x in row})
     return out
 
 
@@ -238,14 +257,14 @@ def _echelon(rows: list[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
     return echelon
 
 
-def _rref(rows: list[list[Fraction]]) -> list[int]:
-    """Reduce rows in place to reduced row echelon form; return pivot columns.
+def _rref(rows: Iterable[Row]) -> list[tuple[int, Row]]:
+    """The reduced row echelon form of the rows: (pivot column, reduced
+    row) pairs in increasing pivot order, zero rows dropped.
 
     The reduced row echelon form is unique, so the result does not depend
     on how pivots are chosen. The work is done in integers (see the module
-    docstring); fractions appear only when the result is written back.
+    docstring); fractions appear only in the returned rows.
     """
-    ncols = len(rows[0]) if rows else 0
     echelon = _echelon(_integer_rows(rows))
     # back substitution: rows below t are already reduced, so clearing
     # their pivot columns from row t disturbs no other pivot column
@@ -254,15 +273,7 @@ def _rref(rows: list[list[Fraction]]) -> list[int]:
         for c, p in echelon[t + 1 :]:
             if c in r:
                 _clear(r, p, c)
-    for t, (c, p) in enumerate(echelon):
-        row = [ZERO] * ncols
-        d = p[c]
-        for j, x in p.items():
-            row[j] = Fraction(x, d)
-        rows[t] = row
-    for t in range(len(echelon), len(rows)):
-        rows[t] = [ZERO] * ncols
-    return [c for c, _ in echelon]
+    return [(c, tuple((j, Fraction(p[j], p[c])) for j in sorted(p))) for c, p in echelon]
 
 
 @dataclass(frozen=True)
@@ -297,23 +308,27 @@ def rank_kernel_image(m: MatrixQ) -> tuple[int, SubspaceBasis, SubspaceBasis]:
     coordinate set to 1. Image vectors are the original columns of m at
     the pivot positions, in order.
     """
-    rows = m.row_list()
-    pivots = _rref(rows)
-    rank = len(pivots)
+    echelon = _rref(m.nonzeros)
+    pivots = [c for c, _ in echelon]
+    # the kernel vector of free column j holds -x at pivot p for each
+    # entry x of column j in the reduced row of p
+    at_pivots: dict[int, list[tuple[int, Fraction]]] = {}
+    for p, row in echelon:
+        for j, x in row:
+            if j != p:
+                at_pivots.setdefault(j, []).append((p, -x))
     pivot_set = set(pivots)
     kernel = []
     for j in range(m.cols):
-        if j in pivot_set:
-            continue
-        v = [ZERO] * m.cols
-        v[j] = ONE
-        for t, p in enumerate(pivots):
-            x = rows[t][j]
-            if x:
-                v[p] = -x
-        kernel.append(tuple(v))
-    image = tuple(m.col(p) for p in pivots)
-    return rank, SubspaceBasis(m.cols, tuple(kernel)), SubspaceBasis(m.rows, image)
+        if j not in pivot_set:
+            v = [ZERO] * m.cols
+            v[j] = ONE
+            for p, x in at_pivots.get(j, ()):
+                v[p] = x
+            kernel.append(tuple(v))
+    columns = m.transpose().nonzeros
+    image = tuple(dense_vector(columns[p], m.rows) for p in pivots)
+    return len(pivots), SubspaceBasis(m.cols, tuple(kernel)), SubspaceBasis(m.rows, image)
 
 
 def greedy_independent(vectors: Iterable[Sequence[Fraction]]) -> list[int]:
@@ -326,7 +341,7 @@ def greedy_independent(vectors: Iterable[Sequence[Fraction]]) -> list[int]:
     echelon: dict[int, dict[int, int]] = {}
     kept = []
     for i, v in enumerate(vectors):
-        for r in _integer_rows([v]):  # no row when v is zero
+        for r in _integer_rows([sparse_row(v)]):  # no row when v is zero
             while r:
                 c = min(r)
                 if c not in echelon:
@@ -338,22 +353,23 @@ def greedy_independent(vectors: Iterable[Sequence[Fraction]]) -> list[int]:
 
 
 def rank_of(m: MatrixQ) -> int:
-    return len(_echelon(_integer_rows(m.row(i) for i in range(m.rows))))
+    return len(_echelon(_integer_rows(m.nonzeros)))
 
 
 def solve_particular(m: MatrixQ, b: Sequence[Fraction]) -> Vector | None:
     """One solution of m x = b with every free variable set to 0, else None."""
     if len(b) != m.rows:
         raise DimensionMismatch(f"matrix has {m.rows} rows, rhs has {len(b)}")
-    rows = [list(m.row(i)) + [b[i]] for i in range(m.rows)]
-    if not rows:
-        return zero_vector(m.cols)
-    pivots = _rref(rows)
-    if pivots and pivots[-1] == m.cols:
+    n = m.cols
+    # b is the extra column n, so it is the last entry of a reduced row
+    echelon = _rref(row + ((n, y),) if y else row for row, y in zip(m.nonzeros, b))
+    if echelon and echelon[-1][0] == n:
         return None
-    x = [ZERO] * m.cols
-    for t, p in enumerate(pivots):
-        x[p] = rows[t][m.cols]
+    x = [ZERO] * n
+    for p, row in echelon:
+        j, y = row[-1]
+        if j == n:
+            x[p] = y
     return tuple(x)
 
 
@@ -362,11 +378,10 @@ def invert(m: MatrixQ) -> MatrixQ:
     if m.rows != m.cols:
         raise ShapeError("only square matrices can be inverted")
     n = m.rows
-    rows = [list(m.row(i)) + list(standard_basis_vector(n, i)) for i in range(n)]
-    pivots = _rref(rows)
-    if pivots != list(range(n)):
+    echelon = _rref(row + ((n + i, ONE),) for i, row in enumerate(m.nonzeros))
+    if [c for c, _ in echelon] != list(range(n)):
         raise BadBasis("matrix is singular")
-    return MatrixQ.from_rows([rows[i][n:] for i in range(n)])
+    return MatrixQ(n, n, tuple(tuple((j - n, x) for j, x in row if j >= n) for _, row in echelon))
 
 
 def right_inverse_on_image(m: MatrixQ) -> MatrixQ:
@@ -377,21 +392,16 @@ def right_inverse_on_image(m: MatrixQ) -> MatrixQ:
     source; the deterministic complement of im(m) (standard basis
     vectors at non-pivot coordinates of the image) maps to zero.
     """
-    rows = m.row_list()
-    col_pivots = _rref(rows)
-    r = len(col_pivots)
-    image_cols = [m.col(p) for p in col_pivots]
-    img_rows = [list(v) for v in image_cols]
-    row_pivots = _rref(img_rows) if img_rows else []
-    complement = [j for j in range(m.rows) if j not in set(row_pivots)]
-    basis_cols = image_cols + [standard_basis_vector(m.rows, j) for j in complement]
-    if not basis_cols:
-        return MatrixQ.zero(m.cols, m.rows)
-    b = MatrixQ.from_cols(basis_cols, rows=m.rows)
-    c_cols = [standard_basis_vector(m.cols, p) for p in col_pivots]
-    c_cols += [zero_vector(m.cols)] * len(complement)
-    c = MatrixQ.from_cols(c_cols, rows=m.cols)
-    return c @ invert(b)
+    col_pivots = [c for c, _ in _rref(m.nonzeros)]
+    columns = m.transpose().nonzeros
+    image = tuple(columns[p] for p in col_pivots)
+    row_pivots = {c for c, _ in _rref(image)}
+    complement = [j for j in range(m.rows) if j not in row_pivots]
+    # b has the image columns and then the unit vectors at the complement
+    # as its columns; c maps them to the unit vectors at the pivots and to 0
+    b = MatrixQ(m.rows, m.rows, image + tuple(((j, ONE),) for j in complement)).transpose()
+    c = MatrixQ(m.rows, m.cols, tuple(((p, ONE),) for p in col_pivots) + ((),) * len(complement))
+    return c.transpose() @ invert(b)
 
 
 @dataclass(frozen=True)
@@ -399,33 +409,27 @@ class QuotientMap:
     """Coordinates on Q^ambient_dim / span(sub), via non-pivot coordinates.
 
     reduce() rewrites a vector modulo the subspace so that all pivot
-    coordinates of the reduced row echelon basis of the subspace vanish,
-    then reads off the remaining (non-pivot) coordinates.
+    coordinates of the reduced row echelon basis of the subspace (the
+    Rows of sub_rref) vanish, then reads off the remaining (non-pivot)
+    coordinates.
     """
 
     ambient_dim: int
-    sub_rref: tuple[Vector, ...]
+    sub_rref: tuple[Row, ...]
     pivots: tuple[int, ...]
     complement: tuple[int, ...]
-    # the nonzero (column, entry) pairs of each sub_rref row
-    _support: tuple[tuple[tuple[int, Fraction], ...], ...] = field(
-        init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        support = tuple(tuple((j, b) for j, b in enumerate(row) if b) for row in self.sub_rref)
-        object.__setattr__(self, "_support", support)
 
     @classmethod
     def build(cls, ambient_dim: int, sub: SubspaceBasis) -> "QuotientMap":
         if sub.ambient_dim != ambient_dim:
             raise DimensionMismatch("subspace lives in a different ambient space")
-        rows = [list(v) for v in sub.vectors]
-        pivots = _rref(rows) if rows else []
-        if len(pivots) != len(sub.vectors):
+        echelon = _rref(map(sparse_row, sub.vectors))
+        if len(echelon) != len(sub.vectors):
             raise BadBasis("subspace vectors are linearly dependent")
-        complement = tuple(j for j in range(ambient_dim) if j not in set(pivots))
-        return cls(ambient_dim, tuple(tuple(r) for r in rows), tuple(pivots), complement)
+        pivots = tuple(c for c, _ in echelon)
+        pivot_set = set(pivots)
+        complement = tuple(j for j in range(ambient_dim) if j not in pivot_set)
+        return cls(ambient_dim, tuple(row for _, row in echelon), pivots, complement)
 
     @property
     def dim(self) -> int:
@@ -435,10 +439,10 @@ class QuotientMap:
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector length differs from ambient dimension")
         w = list(v)
-        for p, support in zip(self.pivots, self._support):
+        for p, row in zip(self.pivots, self.sub_rref):
             coeff = w[p]
             if coeff != 0:
-                for j, b in support:
+                for j, b in row:
                     w[j] -= coeff * b
         return tuple(w[j] for j in self.complement)
 

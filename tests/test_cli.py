@@ -256,6 +256,26 @@ def test_cohomology_verify_phi_builds_each_differential_once(monkeypatch) -> Non
     assert sorted(built) == [1, 2, 3, 4]
 
 
+def test_tmap_random_sections_builds_d3_once(monkeypatch) -> None:
+    import preliecoh.cochain as cochain
+
+    built, references = [], []
+    original = cochain.coboundary_matrix
+
+    def counting(rep, n):
+        built.append(n)
+        return original(rep, n)
+
+    monkeypatch.setattr(cochain, "coboundary_matrix", counting)
+    monkeypatch.setattr(cochain, "coboundary", lambda rep, f: references.append(f))
+    code, out, _ = run_cli("tmap", fx("ext_dbl_regular"), "--sections", "random", "--seed", "7")
+    assert code == 0
+    assert "difference is a coboundary: PASS" in out
+    assert built.count(3) == 1
+    # are_cohomologous tests closedness with the complex's d_3
+    assert references == []
+
+
 def test_cohomology_phi_builds_and_ranks_each_lie_matrix_once(monkeypatch) -> None:
     import preliecoh.cochain as cochain
 

@@ -13,18 +13,25 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from preliecoh import linalg
-from preliecoh.errors import BadBasis, DimensionMismatch
+from preliecoh.algebra import Representation
+from preliecoh.catalog import sparse_algebra
+from preliecoh.cochain import Cochain, coboundary, coboundary_matrix
+from preliecoh.documents import document_from_obj
+from preliecoh.errors import BadBasis, DimensionMismatch, ShapeError
 from preliecoh.linalg import (
     MatrixQ,
     QuotientMap,
     SubspaceBasis,
     _rref,
+    dense_vector,
     greedy_independent,
     invert,
     rank_kernel_image,
     rank_of,
     right_inverse_on_image,
     solve_particular,
+    sparse_row,
+    standard_basis_vector,
     vector,
     zero_vector,
 )
@@ -128,6 +135,66 @@ def test_invert_singular_raises():
         invert(mat([[1, 2], [2, 4]]))
 
 
+def test_stated_and_ragged_shapes_are_checked():
+    # (constructor, vectors, stated size) -> (rows, cols), or ShapeError
+    table = [
+        (MatrixQ.from_rows, [[1, 2], [3, 4]], None, (2, 2)),
+        (MatrixQ.from_rows, [[1, 2]], 2, (1, 2)),
+        (MatrixQ.from_rows, [], 3, (0, 3)),
+        (MatrixQ.from_rows, [[1, 2], [3]], None, ShapeError),
+        (MatrixQ.from_rows, [[1, 2]], 5, ShapeError),
+        (MatrixQ.from_cols, [[1, 2], [3, 4], [5, 6]], None, (2, 3)),
+        (MatrixQ.from_cols, [[1, 2]], 2, (2, 1)),
+        (MatrixQ.from_cols, [], 3, (3, 0)),
+        (MatrixQ.from_cols, [[]], None, (0, 1)),
+        (MatrixQ.from_cols, [[1, 2], [3]], None, ShapeError),
+        (MatrixQ.from_cols, [[1], [2, 3]], None, ShapeError),
+        (MatrixQ.from_cols, [[1, 2]], 3, ShapeError),
+    ]
+    for build, vectors, size, want in table:
+        if want is ShapeError:
+            with pytest.raises(ShapeError):
+                build(vectors, size)
+        else:
+            m = build(vectors, size)
+            assert (m.rows, m.cols) == want, (build, vectors, size)
+
+
+def test_equal_matrices_compare_and_hash_equal_however_built():
+    dense = [[F(0), F(1, 2), F(0)], [F(0), F(0), F(0)], [F(-3), F(0), F(1)]]
+    twin = MatrixQ.from_rows(dense)
+    xmod = document_from_obj(
+        {
+            "kind": "crossed_module",
+            "m": {"dim": 3, "product": []},
+            "n": {"dim": 3, "product": []},
+            "mu": [[1, 2, "1/2"], [2, 3, "0"], [3, 1, -3], [3, 3, "2/2"]],
+            "left": [],
+            "right": [],
+        }
+    ).payload
+    built = [
+        MatrixQ.from_rows([[0, "1/2", 0], [0, "0/5", 0], [-3, 0, 1]]),
+        MatrixQ.from_cols([[0, 0, -3], ["1/2", 0, 0], [0, 0, 1]]),
+        MatrixQ.from_entries(3, 3, {(0, 1): F(1, 2), (1, 2): 0, (2, 0): -3, (2, 2): 1}),
+        xmod.mu.matrix,
+        twin.transpose().transpose(),
+        twin + MatrixQ.zero(3, 3),
+        MatrixQ.identity(3) @ twin,
+    ]
+    for m in built:
+        assert m == twin and hash(m) == hash(twin)
+        assert m.entries == tuple(x for row in dense for x in row)
+    # an assembled differential against its dense twin from the reference
+    rep = Representation.regular(sparse_algebra(2, {(0, 1, 1): 1}))
+    d2 = coboundary_matrix(rep, 2)
+    units = [standard_basis_vector(d2.cols, j) for j in range(d2.cols)]
+    reference = MatrixQ.from_cols(
+        [coboundary(rep, Cochain.from_coordinates(2, 2, 2, u)).to_coordinates() for u in units]
+    )
+    assert d2 == reference and hash(d2) == hash(reference)
+
+
 # --- randomized properties --------------------------------------------------
 
 fracs = st.fractions(
@@ -150,14 +217,23 @@ def matrices(max_dim: int = 4):
 def test_matmul_equals_triple_sum(r, k, c, data):
     # half the entries zero, so the zero-skipping product is exercised
     entries = st.one_of(st.just(F(0)), fracs)
-    a = MatrixQ(r, k, tuple(data.draw(st.lists(entries, min_size=r * k, max_size=r * k))))
-    b = MatrixQ(k, c, tuple(data.draw(st.lists(entries, min_size=k * c, max_size=k * c))))
+
+    def drawn(nrows, ncols):
+        rows = data.draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+        return rows, MatrixQ.from_rows(rows, ncols)
+
+    (a_rows, a), (b_rows, b), (a2_rows, a2) = drawn(r, k), drawn(k, c), drawn(r, k)
     want = tuple(
-        sum((a.at(i, t) * b.at(t, j) for t in range(k)), F(0))
+        sum((a_rows[i][t] * b_rows[t][j] for t in range(k)), F(0))
         for i in range(r)
         for j in range(c)
     )
     assert (a @ b).entries == want
+    assert a.entries == tuple(x for row in a_rows for x in row)
+    assert a.transpose().entries == tuple(a_rows[i][t] for t in range(k) for i in range(r))
+    assert (a + a2).entries == tuple(x + y for ra, rb in zip(a_rows, a2_rows) for x, y in zip(ra, rb))
+    v = tuple(data.draw(st.lists(entries, min_size=k, max_size=k)))
+    assert a.mul_vec(v) == tuple(sum((x * y for x, y in zip(row, v)), F(0)) for row in a_rows)
 
 
 @settings(max_examples=60, deadline=None)
@@ -244,11 +320,26 @@ def dense_rref(rows):
     return pivots
 
 
+def dense_rref_rows(rows):
+    """dense_rref behind the signature of linalg._rref: sparse rows in,
+    (pivot column, reduced sparse row) pairs out."""
+    rows = list(rows)
+    ncols = 1 + max((j for row in rows for j, _ in row), default=-1)
+    dense = [list(dense_vector(row, ncols)) for row in rows]
+    pivots = dense_rref(dense)
+    return [(c, sparse_row(dense[t])) for t, c in enumerate(pivots)]
+
+
+def row_list(m):
+    """The rows of m as dense lists."""
+    return [list(m.row(i)) for i in range(m.rows)]
+
+
 @contextlib.contextmanager
 def dense_engine():
     """Run the linalg functions on the oracle instead of the engine."""
     saved = linalg._rref
-    linalg._rref = dense_rref
+    linalg._rref = dense_rref_rows
     try:
         yield
     finally:
@@ -288,10 +379,8 @@ def rational_rows(draw, max_dim=6):
 @example([[F(1, 2)], [F(0)], [F(-5)]])
 @example([[F(0)] * 3] * 3)
 def test_rref_equals_dense_oracle(rows):
-    got = [list(r) for r in rows]
-    want = [list(r) for r in rows]
-    assert _rref(got) == dense_rref(want)
-    assert got == want
+    sparse = [sparse_row(r) for r in rows]
+    assert _rref(sparse) == dense_rref_rows(sparse)
 
 
 def outcome(fn, *args):
@@ -326,7 +415,7 @@ def test_linalg_results_equal_oracle_built_results(rows, data):
     with dense_engine():
         want = results()
     assert got == want
-    assert rank_of(m) == len(dense_rref(m.row_list()))
+    assert rank_of(m) == len(dense_rref(row_list(m)))
 
 
 @settings(max_examples=150, deadline=None)
