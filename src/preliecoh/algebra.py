@@ -9,9 +9,16 @@ associator is symmetric in its first two arguments:
 The commutator [x,y] = x*y - y*x then satisfies Jacobi, giving the
 sub-adjacent Lie algebra. All spaces here are finite-dimensional over Q
 and structures are basis tensors, each stored once as its nonzeros per
-index pair (Tensor3); checkers evaluate every axiom on every basis
-tuple from those nonzeros and report the first failing tuple in
-lexicographic order (0-based indices).
+index pair (Tensor3). The checkers describe each axiom as terms that
+read those nonzeros and report the first failing basis tuple in
+lexicographic order (0-based indices), with both sides.
+
+They share one integer engine, _first_failure. It scales every tensor
+an identity reads once by the common denominator D of all their
+entries, so both sides of every identity carry the factor D^2 and are
+compared in integers; the witness divides them by D^2. It visits only
+the tuples at which some coefficient row is nonzero: at every other
+tuple both sides are 0.
 """
 
 from __future__ import annotations
@@ -19,7 +26,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from math import lcm
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatch, NotAnIdeal, ShapeError
 from .linalg import (
@@ -137,12 +145,19 @@ def bilinear(t: Tensor3, x: Vector, y: Vector) -> Vector:
     return tuple(out)
 
 
-# One term of a basis identity: (sign, coefficients c_w, rows): it stands
-# for sign * sum_w c_w * rows[w].
-Term = tuple[int, Sequence[tuple[int, Fraction]], Sequence[Row]]
-# An identity checked at each index tuple: its name and sides(*idx), the
-# (lhs, rhs) terms there.
-Check = tuple[str, Callable[..., tuple[list[Term], list[Term]]]]
+# The rows of a structure tensor, planes[i][j] = the Row of t[i][j]:
+# Tensor3.rows or a transpose of it.
+Planes = Sequence[Sequence[Row]]
+# One term of a basis identity read at an index tuple idx: (sign, coeffs,
+# (a, b), rows, c) stands for
+#     sign * sum_w coeffs[idx[a]][idx[b]][w] * rows[idx[c]][w],
+# or for sign * sum_w coeffs[idx[a]][idx[b]][w] * rows[w] when c is None.
+Term = tuple[int, Planes, tuple[int, int], Planes | Sequence[Row], int | None]
+# A basis identity: its name and the terms of its two sides.
+Identity = tuple[str, Sequence[Term], Sequence[Term]]
+# Identities checked on every index tuple of a shape (the size of each
+# index range), in the order given at each tuple.
+Family = tuple[tuple[int, ...], Sequence[Identity]]
 
 
 def _transpose(rows: Sequence[Sequence[Row]]) -> list[tuple[Row, ...]]:
@@ -150,31 +165,78 @@ def _transpose(rows: Sequence[Sequence[Row]]) -> list[tuple[Row, ...]]:
     return list(zip(*rows))
 
 
-def _combine(terms: Sequence[Term], n: int) -> Vector:
-    out = [ZERO] * n
-    for sign, coeffs, rows in terms:
-        for w, c in coeffs:
-            for k, x in rows[w]:
-                out[k] += sign * c * x
-    return tuple(out)
+def _accumulate(out: dict[int, int], terms: Iterable[Term], idx: tuple[int, ...]) -> None:
+    """Add the integer terms at idx into out, by output index."""
+    for sign, coeffs, (a, b), rows, c in terms:
+        coeff_row = coeffs[idx[a]][idx[b]]
+        if coeff_row:
+            if c is not None:
+                rows = rows[idx[c]]
+            for w, x in coeff_row:
+                x *= sign
+                for k, y in rows[w]:
+                    out[k] = out.get(k, 0) + x * y
 
 
-def _first_failure(tuples: Iterable[tuple[int, ...]], checks: Sequence[Check], n: int) -> "Violation | None":
-    """Scan index tuples in order, and at each tuple the identities in
-    the order given; returns the first place where the two sides differ,
-    with both sides as vectors of length n."""
-    for idx in tuples:
-        for axiom, sides in checks:
-            lhs, rhs = sides(*idx)
-            diff: dict[int, Fraction] = {}
-            for terms, outer in ((lhs, 1), (rhs, -1)):
-                for sign, coeffs, rows in terms:
-                    for w, c in coeffs:
-                        c *= sign * outer
-                        for k, x in rows[w]:
-                            diff[k] = diff.get(k, ZERO) + c * x
-            if any(diff.values()):
-                return Violation(axiom, idx, _combine(lhs, n), _combine(rhs, n))
+def _candidates(shape: tuple[int, ...], terms: Iterable[Term]) -> list[tuple[int, ...]]:
+    """The index tuples of the shape, in lexicographic order, at which some
+    term has a nonzero coefficient row; at every other tuple each side
+    is 0."""
+    found: set[tuple[int, ...]] = set()
+    for coeffs, (a, b) in {(id(t[1]), t[2]): (t[1], t[2]) for t in terms}.values():
+        for x, plane in enumerate(coeffs):
+            for y, row in enumerate(plane):
+                if row:
+                    ranges = [(x,) if p == a else (y,) if p == b else range(n) for p, n in enumerate(shape)]
+                    found.update(itertools.product(*ranges))
+    return sorted(found)
+
+
+def _first_failure(families: Sequence[Family], n: int) -> "Violation | None":
+    """Scan each family's index tuples in lexicographic order, and at each
+    tuple its identities in order; returns the first place where the two
+    sides differ, with both sides as vectors of length n.
+
+    The work is in integers. Every tensor the terms read is scaled once by
+    the common denominator D of all their entries, so each side is D^2
+    times its value; fractions are formed only for the witness. Tuples at
+    which every coefficient row is empty read 0 = 0 and are not visited.
+    """
+    # every tensor read, by id, as planes or (c is None) as a sequence of rows
+    sources: dict[int, tuple[Planes, bool]] = {}
+    for _, identities in families:
+        for _, lhs, rhs in identities:
+            for _, coeffs, _, rows, c in (*lhs, *rhs):
+                sources[id(coeffs)] = (coeffs, True)
+                sources[id(rows)] = (rows, c is not None)
+    all_rows = [row for t, planes in sources.values() for row in (itertools.chain(*t) if planes else t)]
+    den = lcm(*(x.denominator for row in all_rows for _, x in row))
+
+    def scaled(rows: Sequence[Row]) -> tuple[tuple[tuple[int, int], ...], ...]:
+        return tuple(tuple((k, x.numerator * (den // x.denominator)) for k, x in row) if row else () for row in rows)
+
+    ints = {key: tuple(map(scaled, t)) if planes else scaled(t) for key, (t, planes) in sources.items()}
+
+    def integer(terms: Iterable[Term], outer: int) -> list[Term]:
+        return [(outer * s, ints[id(co)], ab, ints[id(rows)], c) for s, co, ab, rows, c in terms]
+
+    def side(terms: list[Term], idx: tuple[int, ...]) -> Vector:
+        out: dict[int, int] = {}
+        _accumulate(out, terms, idx)
+        return tuple(Fraction(out[k], den * den) if out.get(k) else ZERO for k in range(n))
+
+    for shape, identities in families:
+        checks = []
+        for axiom, lhs, rhs in identities:
+            lhs_int, rhs_int = integer(lhs, 1), integer(rhs, 1)
+            # both: lhs - rhs as one list of terms
+            checks.append((axiom, lhs_int, rhs_int, lhs_int + integer(rhs, -1)))
+        for idx in _candidates(shape, [t for *_, both in checks for t in both]):
+            for axiom, lhs, rhs, both in checks:
+                diff: dict[int, int] = {}
+                _accumulate(diff, both, idx)
+                if any(diff.values()):
+                    return Violation(axiom, idx, side(lhs, idx), side(rhs, idx))
     return None
 
 
@@ -254,14 +316,16 @@ def check_prelie(a: PreLieAlgebra) -> Violation | None:
     nonzero structure constants: (e_i e_j) e_k = sum_m P[i][j][m] P[m][k]
     and e_i (e_j e_k) = sum_m P[j][k][m] P[i][m]."""
     p = a.product.rows
-    by_right = _transpose(p)
-
-    def sides(i: int, j: int, k: int) -> tuple[list[Term], list[Term]]:
-        lhs = [(1, p[i][j], by_right[k]), (-1, p[j][k], p[i])]
-        rhs = [(1, p[j][i], by_right[k]), (-1, p[i][k], p[j])]
-        return lhs, rhs
-
-    return _first_failure(itertools.product(range(a.dim), repeat=3), [("left-symmetry", sides)], a.dim)
+    p_t = _transpose(p)
+    left_symmetry = (
+        "left-symmetry",
+        # (e_i e_j) e_k - e_i (e_j e_k)
+        [(1, p, (0, 1), p_t, 2), (-1, p, (1, 2), p, 0)],
+        # (e_j e_i) e_k - e_j (e_i e_k)
+        [(1, p, (1, 0), p_t, 2), (-1, p, (0, 2), p, 1)],
+    )
+    d = a.dim
+    return _first_failure([((d, d, d), [left_symmetry])], d)
 
 
 def check_lie(l: LieAlgebra) -> Violation | None:
@@ -269,21 +333,14 @@ def check_lie(l: LieAlgebra) -> Violation | None:
     every basis triple, from the nonzero structure constants:
     [[e_i, e_j], e_k] = sum_m B[i][j][m] B[m][k]."""
     b = l.bracket.rows
-    by_right = _transpose(b)
-
-    def antisymmetry(i: int, j: int) -> tuple[list[Term], list[Term]]:
-        # [e_i, e_j]  =  -[e_j, e_i]
-        return [(1, ((j, ONE),), b[i])], [(-1, ((i, ONE),), b[j])]
-
-    def jacobi(i: int, j: int, k: int) -> tuple[list[Term], list[Term]]:
-        # [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]  =  0
-        lhs = [(1, b[i][j], by_right[k]), (1, b[j][k], by_right[i]), (1, b[k][i], by_right[j])]
-        return lhs, []
-
-    d = range(l.dim)
-    return _first_failure(
-        itertools.product(d, repeat=2), [("antisymmetry", antisymmetry)], l.dim
-    ) or _first_failure(itertools.product(d, repeat=3), [("jacobi", jacobi)], l.dim)
+    b_t = _transpose(b)
+    unit = tuple(((w, ONE),) for w in range(l.dim))
+    # [e_i, e_j]  =  -[e_j, e_i]
+    antisymmetry = ("antisymmetry", [(1, b, (0, 1), unit, None)], [(-1, b, (1, 0), unit, None)])
+    # [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]  =  0
+    jacobi = ("jacobi", [(1, b, (0, 1), b_t, 2), (1, b, (1, 2), b_t, 0), (1, b, (2, 0), b_t, 1)], [])
+    d = l.dim
+    return _first_failure([((d, d), [antisymmetry]), ((d, d, d), [jacobi])], d)
 
 
 def subadjacent_lie(a: PreLieAlgebra) -> LieAlgebra:
@@ -344,29 +401,24 @@ class Representation:
 def check_representation(rep: Representation) -> Violation | None:
     """Left action is a Lie module over the commutator algebra; the mixed
     identity ties the two actions to the pre-Lie product."""
-    a = rep.algebra
-    v = rep.carrier_dim
-    p = a.product.rows
-    bracket = subadjacent_lie(a).bracket.rows
+    d, v = rep.algebra.dim, rep.carrier_dim
+    p = rep.algebra.product.rows
+    bracket = subadjacent_lie(rep.algebra).bracket.rows
     left, right = rep.left.rows, rep.right.rows
     left_t, right_t = _transpose(left), _transpose(right)
-
-    def lie_module(i: int, j: int, u: int) -> tuple[list[Term], list[Term]]:
-        # [e_i, e_j] . v_u  =  e_i . (e_j . v_u) - e_j . (e_i . v_u)
-        lhs = [(1, bracket[i][j], left_t[u])]
-        rhs = [(1, left[j][u], left[i]), (-1, left[i][u], left[j])]
-        return lhs, rhs
-
-    def mixed(i: int, u: int, j: int) -> tuple[list[Term], list[Term]]:
-        # (e_i . v_u) . e_j - e_i . (v_u . e_j)  =  (v_u . e_i) . e_j - v_u . (e_i * e_j)
-        lhs = [(1, left[i][u], right_t[j]), (-1, right[u][j], left[i])]
-        rhs = [(1, right[u][i], right_t[j]), (-1, p[i][j], right[u])]
-        return lhs, rhs
-
-    d = range(a.dim)
-    return _first_failure(
-        itertools.product(d, d, range(v)), [("left-action-lie-module", lie_module)], v
-    ) or _first_failure(itertools.product(d, range(v), d), [("mixed-identity", mixed)], v)
+    # at (i, j, u): [e_i, e_j] . v_u  =  e_i . (e_j . v_u) - e_j . (e_i . v_u)
+    lie_module = (
+        "left-action-lie-module",
+        [(1, bracket, (0, 1), left_t, 2)],
+        [(1, left, (1, 2), left, 0), (-1, left, (0, 2), left, 1)],
+    )
+    # at (i, u, j): (e_i . v_u) . e_j - e_i . (v_u . e_j)  =  (v_u . e_i) . e_j - v_u . (e_i * e_j)
+    mixed = (
+        "mixed-identity",
+        [(1, left, (0, 1), right_t, 2), (-1, right, (1, 2), left, 0)],
+        [(1, right, (1, 0), right_t, 2), (-1, p, (0, 2), right, 1)],
+    )
+    return _first_failure([((d, d, v), [lie_module]), ((d, v, d), [mixed])], v)
 
 
 @dataclass(frozen=True)
@@ -411,27 +463,23 @@ def check_action(act: ActionData) -> Violation | None:
     bad = check_representation(act.representation())
     if bad is not None:
         return bad
-    n, m = range(act.acting.dim), range(act.module.dim)
+    n, m = act.acting.dim, act.module.dim
     q = act.module.product.rows
     left, right = act.left.rows, act.right.rows
     q_t, right_t = _transpose(q), _transpose(right)
-
-    def left_compat(x: int, u: int, v: int) -> tuple[list[Term], list[Term]]:
-        # (e_x . m_u) m_v - e_x . (m_u m_v)  =  (m_u . e_x) m_v - m_u (e_x . m_v)
-        lhs = [(1, left[x][u], q_t[v]), (-1, q[u][v], left[x])]
-        rhs = [(1, right[u][x], q_t[v]), (-1, left[x][v], q[u])]
-        return lhs, rhs
-
-    def right_compat(u: int, v: int, x: int) -> tuple[list[Term], list[Term]]:
-        # (m_u m_v) . e_x - m_u (m_v . e_x)  =  (m_v m_u) . e_x - m_v (m_u . e_x)
-        lhs = [(1, q[u][v], right_t[x]), (-1, right[v][x], q[u])]
-        rhs = [(1, q[v][u], right_t[x]), (-1, right[u][x], q[v])]
-        return lhs, rhs
-
-    size = act.module.dim
-    return _first_failure(
-        itertools.product(n, m, m), [("action-left-compat", left_compat)], size
-    ) or _first_failure(itertools.product(m, m, n), [("action-right-compat", right_compat)], size)
+    # at (x, u, v): (e_x . m_u) m_v - e_x . (m_u m_v)  =  (m_u . e_x) m_v - m_u (e_x . m_v)
+    left_compat = (
+        "action-left-compat",
+        [(1, left, (0, 1), q_t, 2), (-1, q, (1, 2), left, 0)],
+        [(1, right, (1, 0), q_t, 2), (-1, left, (0, 2), q, 1)],
+    )
+    # at (u, v, x): (m_u m_v) . e_x - m_u (m_v . e_x)  =  (m_v m_u) . e_x - m_v (m_u . e_x)
+    right_compat = (
+        "action-right-compat",
+        [(1, q, (0, 1), right_t, 2), (-1, right, (1, 2), q, 0)],
+        [(1, q, (1, 0), right_t, 2), (-1, right, (0, 2), q, 1)],
+    )
+    return _first_failure([((n, m, m), [left_compat]), ((m, m, n), [right_compat])], m)
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from .linalg import (
     SubspaceBasis,
     Vector,
     greedy_independent,
-    is_zero_vector,
+    in_kernel,
     rank_kernel_image,
     rank_of,
     solve_particular,
@@ -433,9 +433,8 @@ def are_cohomologous(rep: Representation | CochainComplex, f1: Cochain, f2: Coch
         raise ArityMismatch("no coboundaries below arity 2")
     cx = CochainComplex.of(rep)
     diff = f1.sub(f2)
-    for z in (f1, f2):
-        if not is_zero_vector(cx.d(n).mul_vec(z.to_coordinates())):
-            raise NotACocycle("inputs must be closed")
+    if not in_kernel(cx.d(n), (f1.to_coordinates(), f2.to_coordinates())):
+        raise NotACocycle("inputs must be closed")
     coords = solve_particular(cx.d(n - 1), diff.to_coordinates())
     if coords is None:
         return None

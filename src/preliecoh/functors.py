@@ -29,7 +29,6 @@ from .algebra import (
     LieAlgebra,
     PreLieAlgebra,
     Tensor3,
-    Term,
     Violation,
     _first_failure,
     _transpose,
@@ -79,19 +78,20 @@ def check_lie_crossed_module(x: LieCrossedModule) -> Violation | None:
             return Violation("lie-morphism", (u, v), lhs, rhs)
     act, bm, bn = x.action.rows, m.bracket.rows, n.bracket.rows
     act_t, bm_t = _transpose(act), _transpose(bm)
-
-    def lie_action(i: int, j: int, u: int) -> tuple[list[Term], list[Term]]:
-        # [e_i, e_j] |> m_u  =  e_i |> (e_j |> m_u) - e_j |> (e_i |> m_u)
-        return [(1, bn[i][j], act_t[u])], [(1, act[j][u], act[i]), (-1, act[i][u], act[j])]
-
-    def derivation(i: int, u: int, v: int) -> tuple[list[Term], list[Term]]:
-        # e_i |> [m_u, m_v]  =  [e_i |> m_u, m_v] + [m_u, e_i |> m_v]
-        return [(1, bm[u][v], act[i])], [(1, act[i][u], bm_t[v]), (1, act[i][v], bm[u])]
-
-    nd, md = range(n.dim), range(m.dim)
-    bad = _first_failure(
-        itertools.product(nd, nd, md), [("lie-action", lie_action)], m.dim
-    ) or _first_failure(itertools.product(nd, md, md), [("derivation", derivation)], m.dim)
+    # at (i, j, u): [e_i, e_j] |> m_u  =  e_i |> (e_j |> m_u) - e_j |> (e_i |> m_u)
+    lie_action = (
+        "lie-action",
+        [(1, bn, (0, 1), act_t, 2)],
+        [(1, act, (1, 2), act, 0), (-1, act, (0, 2), act, 1)],
+    )
+    # at (i, u, v): e_i |> [m_u, m_v]  =  [e_i |> m_u, m_v] + [m_u, e_i |> m_v]
+    derivation = (
+        "derivation",
+        [(1, bm, (1, 2), act, 0)],
+        [(1, act, (0, 1), bm_t, 2), (1, act, (0, 2), bm, 1)],
+    )
+    nd, md = n.dim, m.dim
+    bad = _first_failure([((nd, nd, md), [lie_action]), ((nd, md, md), [derivation])], md)
     if bad is not None:
         return bad
     for i, u in itertools.product(range(n.dim), range(m.dim)):
@@ -186,18 +186,14 @@ def check_dendriform(a: DendriformAlgebra) -> Violation | None:
     order at each triple, from the nonzero structure constants."""
     s, p = a.succ.rows, a.prec.rows
     s_t, p_t = _transpose(s), _transpose(p)
-
-    def first(i: int, j: int, k: int) -> tuple[list[Term], list[Term]]:
-        return [(1, p[i][j], p_t[k])], [(1, p[j][k], p[i]), (1, s[j][k], p[i])]
-
-    def second(i: int, j: int, k: int) -> tuple[list[Term], list[Term]]:
-        return [(1, s[i][j], p_t[k])], [(1, p[j][k], s[i])]
-
-    def third(i: int, j: int, k: int) -> tuple[list[Term], list[Term]]:
-        return [(1, s[j][k], s[i])], [(1, p[i][j], s_t[k]), (1, s[i][j], s_t[k])]
-
-    checks = [("dendriform-1", first), ("dendriform-2", second), ("dendriform-3", third)]
-    return _first_failure(itertools.product(range(a.dim), repeat=3), checks, a.dim)
+    # at (i, j, k), with e_i < e_j = sum_w p[i][j][w] e_w
+    checks = [
+        ("dendriform-1", [(1, p, (0, 1), p_t, 2)], [(1, p, (1, 2), p, 0), (1, s, (1, 2), p, 0)]),
+        ("dendriform-2", [(1, s, (0, 1), p_t, 2)], [(1, p, (1, 2), s, 0)]),
+        ("dendriform-3", [(1, s, (1, 2), s, 0)], [(1, p, (0, 1), s_t, 2), (1, s, (0, 1), s_t, 2)]),
+    ]
+    d = a.dim
+    return _first_failure([((d, d, d), checks)], d)
 
 
 @dataclass(frozen=True)

@@ -16,12 +16,14 @@ cleared against a pivot row p at column c by r <- a r - b p with a/b =
 p[c]/r[c] in lowest terms, after which r is divided by the gcd of its
 entries (its content). The forward pass and the back substitution both
 work this way, and fractions are formed only as the Row entries of the
-reduced rows, entry / pivot.
+reduced rows, entry / pivot. QuotientMap.reduce and in_kernel scale
+their rows and vectors to integers the same way, and form fractions
+only for the coordinates they return.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -91,8 +93,10 @@ def dense_vector(row: Row, n: int) -> Vector:
 
 
 def sparse_row(v: Iterable[Fraction]) -> Row:
-    """The Row of a dense vector."""
-    return tuple((j, x) for j, x in enumerate(v) if x)
+    """The Row of a dense vector. The identity test skips the shared ZERO,
+    which fills the vectors this module builds, without a call to
+    Fraction.__bool__."""
+    return tuple((j, x) for j, x in enumerate(v) if x is not ZERO and x)
 
 
 def _summed(terms: Iterable[tuple[int, Fraction]]) -> Row:
@@ -201,15 +205,32 @@ class MatrixQ:
         return not any(self.nonzeros)
 
 
+def _scaled(row: Row) -> tuple[int, dict[int, int]]:
+    """(den, r): den is the lcm of the row's denominators and r is the row
+    times den, as {column: integer}."""
+    den = lcm(*(x.denominator for _, x in row))
+    return den, {j: x.numerator * (den // x.denominator) for j, x in row}
+
+
 def _integer_rows(rows: Iterable[Row]) -> list[dict[int, int]]:
     """The nonzero rows, each scaled by the lcm of its denominators and
     stored as {column: integer}."""
-    out = []
-    for row in rows:
-        if row:
-            den = lcm(*(x.denominator for _, x in row))
-            out.append({j: x.numerator * (den // x.denominator) for j, x in row})
-    return out
+    return [_scaled(row)[1] for row in rows if row]
+
+
+def in_kernel(m: MatrixQ, vectors: Iterable[Sequence[Fraction]]) -> bool:
+    """Whether m v = 0 for every v of vectors. Each row of m and each v is
+    scaled to integers, which does not change whether a product vanishes."""
+    rows = _integer_rows(m.nonzeros)
+    for v in vectors:
+        if len(v) != m.cols:
+            raise DimensionMismatch(f"matrix has {m.cols} cols, vector has {len(v)}")
+        w = [0] * m.cols
+        for j, x in _scaled(sparse_row(v))[1].items():
+            w[j] = x
+        if any(sum(x * w[j] for j, x in r.items()) for r in rows):
+            return False
+    return True
 
 
 def _clear(r: dict[int, int], p: dict[int, int], c: int) -> None:
@@ -411,6 +432,11 @@ class QuotientMap:
     reduce() rewrites a vector modulo the subspace so that all pivot
     coordinates of the reduced row echelon basis of the subspace (the
     Rows of sub_rref) vanish, then reads off the remaining (non-pivot)
+    coordinates. Each row of sub_rref has zeros at the other pivots, so
+    coordinate j of the result is v_j - sum_p v_p sub_rref[p][j]; reduce()
+    computes it in integers, from the rows scaled once by their common
+    denominator, reading only the nonzeros of v and the rows of its
+    nonzero pivot coordinates, and forms fractions only for the returned
     coordinates.
     """
 
@@ -418,6 +444,22 @@ class QuotientMap:
     sub_rref: tuple[Row, ...]
     pivots: tuple[int, ...]
     complement: tuple[int, ...]
+    # den, the common denominator of sub_rref; per pivot p the non-pivot
+    # entries of its row times den, as (column, integer) pairs; and the
+    # position of each complement column in the result
+    _den: int = field(init=False, repr=False, compare=False)
+    _pivot_rows: dict[int, tuple[tuple[int, int], ...]] = field(init=False, repr=False, compare=False)
+    _position: dict[int, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        den = lcm(*(x.denominator for row in self.sub_rref for _, x in row))
+        pivot_rows = {
+            p: tuple((j, x.numerator * (den // x.denominator)) for j, x in row if j != p)
+            for p, row in zip(self.pivots, self.sub_rref)
+        }
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_pivot_rows", pivot_rows)
+        object.__setattr__(self, "_position", {j: t for t, j in enumerate(self.complement)})
 
     @classmethod
     def build(cls, ambient_dim: int, sub: SubspaceBasis) -> "QuotientMap":
@@ -438,13 +480,22 @@ class QuotientMap:
     def reduce(self, v: Sequence[Fraction]) -> Vector:
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector length differs from ambient dimension")
-        w = list(v)
-        for p, row in zip(self.pivots, self.sub_rref):
-            coeff = w[p]
-            if coeff != 0:
-                for j, b in row:
-                    w[j] -= coeff * b
-        return tuple(w[j] for j in self.complement)
+        # v = w / den_v, so the result is (den w_j - sum_p w_p row_p[j]) / (den_v den)
+        den_v, w = _scaled(sparse_row(v))
+        acc: dict[int, int] = {}
+        for j, x in w.items():
+            row = self._pivot_rows.get(j)
+            if row is None:
+                acc[j] = acc.get(j, 0) + x * self._den
+            else:
+                for k, y in row:
+                    acc[k] = acc.get(k, 0) - x * y
+        den = den_v * self._den
+        out = [ZERO] * len(self.complement)
+        for j, x in acc.items():
+            if x:
+                out[self._position[j]] = Fraction(x, den)
+        return tuple(out)
 
     def lift(self, coords: Sequence[Fraction]) -> Vector:
         if len(coords) != self.dim:

@@ -3,6 +3,7 @@ independent brute-force oracle for violation witnesses, and randomized
 closure properties.
 """
 
+import contextlib
 import itertools
 from fractions import Fraction
 
@@ -28,8 +29,10 @@ from preliecoh.algebra import (
     zero_tensor3,
 )
 from preliecoh.algebra import LieAlgebra, Tensor3, bilinear, sparse_tensor, tensor3
+from preliecoh import algebra, functors
 from preliecoh.catalog import ALGEBRAS, BAD_ALGEBRA, fixture_documents, representation_pairs
-from preliecoh.documents import document_from_obj
+from preliecoh.documents import document_from_obj, verify_document
+from preliecoh.functors import DendriformAlgebra, LieCrossedModule, check_dendriform, check_lie_crossed_module
 from preliecoh.errors import NotAnIdeal, ShapeError
 from preliecoh.linalg import MatrixQ, standard_basis_vector, vec_add, vec_sub, vector, zero_vector
 
@@ -368,7 +371,7 @@ def test_checker_agrees_with_bruteforce_on_perturbations(a, data):
 
 # --- sparse checkers against the dense oracles ------------------------------
 
-small = st.sampled_from([F(0), F(0), F(0), F(1), F(-1), F(1, 2), F(2)])
+small = st.sampled_from([F(0), F(0), F(0), F(1), F(-1), F(1, 2), F(2), F(1, 3), F(-2, 5)])
 
 
 def random_tensor(data, d1, d2, d3):
@@ -530,3 +533,99 @@ def test_sparse_lie_checker_equals_dense_oracle(data):
             bracket = perturbed(data, bracket)
     l = LieAlgebra(d, bracket)
     assert check_lie(l) == check_lie_dense(l)
+
+
+# --- the integer engine against the fraction engine -------------------------
+
+
+def fraction_first_failure(families, n):
+    """algebra._first_failure as it was before the integer engine, kept as
+    its oracle: every index tuple is visited, zero coefficient rows
+    included, and both sides are summed in fractions."""
+
+    def side(terms, idx):
+        out = [F(0)] * n
+        for sign, coeffs, (a, b), rows, c in terms:
+            src = rows if c is None else rows[idx[c]]
+            for w, x in coeffs[idx[a]][idx[b]]:
+                for k, y in src[w]:
+                    out[k] += sign * x * y
+        return tuple(out)
+
+    for shape, identities in families:
+        for idx in itertools.product(*map(range, shape)):
+            for axiom, lhs, rhs in identities:
+                left, right = side(lhs, idx), side(rhs, idx)
+                if left != right:
+                    return Violation(axiom, idx, left, right)
+    return None
+
+
+@contextlib.contextmanager
+def fraction_engine():
+    """Run every checker on the oracle instead of the integer engine."""
+    saved = algebra._first_failure
+    algebra._first_failure = functors._first_failure = fraction_first_failure
+    try:
+        yield
+    finally:
+        algebra._first_failure = functors._first_failure = saved
+
+
+def on_both_engines(check, *args):
+    got = check(*args)
+    with fraction_engine():
+        want = check(*args)
+    assert got == want
+    return got
+
+
+def test_integer_engine_equals_fraction_engine_on_fixtures():
+    for doc in fixture_documents().values():
+        on_both_engines(verify_document, doc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_integer_engine_equals_fraction_engine(data):
+    # `small` mixes denominators 1, 2, 3 and 5, so the common denominator
+    # of the tensors a checker reads differs from that of any one of them
+    d = data.draw(st.integers(1, 3))
+    a = PreLieAlgebra(d, random_tensor(data, d, d, d))
+    lie = subadjacent_lie(data.draw(st.sampled_from([x for x in POSITIVE if x.dim == d])))
+    on_both_engines(check_prelie, a)
+    on_both_engines(check_lie, LieAlgebra(d, random_tensor(data, d, d, d)))
+    on_both_engines(check_lie, LieAlgebra(d, perturbed(data, lie.bracket)))
+    v = data.draw(st.integers(1, 2))
+    rep = Representation(a, v, random_tensor(data, d, v, v), random_tensor(data, v, d, v))
+    on_both_engines(check_representation, rep)
+    module = data.draw(st.sampled_from(POSITIVE))
+    m = module.dim
+    act = ActionData(abelian(d), module, random_tensor(data, d, m, m), random_tensor(data, m, d, m))
+    on_both_engines(check_action, act)
+    on_both_engines(check_dendriform, DendriformAlgebra(d, random_tensor(data, d, d, d), random_tensor(data, d, d, d)))
+    # Lie brackets and a zero mu, so the action families are reached
+    m_lie = subadjacent_lie(module)
+    xmod = LieCrossedModule(m_lie, lie, MatrixQ.zero(d, m), random_tensor(data, d, m, m))
+    on_both_engines(check_lie_crossed_module, xmod)
+
+
+def test_integer_engine_witness_has_the_fraction_sides():
+    # e1 * e1 = 1/3 e2 and e2 * e1 = -2/5 e1, so D = 15; by hand, at
+    # (e1, e2, e1): (e1 e2) e1 - e1 (e2 e1) = 0 + 2/5 e1 e1 = 2/15 e2 and
+    # (e2 e1) e1 - e2 (e1 e1) = -2/5 e1 e1 - 0 = -2/15 e2
+    a = sparse_algebra(2, {(0, 0, 1): F(1, 3), (1, 0, 0): F(-2, 5)})
+    want = Violation("left-symmetry", (0, 1, 0), (F(0), F(2, 15)), (F(0), F(-2, 15)))
+    assert on_both_engines(check_prelie, a) == want == check_prelie_dense(a)
+
+
+def test_zero_products_skip_every_tuple(monkeypatch):
+    visited = []
+    accumulate = algebra._accumulate
+    monkeypatch.setattr(algebra, "_accumulate", lambda out, terms, idx: visited.append(idx) or accumulate(out, terms, idx))
+    assert check_prelie(abelian(60)) is None
+    assert check_lie(LieAlgebra(60, zero_tensor3(60, 60, 60))) is None
+    assert visited == []
+    # one nonzero pair: only the tuples that read it are visited
+    assert check_prelie(sparse_algebra(3, {(1, 2, 0): 1})) == check_prelie_dense(sparse_algebra(3, {(1, 2, 0): 1}))
+    assert visited and all(1 in idx and 2 in idx for idx in visited)

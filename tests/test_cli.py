@@ -180,11 +180,13 @@ def test_non_string_kind_is_an_input_error(tmp_path: Path, kind: str) -> None:
 def test_validate_large_zero_product(tmp_path: Path) -> None:
     # 45 bytes that describe 40^3 zero structure constants; the checkers
     # visit only nonzero ones (the dense checks took about 15 s and, for
-    # the dim-24 bracket, 1.8 s)
+    # the dim-24 bracket, 1.8 s), and skip index tuples whose coefficient
+    # rows are all empty (a zero dim-200 product took 11-15 s before)
     doc = tmp_path / "doc.json"
     for text in (
         '{"kind": "prelie", "dim": 40, "product": []}',
         '{"kind": "lie", "dim": 24, "bracket": []}',
+        '{"kind": "prelie", "dim": 200, "product": []}',
     ):
         doc.write_text(text)
         code, out, err = run_cli("validate", str(doc))
@@ -318,6 +320,21 @@ def test_cohomologous_nonclosed_exits_two() -> None:
         fx("cochain2_nonclosed"),
     )
     assert code == 2 and "closed" in err
+
+
+def test_cohomologous_rational_nonclosed_exits_two_with_one_line(tmp_path: Path) -> None:
+    doc = {
+        "kind": "cochain",
+        "format_version": "1",
+        "arity": 2,
+        "algebra_dim": 2,
+        "carrier_dim": 1,
+        "entries": [[[2, 1], 1, "-2/5"], [[1, 2], 1, "1/3"]],
+    }
+    path = tmp_path / "open.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli("cohomologous", fx("rep_lmult2_trivial1"), fx("cochain2_class"), str(path))
+    assert (code, out, err) == (2, "", "error: inputs must be closed\n")
 
 
 def test_no_subcommand_is_a_usage_error() -> None:

@@ -25,7 +25,9 @@ from preliecoh.linalg import (
     _rref,
     dense_vector,
     greedy_independent,
+    in_kernel,
     invert,
+    is_zero_vector,
     rank_kernel_image,
     rank_of,
     right_inverse_on_image,
@@ -428,3 +430,64 @@ def test_greedy_independent_equals_rank_rule(vectors):
         if rank_of(trial) == len(kept) + 1:
             kept.append(i)
     assert greedy_independent(vectors) == kept
+
+
+# --- the integer quotient and closedness test against fraction oracles ------
+
+
+def fraction_reduce(q, v):
+    """QuotientMap.reduce as it was before the integer engine, kept as its
+    oracle: each pivot coordinate is cleared in fractions, one reduced row
+    at a time."""
+    w = list(v)
+    for p, row in zip(q.pivots, q.sub_rref):
+        coeff = w[p]
+        if coeff != 0:
+            for j, b in row:
+                w[j] -= coeff * b
+    return tuple(w[j] for j in q.complement)
+
+
+def fraction_in_kernel(m, vectors):
+    """The closedness test as it was: m v in fractions, compared with zero."""
+    return all(is_zero_vector(m.mul_vec(v)) for v in vectors)
+
+
+# denominators 1, 2, 3, 5, 7 and 12 mixed within one vector
+mixed_fracs = st.one_of(
+    st.just(F(0)), st.builds(F, st.integers(-30, 30), st.sampled_from([1, 2, 3, 5, 7, 12]))
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_rows(5), st.data())
+def test_integer_quotient_and_closedness_equal_fraction_oracles(rows, data):
+    # each row times its own factor, so the rows' denominators differ
+    factors = data.draw(st.lists(mixed_fracs.filter(bool), min_size=len(rows), max_size=len(rows)))
+    rows = [[x * f for x in row] for row, f in zip(rows, factors)]
+    cols = len(rows[0]) if rows else data.draw(st.integers(0, 4))
+    m = MatrixQ.from_rows(rows) if rows else MatrixQ.zero(0, cols)
+    _, ker, img = rank_kernel_image(m)
+    q = QuotientMap.build(m.rows, img)
+    vectors = [tuple(data.draw(st.lists(mixed_fracs, min_size=m.rows, max_size=m.rows))) for _ in range(3)]
+    for u in [*vectors, *img.vectors]:
+        assert q.reduce(u) == fraction_reduce(q, u)
+    units = [standard_basis_vector(m.rows, j) for j in range(m.rows)]
+    assert q.reduce_matrix() == MatrixQ.from_cols([fraction_reduce(q, e) for e in units], rows=q.dim)
+    # kernel vectors, their mixed-denominator multiples and arbitrary vectors
+    scale = data.draw(mixed_fracs)
+    tests = [*ker.vectors, *(tuple(scale * x for x in k) for k in ker.vectors)]
+    tests += [tuple(data.draw(st.lists(mixed_fracs, min_size=m.cols, max_size=m.cols))) for _ in range(2)]
+    for v in tests:
+        assert in_kernel(m, [v]) == fraction_in_kernel(m, [v])
+    assert in_kernel(m, tests) == fraction_in_kernel(m, tests)
+    assert in_kernel(m, ker.vectors)
+
+
+def test_in_kernel_checks_lengths_and_scaling():
+    m = mat([[F(1, 3), F(-2, 5)], [F(2, 3), F(-4, 5)]])
+    assert in_kernel(m, [vector(["6/5", 1]), vector(["-18/7", "-15/7"]), zero_vector(2)])
+    assert not in_kernel(m, [vector(["6/5", 1]), vector([1, 1])])
+    assert in_kernel(m, [])
+    with pytest.raises(DimensionMismatch):
+        in_kernel(m, [vector([1, 2, 3])])
