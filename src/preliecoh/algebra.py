@@ -13,12 +13,15 @@ index pair (Tensor3). The checkers describe each axiom as terms that
 read those nonzeros and report the first failing basis tuple in
 lexicographic order (0-based indices), with both sides.
 
-They share one integer engine, _first_failure. It scales every tensor
-an identity reads once by the common denominator D of all their
-entries, so both sides of every identity carry the factor D^2 and are
-compared in integers; the witness divides them by D^2. It visits only
-the tuples at which some coefficient row is nonzero: at every other
-tuple both sides are 0.
+Every checker here and in the crossed-module and functor modules runs
+on one integer engine, _first_failure. It scales every tensor an
+identity reads once by the common denominator D of all their entries,
+so both sides of every identity carry the factor D^2 and are compared
+in integers; the witness divides them by D^2. It visits only the tuples
+at which some coefficient row is nonzero: at every other tuple both
+sides are 0. A linear map f enters an identity through the Rows of its
+columns f e_w, applied to a coefficient row, or through compose, which
+feeds f into an argument of a tensor.
 """
 
 from __future__ import annotations
@@ -26,12 +29,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatch, NotAnIdeal, ShapeError
 from .linalg import (
-    ONE,
     ZERO,
     MatrixQ,
     Row,
@@ -39,6 +40,7 @@ from .linalg import (
     Vector,
     as_fraction,
     dense_vector,
+    integer_rows,
     solve_particular,
     standard_basis_vector,
     zero_vector,
@@ -145,6 +147,23 @@ def bilinear(t: Tensor3, x: Vector, y: Vector) -> Vector:
     return tuple(out)
 
 
+def compose(t: Tensor3, f: MatrixQ | None = None, g: MatrixQ | None = None) -> Tensor3:
+    """The tensor of t(f e_i, g e_j): the map f fed into the first argument
+    of t and g into the second, each the identity when None. It is built
+    from the nonzeros of the columns of f and g."""
+    f, g = (MatrixQ.identity(d) if m is None else m for m, d in zip((f, g), t.shape))
+    if (f.rows, g.rows) != t.shape[:2]:
+        raise ShapeError(f"cannot feed {f.rows}- and {g.rows}-dimensional values into a {t.shape} tensor")
+    g_cols = g.transpose().nonzeros
+    cells: dict[tuple[int, int, int], Fraction] = {}
+    for i, f_col in enumerate(f.transpose().nonzeros):
+        for j, g_col in enumerate(g_cols):
+            for (a, x), (b, y) in itertools.product(f_col, g_col):
+                for k, z in t.rows[a][b]:
+                    cells[i, j, k] = cells.get((i, j, k), ZERO) + x * y * z
+    return sparse_tensor(f.cols, g.cols, t.shape[2], cells)
+
+
 # The rows of a structure tensor, planes[i][j] = the Row of t[i][j]:
 # Tensor3.rows or a transpose of it.
 Planes = Sequence[Sequence[Row]]
@@ -153,8 +172,9 @@ Planes = Sequence[Sequence[Row]]
 #     sign * sum_w coeffs[idx[a]][idx[b]][w] * rows[idx[c]][w],
 # or for sign * sum_w coeffs[idx[a]][idx[b]][w] * rows[w] when c is None.
 Term = tuple[int, Planes, tuple[int, int], Planes | Sequence[Row], int | None]
-# A basis identity: its name and the terms of its two sides.
-Identity = tuple[str, Sequence[Term], Sequence[Term]]
+# A basis identity: its name, the terms of its two sides and, optionally,
+# the positions of the index tuple its witness reports, in order.
+Identity = tuple[str, Sequence[Term], Sequence[Term]] | tuple[str, Sequence[Term], Sequence[Term], tuple[int, ...]]
 # Identities checked on every index tuple of a shape (the size of each
 # index range), in the order given at each tuple.
 Family = tuple[tuple[int, ...], Sequence[Identity]]
@@ -163,6 +183,19 @@ Family = tuple[tuple[int, ...], Sequence[Identity]]
 def _transpose(rows: Sequence[Sequence[Row]]) -> list[tuple[Row, ...]]:
     """out[j][i] = rows[i][j]."""
     return list(zip(*rows))
+
+
+def _units(d: int) -> tuple[Row, ...]:
+    """The Row of each standard basis vector e_w of Q^d: the rows that
+    read a coefficient row as the vector it is."""
+    return MatrixQ.identity(d).nonzeros
+
+
+def _image_identity(axiom: str, f: MatrixQ | None, t: Tensor3, s: Tensor3, ab=(0, 1), *order: tuple) -> Identity:
+    """f(t[i][j]) = s[i][j] at (i, j) = (idx[a], idx[b]), f the identity
+    when None; order is the witness order, as in Identity."""
+    f_cols = _units(t.shape[2]) if f is None else f.transpose().nonzeros
+    return (axiom, [(1, t.rows, ab, f_cols, None)], [(1, s.rows, ab, _units(s.shape[2]), None)], *order)
 
 
 def _accumulate(out: dict[int, int], terms: Iterable[Term], idx: tuple[int, ...]) -> None:
@@ -195,7 +228,8 @@ def _candidates(shape: tuple[int, ...], terms: Iterable[Term]) -> list[tuple[int
 def _first_failure(families: Sequence[Family], n: int) -> "Violation | None":
     """Scan each family's index tuples in lexicographic order, and at each
     tuple its identities in order; returns the first place where the two
-    sides differ, with both sides as vectors of length n.
+    sides differ, with both sides as vectors of length n and the indices
+    in the order the identity names.
 
     The work is in integers. Every tensor the terms read is scaled once by
     the common denominator D of all their entries, so each side is D^2
@@ -205,17 +239,18 @@ def _first_failure(families: Sequence[Family], n: int) -> "Violation | None":
     # every tensor read, by id, as planes or (c is None) as a sequence of rows
     sources: dict[int, tuple[Planes, bool]] = {}
     for _, identities in families:
-        for _, lhs, rhs in identities:
+        for _, lhs, rhs, *_ in identities:
             for _, coeffs, _, rows, c in (*lhs, *rhs):
                 sources[id(coeffs)] = (coeffs, True)
                 sources[id(rows)] = (rows, c is not None)
-    all_rows = [row for t, planes in sources.values() for row in (itertools.chain(*t) if planes else t)]
-    den = lcm(*(x.denominator for row in all_rows for _, x in row))
+    den, scaled = integer_rows(row for t, planes in sources.values() for row in (itertools.chain(*t) if planes else t))
+    # hand the scaled rows back to their tensors, in the order they were read
+    it = iter(scaled)
 
-    def scaled(rows: Sequence[Row]) -> tuple[tuple[tuple[int, int], ...], ...]:
-        return tuple(tuple((k, x.numerator * (den // x.denominator)) for k, x in row) if row else () for row in rows)
+    def take(rows: Sequence) -> tuple:
+        return tuple(itertools.islice(it, len(rows)))
 
-    ints = {key: tuple(map(scaled, t)) if planes else scaled(t) for key, (t, planes) in sources.items()}
+    ints = {key: tuple(map(take, t)) if planes else take(t) for key, (t, planes) in sources.items()}
 
     def integer(terms: Iterable[Term], outer: int) -> list[Term]:
         return [(outer * s, ints[id(co)], ab, ints[id(rows)], c) for s, co, ab, rows, c in terms]
@@ -227,16 +262,17 @@ def _first_failure(families: Sequence[Family], n: int) -> "Violation | None":
 
     for shape, identities in families:
         checks = []
-        for axiom, lhs, rhs in identities:
+        for axiom, lhs, rhs, *order in identities:
             lhs_int, rhs_int = integer(lhs, 1), integer(rhs, 1)
             # both: lhs - rhs as one list of terms
-            checks.append((axiom, lhs_int, rhs_int, lhs_int + integer(rhs, -1)))
+            checks.append((axiom, order, lhs_int, rhs_int, lhs_int + integer(rhs, -1)))
         for idx in _candidates(shape, [t for *_, both in checks for t in both]):
-            for axiom, lhs, rhs, both in checks:
+            for axiom, order, lhs, rhs, both in checks:
                 diff: dict[int, int] = {}
                 _accumulate(diff, both, idx)
                 if any(diff.values()):
-                    return Violation(axiom, idx, side(lhs, idx), side(rhs, idx))
+                    indices = tuple(idx[p] for p in order[0]) if order else idx
+                    return Violation(axiom, indices, side(lhs, idx), side(rhs, idx))
     return None
 
 
@@ -299,11 +335,6 @@ class LieAlgebra:
     def __post_init__(self) -> None:
         object.__setattr__(self, "bracket", tensor3(self.bracket, self.dim, self.dim, self.dim))
 
-    def bracket_of(self, x: Vector, y: Vector) -> Vector:
-        if len(x) != self.dim or len(y) != self.dim:
-            raise DimensionMismatch("vector length differs from algebra dimension")
-        return bilinear(self.bracket, x, y)
-
     def basis_bracket(self, i: int, j: int) -> Vector:
         return self.bracket.vector(i, j)
 
@@ -334,7 +365,7 @@ def check_lie(l: LieAlgebra) -> Violation | None:
     [[e_i, e_j], e_k] = sum_m B[i][j][m] B[m][k]."""
     b = l.bracket.rows
     b_t = _transpose(b)
-    unit = tuple(((w, ONE),) for w in range(l.dim))
+    unit = _units(l.dim)
     # [e_i, e_j]  =  -[e_j, e_i]
     antisymmetry = ("antisymmetry", [(1, b, (0, 1), unit, None)], [(-1, b, (1, 0), unit, None)])
     # [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]  =  0
@@ -391,12 +422,6 @@ class Representation:
             raise DimensionMismatch("argument shapes do not match the representation")
         return bilinear(self.right, u, x)
 
-    def basis_left(self, i: int, a: int) -> Vector:
-        return self.left.vector(i, a)
-
-    def basis_right(self, a: int, i: int) -> Vector:
-        return self.right.vector(a, i)
-
 
 def check_representation(rep: Representation) -> Violation | None:
     """Left action is a Lie module over the commutator algebra; the mixed
@@ -450,12 +475,6 @@ class ActionData:
     def act_right(self, u: Vector, x: Vector) -> Vector:
         return bilinear(self.right, u, x)
 
-    def basis_left(self, i: int, a: int) -> Vector:
-        return self.left.vector(i, a)
-
-    def basis_right(self, a: int, i: int) -> Vector:
-        return self.right.vector(a, i)
-
 
 def check_action(act: ActionData) -> Violation | None:
     """Representation axioms plus the two identities mixing the actions
@@ -500,18 +519,12 @@ class AlgebraMorphism:
     def apply(self, x: Vector) -> Vector:
         return self.matrix.mul_vec(x)
 
-    def apply_basis(self, i: int) -> Vector:
-        return self.matrix.col(i)
-
 
 def check_morphism(f: AlgebraMorphism) -> Violation | None:
     """f(x*y) = f(x)*f(y) on every basis pair."""
-    for i, j in itertools.product(range(f.source.dim), repeat=2):
-        lhs = f.apply(f.source.basis_product(i, j))
-        rhs = f.target.multiply(f.apply_basis(i), f.apply_basis(j))
-        if lhs != rhs:
-            return Violation("morphism", (i, j), lhs, rhs)
-    return None
+    d, m = f.source.dim, f.matrix
+    morphism = _image_identity("morphism", m, f.source.product, compose(f.target.product, m, m))
+    return _first_failure([((d, d), [morphism])], f.target.dim)
 
 
 def check_two_sided_ideal(a: PreLieAlgebra, sub: SubspaceBasis) -> Violation | None:

@@ -23,6 +23,7 @@ only for the coordinates they return.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -34,6 +35,8 @@ Vector = tuple[Fraction, ...]
 # A sparse row: the (column, value) pairs with a nonzero value, sorted by
 # column.
 Row = tuple[tuple[int, Fraction], ...]
+# A Row scaled to integers: (column, integer) pairs.
+IntRow = tuple[tuple[int, int], ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -164,7 +167,10 @@ class MatrixQ:
         return tuple(x for i in range(self.rows) for x in self.row(i))
 
     def at(self, i: int, j: int) -> Fraction:
-        return dict(self.nonzeros[i]).get(j, ZERO)
+        row = self.nonzeros[i]
+        # (j,) sorts just before (j, x), so no Fraction is compared
+        t = bisect_left(row, (j,))
+        return row[t][1] if t < len(row) and row[t][0] == j else ZERO
 
     def row(self, i: int) -> Vector:
         return dense_vector(self.nonzeros[i], self.cols)
@@ -203,6 +209,15 @@ class MatrixQ:
 
     def is_zero(self) -> bool:
         return not any(self.nonzeros)
+
+
+def integer_rows(rows: Iterable[Row]) -> tuple[int, list[IntRow]]:
+    """(den, scaled): den is the common denominator of every entry of the
+    rows, and scaled holds each row times den, in integers. Any sequence
+    of (index, value) pairs is read as a row, zero values included."""
+    rows = list(rows)
+    den = lcm(*(x.denominator for row in rows for _, x in row))
+    return den, [tuple([(j, x.numerator * (den // x.denominator)) for j, x in row]) if row else () for row in rows]
 
 
 def _scaled(row: Row) -> tuple[int, dict[int, int]]:
@@ -452,11 +467,8 @@ class QuotientMap:
     _position: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        den = lcm(*(x.denominator for row in self.sub_rref for _, x in row))
-        pivot_rows = {
-            p: tuple((j, x.numerator * (den // x.denominator)) for j, x in row if j != p)
-            for p, row in zip(self.pivots, self.sub_rref)
-        }
+        den, scaled = integer_rows(self.sub_rref)
+        pivot_rows = {p: tuple((j, x) for j, x in row if j != p) for p, row in zip(self.pivots, scaled)}
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_pivot_rows", pivot_rows)
         object.__setattr__(self, "_position", {j: t for t, j in enumerate(self.complement)})

@@ -30,7 +30,7 @@ from typing import Iterable, Mapping, Sequence
 from .errors import NeedsHigherTruncation, ShapeError, TruncationMismatch
 from .algebra import PreLieAlgebra, Representation, Tensor3, Violation
 from .cochain import Cochain
-from .linalg import Vector, vec_add, vec_scale, vec_sub, zero_vector
+from .linalg import IntRow, Vector, integer_rows, vec_add, vec_scale, vec_sub, zero_vector
 
 DEFAULT_NAMES = "abcdefghijklmnopqrstuvwxyz"
 
@@ -355,8 +355,8 @@ def evaluate(
 def _integer_family(vectors: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
     """One common denominator D for a family of vectors, and each vector
     times D, in integers."""
-    den = lcm(*(c.denominator for vec in vectors for c in vec))
-    return den, [[c.numerator * (den // c.denominator) for c in vec] for vec in vectors]
+    den, rows = integer_rows([tuple(enumerate(vec)) for vec in vectors])
+    return den, [[x for _, x in row] for row in rows]
 
 
 # The nine terms of (d theta)(x1, x2, x3, x4) as (kind, sign, argument
@@ -440,15 +440,10 @@ def check_cocycle_pullback(
         if any(value):
             theta_rows.setdefault((x, y), []).append((z, value))
 
-    def tensor_rows(t: Tensor3) -> tuple[int, dict[tuple[int, int], list[tuple[int, int]]]]:
+    def tensor_rows(t: Tensor3) -> tuple[int, dict[tuple[int, int], IntRow]]:
         """One denominator for t, and its nonzero rows times it, in integers."""
-        den = lcm(*(c.denominator for _, _, _, c in t.entries()))
-        return den, {
-            (i, j): [(k, c.numerator * (den // c.denominator)) for k, c in row]
-            for i, plane in enumerate(t.rows)
-            for j, row in enumerate(plane)
-            if row
-        }
+        den, rows = integer_rows(itertools.chain(*t.rows))
+        return den, {divmod(ij, t.shape[1]): row for ij, row in enumerate(rows) if row}
 
     l_den, left_rows = tensor_rows(rep.left)
     r_den, right_rows = tensor_rows(rep.right)

@@ -50,11 +50,15 @@ from .algebra import (
     Representation,
     Tensor3,
     Violation,
+    _first_failure,
+    _image_identity,
     check_action,
     check_morphism,
     check_prelie,
+    compose,
     ideal_subalgebra,
     sparse_tensor,
+    zero_tensor3,
 )
 from .cochain import Cochain, CochainBasis, CohomologySpace, coboundary, cohomology
 from .linalg import (
@@ -110,27 +114,21 @@ def check_crossed_module(x: CrossedModule) -> Violation | None:
     bad = check_action(x.action)
     if bad is not None:
         return bad
-    m, n = x.m_algebra, x.n_algebra
-    mu = x.mu
-    act = x.action
-    for u, i in itertools.product(range(m.dim), range(n.dim)):
-        lhs = mu.apply(act.basis_right(u, i))
-        rhs = n.multiply(mu.apply_basis(u), n.basis_vector(i))
-        if lhs != rhs:
-            return Violation("equivariance-right", (u, i), lhs, rhs)
-        lhs = mu.apply(act.basis_left(i, u))
-        rhs = n.multiply(n.basis_vector(i), mu.apply_basis(u))
-        if lhs != rhs:
-            return Violation("equivariance-left", (i, u), lhs, rhs)
-    for u, v in itertools.product(range(m.dim), repeat=2):
-        prod = m.basis_product(u, v)
-        lhs = act.act_left(mu.apply_basis(u), m.basis_vector(v))
-        if lhs != prod:
-            return Violation("peiffer-left", (u, v), lhs, prod)
-        lhs = act.act_right(m.basis_vector(u), mu.apply_basis(v))
-        if lhs != prod:
-            return Violation("peiffer-right", (u, v), lhs, prod)
-    return None
+    m, n = x.m_algebra.dim, x.n_algebra.dim
+    mu, q, p = x.mu.matrix, x.n_algebra.product, x.m_algebra.product
+    left, right = x.action.left, x.action.right
+    # at (u, i): mu(m_u . e_i) = mu(m_u) * e_i, then mu(e_i . m_u) = e_i * mu(m_u) reported at (i, u)
+    equivariance = [
+        _image_identity("equivariance-right", mu, right, compose(q, f=mu)),
+        _image_identity("equivariance-left", mu, left, compose(q, g=mu), (1, 0), (1, 0)),
+    ]
+    # at (u, v): mu(m_u) . m_v  =  m_u m_v  =  m_u . mu(m_v)
+    peiffer = [
+        _image_identity("peiffer-left", None, compose(left, f=mu), p),
+        _image_identity("peiffer-right", None, compose(right, g=mu), p),
+    ]
+    bad = _first_failure([((m, n), equivariance)], n)
+    return bad or _first_failure([((m, m), peiffer)], m)
 
 
 def identity_xmod(n: PreLieAlgebra) -> CrossedModule:
@@ -287,11 +285,12 @@ def check_extension(e: CrossedModuleExtension) -> Violation | None:
         return Violation("exactness-pi-mu", (), (), ())
     if rank_of(e.mu.matrix) + g_dim != n_dim:
         return Violation("exactness-at-n", (), (), ())
-    # i(V) must square to zero in m (it is central, being ker mu)
-    for u, w in itertools.product(range(v_dim), repeat=2):
-        p = e.m_algebra.multiply(e.i.col(u), e.i.col(w))
-        if not is_zero_vector(p):
-            return Violation("i-image-central", (u, w), p, zero_vector(m_dim))
+    # at (u, w): i(v_u) i(v_w) = 0 in m (im i is central, being ker mu)
+    square = compose(e.m_algebra.product, e.i, e.i)
+    central = _image_identity("i-image-central", None, square, zero_tensor3(v_dim, v_dim, m_dim))
+    bad = _first_failure([((v_dim, v_dim), [central])], m_dim)
+    if bad is not None:
+        return bad
     induced = induced_representation(e)
     if induced.left != e.v_rep.left or induced.right != e.v_rep.right:
         return Violation("induced-representation", (), (), ())
@@ -546,17 +545,13 @@ def check_equivalence_witness(w: EquivalenceWitness) -> Violation | None:
         return Violation("square-mu", (), (), ())
     if w.dst.pi.matrix @ w.s != w.src.pi.matrix:
         return Violation("square-pi", (), (), ())
-    for a in range(w.src.n_algebra.dim):
-        for u in range(w.src.m_algebra.dim):
-            lhs = w.r.mul_vec(w.src.action.basis_left(a, u))
-            rhs = w.dst.action.act_left(w.s.col(a), w.r.col(u))
-            if lhs != rhs:
-                return Violation("action-left-respected", (a, u), lhs, rhs)
-            lhs = w.r.mul_vec(w.src.action.basis_right(u, a))
-            rhs = w.dst.action.act_right(w.r.col(u), w.s.col(a))
-            if lhs != rhs:
-                return Violation("action-right-respected", (u, a), lhs, rhs)
-    return None
+    src, dst, r, s = w.src.action, w.dst.action, w.r, w.s
+    # at (a, u): r(e_a . m_u) = s(e_a) . r(m_u), then r(m_u . e_a) = r(m_u) . s(e_a) reported at (u, a)
+    respected = [
+        _image_identity("action-left-respected", r, src.left, compose(dst.left, s, r)),
+        _image_identity("action-right-respected", r, src.right, compose(dst.right, r, s), (1, 0), (1, 0)),
+    ]
+    return _first_failure([((w.src.n_algebra.dim, w.src.m_algebra.dim), respected)], w.dst.m_algebra.dim)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ closure properties.
 """
 
 import contextlib
+import importlib
 import itertools
+import pkgutil
 from fractions import Fraction
 
 import pytest
@@ -28,8 +30,9 @@ from preliecoh.algebra import (
     subadjacent_lie,
     zero_tensor3,
 )
-from preliecoh.algebra import LieAlgebra, Tensor3, bilinear, sparse_tensor, tensor3
-from preliecoh import algebra, functors
+from preliecoh.algebra import LieAlgebra, Tensor3, bilinear, compose, sparse_tensor, tensor3
+import preliecoh
+from preliecoh import algebra
 from preliecoh.catalog import ALGEBRAS, BAD_ALGEBRA, fixture_documents, representation_pairs
 from preliecoh.documents import document_from_obj, verify_document
 from preliecoh.functors import DendriformAlgebra, LieCrossedModule, check_dendriform, check_lie_crossed_module
@@ -70,9 +73,9 @@ def check_lie_dense(l):
         if lhs != rhs:
             return Violation("antisymmetry", (i, j), lhs, rhs)
     for i, j, k in itertools.product(range(l.dim), repeat=3):
-        s = l.bracket_of(l.basis_bracket(i, j), l.basis_vector(k))
-        s = vec_add(s, l.bracket_of(l.basis_bracket(j, k), l.basis_vector(i)))
-        s = vec_add(s, l.bracket_of(l.basis_bracket(k, i), l.basis_vector(j)))
+        s = bilinear(l.bracket, l.basis_bracket(i, j), l.basis_vector(k))
+        s = vec_add(s, bilinear(l.bracket, l.basis_bracket(j, k), l.basis_vector(i)))
+        s = vec_add(s, bilinear(l.bracket, l.basis_bracket(k, i), l.basis_vector(j)))
         if any(s):
             return Violation("jacobi", (i, j, k), s, zero_vector(l.dim))
     return None
@@ -85,22 +88,31 @@ def check_representation_dense(rep):
     for i, j, u in itertools.product(range(a.dim), range(a.dim), range(v)):
         lhs = bilinear(rep.left, lie.basis_bracket(i, j), standard_basis_vector(v, u))
         rhs = vec_sub(
-            rep.act_left(a.basis_vector(i), rep.basis_left(j, u)),
-            rep.act_left(a.basis_vector(j), rep.basis_left(i, u)),
+            rep.act_left(a.basis_vector(i), rep.left.vector(j, u)),
+            rep.act_left(a.basis_vector(j), rep.left.vector(i, u)),
         )
         if lhs != rhs:
             return Violation("left-action-lie-module", (i, j, u), lhs, rhs)
     for i, u, j in itertools.product(range(a.dim), range(v), range(a.dim)):
         lhs = vec_sub(
-            rep.act_right(rep.basis_left(i, u), a.basis_vector(j)),
-            rep.act_left(a.basis_vector(i), rep.basis_right(u, j)),
+            rep.act_right(rep.left.vector(i, u), a.basis_vector(j)),
+            rep.act_left(a.basis_vector(i), rep.right.vector(u, j)),
         )
         rhs = vec_sub(
-            rep.act_right(rep.basis_right(u, i), a.basis_vector(j)),
+            rep.act_right(rep.right.vector(u, i), a.basis_vector(j)),
             rep.act_right(standard_basis_vector(v, u), a.basis_product(i, j)),
         )
         if lhs != rhs:
             return Violation("mixed-identity", (i, u, j), lhs, rhs)
+    return None
+
+
+def check_morphism_dense(f):
+    for i, j in itertools.product(range(f.source.dim), repeat=2):
+        lhs = f.apply(f.source.basis_product(i, j))
+        rhs = f.target.multiply(f.matrix.col(i), f.matrix.col(j))
+        if lhs != rhs:
+            return Violation("morphism", (i, j), lhs, rhs)
     return None
 
 
@@ -111,14 +123,14 @@ def check_action_dense(act):
     n, m = act.acting.dim, act.module.dim
     mod = act.module
     for x, u, v in itertools.product(range(n), range(m), range(m)):
-        ev = act.basis_left(x, u)
+        ev = act.left.vector(x, u)
         lhs = vec_sub(
             mod.multiply(ev, mod.basis_vector(v)),
             act.act_left(act.acting.basis_vector(x), mod.basis_product(u, v)),
         )
         rhs = vec_sub(
-            mod.multiply(act.basis_right(u, x), mod.basis_vector(v)),
-            bilinear(mod.product, mod.basis_vector(u), act.basis_left(x, v)),
+            mod.multiply(act.right.vector(u, x), mod.basis_vector(v)),
+            bilinear(mod.product, mod.basis_vector(u), act.left.vector(x, v)),
         )
         if lhs != rhs:
             return Violation("action-left-compat", (x, u, v), lhs, rhs)
@@ -126,11 +138,11 @@ def check_action_dense(act):
         ex = act.acting.basis_vector(x)
         lhs = vec_sub(
             act.act_right(mod.basis_product(u, v), ex),
-            mod.multiply(mod.basis_vector(u), act.basis_right(v, x)),
+            mod.multiply(mod.basis_vector(u), act.right.vector(v, x)),
         )
         rhs = vec_sub(
             act.act_right(mod.basis_product(v, u), ex),
-            mod.multiply(mod.basis_vector(v), act.basis_right(u, x)),
+            mod.multiply(mod.basis_vector(v), act.right.vector(u, x)),
         )
         if lhs != rhs:
             return Violation("action-right-compat", (u, v, x), lhs, rhs)
@@ -380,6 +392,20 @@ def random_tensor(data, d1, d2, d3):
     )
 
 
+def random_matrix(data, rows, cols):
+    return MatrixQ.from_rows([[data.draw(small) for _ in range(cols)] for _ in range(rows)], cols)
+
+
+def perturbed_matrix(data, m):
+    """m with one entry changed, or unchanged half of the time."""
+    if m.rows and m.cols and data.draw(st.booleans()):
+        i = data.draw(st.integers(0, m.rows - 1))
+        j = data.draw(st.integers(0, m.cols - 1))
+        step = data.draw(st.sampled_from([F(1), F(-1), F(1, 2)]))
+        return m + MatrixQ.from_entries(m.rows, m.cols, {(i, j): step})
+    return m
+
+
 def perturbed(data, t):
     """t with one entry changed, or unchanged half of the time."""
     cells = [list(map(list, plane)) for plane in dense(t)]
@@ -541,7 +567,8 @@ def test_sparse_lie_checker_equals_dense_oracle(data):
 def fraction_first_failure(families, n):
     """algebra._first_failure as it was before the integer engine, kept as
     its oracle: every index tuple is visited, zero coefficient rows
-    included, and both sides are summed in fractions."""
+    included, and both sides are summed in fractions. An identity may
+    name the order of the indices its witness reports."""
 
     def side(terms, idx):
         out = [F(0)] * n
@@ -554,22 +581,32 @@ def fraction_first_failure(families, n):
 
     for shape, identities in families:
         for idx in itertools.product(*map(range, shape)):
-            for axiom, lhs, rhs in identities:
+            for axiom, lhs, rhs, *order in identities:
                 left, right = side(lhs, idx), side(rhs, idx)
                 if left != right:
-                    return Violation(axiom, idx, left, right)
+                    indices = tuple(idx[p] for p in order[0]) if order else idx
+                    return Violation(axiom, indices, left, right)
     return None
+
+
+def engine_modules():
+    """Every library module that binds _first_failure."""
+    modules = (importlib.import_module(f"preliecoh.{m.name}") for m in pkgutil.iter_modules(preliecoh.__path__))
+    return [m for m in modules if "_first_failure" in vars(m)]
 
 
 @contextlib.contextmanager
 def fraction_engine():
     """Run every checker on the oracle instead of the integer engine."""
+    modules = engine_modules()
     saved = algebra._first_failure
-    algebra._first_failure = functors._first_failure = fraction_first_failure
+    for module in modules:
+        module._first_failure = fraction_first_failure
     try:
         yield
     finally:
-        algebra._first_failure = functors._first_failure = saved
+        for module in modules:
+            module._first_failure = saved
 
 
 def on_both_engines(check, *args):
@@ -629,3 +666,62 @@ def test_zero_products_skip_every_tuple(monkeypatch):
     # one nonzero pair: only the tuples that read it are visited
     assert check_prelie(sparse_algebra(3, {(1, 2, 0): 1})) == check_prelie_dense(sparse_algebra(3, {(1, 2, 0): 1}))
     assert visited and all(1 in idx and 2 in idx for idx in visited)
+
+
+def test_fraction_engine_patches_every_module_that_binds_the_engine():
+    names = {m.__name__ for m in engine_modules()}
+    assert {"preliecoh.algebra", "preliecoh.functors", "preliecoh.xmodules"} <= names
+    with fraction_engine():
+        assert all(m._first_failure is fraction_first_failure for m in engine_modules())
+    assert all(m._first_failure is algebra._first_failure for m in engine_modules())
+
+
+# --- maps fed into the engine ------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_compose_equals_bilinear_on_columns(data):
+    d1, d2, d3, p, q = (data.draw(st.integers(0, 3)) for _ in range(5))
+    t = tensor3(random_tensor(data, d1, d2, d3), d1, d2, d3)
+    f, g = random_matrix(data, d1, p), random_matrix(data, d2, q)
+    want = tuple(tuple(bilinear(t, f.col(i), g.col(j)) for j in range(q)) for i in range(p))
+    assert dense(compose(t, f, g)) == want
+    assert compose(t, f) == compose(t, f, MatrixQ.identity(d2))
+    assert compose(t, g=g) == compose(t, MatrixQ.identity(d1), g)
+    assert compose(t) == t
+    with pytest.raises(ShapeError):
+        compose(t, MatrixQ.zero(d1 + 1, p))
+
+
+def morphisms():
+    """Morphisms of the catalog, and maps between the positive algebras."""
+    out = []
+    for doc in fixture_documents().values():
+        p = doc.payload
+        out.extend(getattr(p, name) for name in ("mu", "pi") if isinstance(getattr(p, name, None), AlgebraMorphism))
+    for a in POSITIVE:
+        out.append(AlgebraMorphism(a, a, MatrixQ.identity(a.dim)))
+        out.append(AlgebraMorphism(a, lmult2(), MatrixQ.zero(2, a.dim)))
+    out.append(AlgebraMorphism(lmult2(), lmult2(), MatrixQ.from_rows([[0, 1], [1, 0]])))
+    return out
+
+
+def test_morphism_checker_equals_dense_oracle_on_catalog():
+    found = [on_both_engines(check_morphism, f) for f in morphisms()]
+    assert found == [check_morphism_dense(f) for f in morphisms()]
+    assert any(bad is not None for bad in found) and any(bad is None for bad in found)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(morphisms()), st.data())
+def test_morphism_checker_equals_dense_oracle(base, data):
+    source, target = base.source, base.target
+    how = data.draw(st.sampled_from(["matrix", "source", "random"]))
+    matrix = perturbed_matrix(data, base.matrix)
+    if how == "source":
+        source = PreLieAlgebra(source.dim, perturbed(data, source.product))
+    elif how == "random":
+        matrix = random_matrix(data, target.dim, source.dim)
+    f = AlgebraMorphism(source, target, matrix)
+    assert on_both_engines(check_morphism, f) == check_morphism_dense(f)

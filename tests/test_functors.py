@@ -35,6 +35,7 @@ from preliecoh.functors import (
     check_dendriform_xmod,
     check_lie_crossed_module,
     check_rb_lie_xmod,
+    check_rota_baxter,
     dendriform_to_prelie_xmod,
     prelie_to_lie_xmod,
     rblie_to_prelie_xmod,
@@ -42,7 +43,14 @@ from preliecoh.functors import (
 from preliecoh.linalg import MatrixQ, standard_basis_vector, vec_add, vec_sub, vector, zero_vector
 from preliecoh.xmodules import CrossedModule, identity_xmod, trivial_module_xmod
 
-from test_algebra import check_lie_dense, perturbed, random_tensor
+from test_algebra import (
+    check_lie_dense,
+    on_both_engines,
+    perturbed,
+    perturbed_matrix,
+    random_matrix,
+    random_tensor,
+)
 
 F = Fraction
 
@@ -93,7 +101,7 @@ def test_prelie_to_lie_on_trivial_module():
     assert out.mu.is_zero()
     for i, u in itertools.product(range(2), repeat=2):
         expect = tuple(
-            a - b for a, b in zip(rep.basis_left(i, u), rep.basis_right(u, i))
+            a - b for a, b in zip(rep.left.vector(i, u), rep.right.vector(u, i))
         )
         assert out.action.vector(i, u) == expect
 
@@ -149,8 +157,8 @@ def test_rb_zero_operator_gives_zero_products():
     assert out.m_algebra.product == PreLieAlgebra.zero_product(2).product
     assert out.n_algebra.product == PreLieAlgebra.zero_product(2).product
     for i, u in itertools.product(range(2), repeat=2):
-        assert out.action.basis_left(i, u) == zero_vector(2)
-        assert out.action.basis_right(u, i) == zero_vector(2)
+        assert out.action.left.vector(i, u) == zero_vector(2)
+        assert out.action.right.vector(u, i) == zero_vector(2)
 
 
 def test_rb_abelian_arbitrary_operator():
@@ -363,32 +371,32 @@ def check_lie_crossed_module_dense(x):
     m, n = x.m, x.n
     for u, v in itertools.product(range(m.dim), repeat=2):
         lhs = x.mu.mul_vec(m.basis_bracket(u, v))
-        rhs = n.bracket_of(x.mu.col(u), x.mu.col(v))
+        rhs = bilinear(n.bracket, x.mu.col(u), x.mu.col(v))
         if lhs != rhs:
             return Violation("lie-morphism", (u, v), lhs, rhs)
     for i, j, u in itertools.product(range(n.dim), range(n.dim), range(m.dim)):
         lhs = bilinear(x.action, n.basis_bracket(i, j), m.basis_vector(u))
         rhs = vec_sub(
-            x.act(n.basis_vector(i), x.action.vector(j, u)),
-            x.act(n.basis_vector(j), x.action.vector(i, u)),
+            bilinear(x.action, n.basis_vector(i), x.action.vector(j, u)),
+            bilinear(x.action, n.basis_vector(j), x.action.vector(i, u)),
         )
         if lhs != rhs:
             return Violation("lie-action", (i, j, u), lhs, rhs)
     for i, u, v in itertools.product(range(n.dim), range(m.dim), range(m.dim)):
-        lhs = x.act(n.basis_vector(i), m.basis_bracket(u, v))
+        lhs = bilinear(x.action, n.basis_vector(i), m.basis_bracket(u, v))
         rhs = vec_add(
-            m.bracket_of(x.action.vector(i, u), m.basis_vector(v)),
-            m.bracket_of(m.basis_vector(u), x.action.vector(i, v)),
+            bilinear(m.bracket, x.action.vector(i, u), m.basis_vector(v)),
+            bilinear(m.bracket, m.basis_vector(u), x.action.vector(i, v)),
         )
         if lhs != rhs:
             return Violation("derivation", (i, u, v), lhs, rhs)
     for i, u in itertools.product(range(n.dim), range(m.dim)):
         lhs = x.mu.mul_vec(x.action.vector(i, u))
-        rhs = n.bracket_of(n.basis_vector(i), x.mu.col(u))
+        rhs = bilinear(n.bracket, n.basis_vector(i), x.mu.col(u))
         if lhs != rhs:
             return Violation("lie-equivariance", (i, u), lhs, rhs)
     for u, v in itertools.product(range(m.dim), repeat=2):
-        lhs = x.act(x.mu.col(u), m.basis_vector(v))
+        lhs = bilinear(x.action, x.mu.col(u), m.basis_vector(v))
         rhs = m.basis_bracket(u, v)
         if lhs != rhs:
             return Violation("lie-peiffer", (u, v), lhs, rhs)
@@ -398,18 +406,48 @@ def check_lie_crossed_module_dense(x):
 def check_dendriform_dense(a):
     for i, j, k in itertools.product(range(a.dim), repeat=3):
         ei, ej, ek = (standard_basis_vector(a.dim, t) for t in (i, j, k))
-        lhs = a.p(a.p(ei, ej), ek)
-        rhs = a.p(ei, vec_add(a.p(ej, ek), a.s(ej, ek)))
+        lhs = bilinear(a.prec, bilinear(a.prec, ei, ej), ek)
+        rhs = bilinear(a.prec, ei, vec_add(bilinear(a.prec, ej, ek), bilinear(a.succ, ej, ek)))
         if lhs != rhs:
             return Violation("dendriform-1", (i, j, k), lhs, rhs)
-        lhs = a.p(a.s(ei, ej), ek)
-        rhs = a.s(ei, a.p(ej, ek))
+        lhs = bilinear(a.prec, bilinear(a.succ, ei, ej), ek)
+        rhs = bilinear(a.succ, ei, bilinear(a.prec, ej, ek))
         if lhs != rhs:
             return Violation("dendriform-2", (i, j, k), lhs, rhs)
-        lhs = a.s(ei, a.s(ej, ek))
-        rhs = a.s(vec_add(a.p(ei, ej), a.s(ei, ej)), ek)
+        lhs = bilinear(a.succ, ei, bilinear(a.succ, ej, ek))
+        rhs = bilinear(a.succ, vec_add(bilinear(a.prec, ei, ej), bilinear(a.succ, ei, ej)), ek)
         if lhs != rhs:
             return Violation("dendriform-3", (i, j, k), lhs, rhs)
+    return None
+
+
+def check_rota_baxter_dense(lie, t):
+    for i, j in itertools.product(range(lie.dim), repeat=2):
+        lhs = bilinear(lie.bracket, t.col(i), t.col(j))
+        inner = vec_add(
+            bilinear(lie.bracket, t.col(i), lie.basis_vector(j)),
+            bilinear(lie.bracket, lie.basis_vector(i), t.col(j)),
+        )
+        rhs = t.mul_vec(inner)
+        if lhs != rhs:
+            return Violation("rota-baxter", (i, j), lhs, rhs)
+    return None
+
+
+def check_dendriform_xmod_dense(x):
+    for a in (x.m, x.n):
+        bad = check_dendriform_dense(a)
+        if bad is not None:
+            return bad
+    for u, v in itertools.product(range(x.m.dim), repeat=2):
+        lhs = x.mu.mul_vec(x.m.succ.vector(u, v))
+        rhs = bilinear(x.n.succ, x.mu.col(u), x.mu.col(v))
+        if lhs != rhs:
+            return Violation("mu-preserves-succ", (u, v), lhs, rhs)
+        lhs = x.mu.mul_vec(x.m.prec.vector(u, v))
+        rhs = bilinear(x.n.prec, x.mu.col(u), x.mu.col(v))
+        if lhs != rhs:
+            return Violation("mu-preserves-prec", (u, v), lhs, rhs)
     return None
 
 
@@ -468,12 +506,71 @@ def test_sparse_dendriform_checker_equals_dense_oracle(data):
 @given(st.sampled_from(lie_xmods()), st.data())
 def test_sparse_lie_xmod_checker_equals_dense_oracle(base, data):
     m, n = base.m.dim, base.n.dim
-    how = data.draw(st.sampled_from(["action", "bracket", "random"]))
+    how = data.draw(st.sampled_from(["action", "bracket", "mu", "random"]))
     mu, m_lie, action = base.mu, base.m, perturbed(data, base.action)
     if how == "bracket":
         m_lie = LieAlgebra(m, perturbed(data, base.m.bracket))
+    elif how == "mu":
+        mu = perturbed_matrix(data, mu)
     elif how == "random":
         # mu = 0 passes the morphism identity, so the action laws are reached
         mu, action = MatrixQ.zero(n, m), random_tensor(data, n, m, m)
     x = LieCrossedModule(m_lie, base.n, mu, action)
-    assert check_lie_crossed_module(x) == check_lie_crossed_module_dense(x)
+    assert on_both_engines(check_lie_crossed_module, x) == check_lie_crossed_module_dense(x)
+
+
+def rota_baxter_pairs():
+    """(Lie algebra, operator) pairs of the catalog and of rb_solv2."""
+    out = []
+    for doc in fixture_documents().values():
+        p = doc.payload
+        if isinstance(p, RotaBaxterLieCrossedModule):
+            out += [(p.m, p.t_m), (p.n, p.t_n)]
+    for t in ([[1, 0], [0, 0]], [[0, 0], [0, 1]], [[1, 0], [0, 1]], [[0, 1], [0, 0]]):
+        out.append((SOLV2, MatrixQ.from_rows(t)))
+    return out
+
+
+def test_rota_baxter_checker_equals_dense_oracle_on_catalog():
+    found = [on_both_engines(check_rota_baxter, lie, t) for lie, t in rota_baxter_pairs()]
+    assert found == [check_rota_baxter_dense(lie, t) for lie, t in rota_baxter_pairs()]
+    assert any(bad is not None for bad in found) and any(bad is None for bad in found)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(rota_baxter_pairs()), st.data())
+def test_rota_baxter_checker_equals_dense_oracle(base, data):
+    lie, t = base
+    how = data.draw(st.sampled_from(["operator", "bracket", "random"]))
+    if how == "bracket":
+        lie = LieAlgebra(lie.dim, perturbed(data, lie.bracket))
+    elif how == "random":
+        t = random_matrix(data, lie.dim, lie.dim)
+    t = perturbed_matrix(data, t)
+    assert on_both_engines(check_rota_baxter, lie, t) == check_rota_baxter_dense(lie, t)
+
+
+def dendriform_xmods():
+    out = [identity_dendriform_xmod(a) for a in DENDRIFORMS]
+    out += [doc.payload for doc in fixture_documents().values() if isinstance(doc.payload, DendriformCrossedModule)]
+    return out
+
+
+def test_dendriform_xmod_checker_equals_dense_oracle_on_catalog():
+    for x in dendriform_xmods():
+        assert on_both_engines(check_dendriform_xmod, x) == check_dendriform_xmod_dense(x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(dendriform_xmods()), st.data())
+def test_dendriform_xmod_checker_equals_dense_oracle(base, data):
+    m, n, mu = base.m, base.n, base.mu
+    how = data.draw(st.sampled_from(["mu", "m", "n"]))
+    if how == "mu":
+        mu = perturbed_matrix(data, mu)
+    elif how == "m":
+        m = DendriformAlgebra(m.dim, perturbed(data, m.succ), perturbed(data, m.prec))
+    else:
+        n = DendriformAlgebra(n.dim, perturbed(data, n.succ), perturbed(data, n.prec))
+    x = DendriformCrossedModule(m, n, mu, base.succ_nm, base.prec_mn, base.succ_mn, base.prec_nm)
+    assert on_both_engines(check_dendriform_xmod, x) == check_dendriform_xmod_dense(x)

@@ -33,3 +33,33 @@ def test_imports_are_relative_or_standard_library(path):
         top = module.split(".")[0]
         assert top not in ("tests", "bench"), (path.name, module)
         assert level > 0 or top in sys.stdlib_module_names, (path.name, module)
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names bound by an import in path that nothing else in it reads.
+    A name read only inside a quoted annotation counts as read."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    bound = set()
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation is not None:
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
+            annotations.append(node.returns)
+    quoted = [
+        ast.parse(c.value, mode="eval")
+        for a in annotations
+        for c in ast.walk(a)
+        if isinstance(c, ast.Constant) and isinstance(c.value, str)
+    ]
+    read = {n.id for t in (tree, *quoted) for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return sorted(bound - read)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    assert _unused_imports(path) == []

@@ -7,6 +7,7 @@ match the code.
 
 import contextlib
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,6 +27,7 @@ from preliecoh.linalg import (
     dense_vector,
     greedy_independent,
     in_kernel,
+    integer_rows,
     invert,
     is_zero_vector,
     rank_kernel_image,
@@ -491,3 +493,23 @@ def test_in_kernel_checks_lengths_and_scaling():
     assert in_kernel(m, [])
     with pytest.raises(DimensionMismatch):
         in_kernel(m, [vector([1, 2, 3])])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 5), st.data())
+def test_entry_and_column_reads_equal_the_dense_rows(r, c, data):
+    entries = st.one_of(st.just(F(0)), fracs)
+    rows = data.draw(st.lists(st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r))
+    m = MatrixQ.from_rows(rows, c)
+    assert all(m.at(i, j) == rows[i][j] and type(m.at(i, j)) is F for i in range(r) for j in range(c))
+    assert all(m.col(j) == tuple(row[j] for row in rows) for j in range(c))
+    assert all(m.col(j) == dense_vector(m.transpose().nonzeros[j], r) for j in range(c))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.tuples(st.integers(0, 5), fracs), max_size=4), max_size=4))
+def test_integer_rows_share_one_denominator(rows):
+    den, scaled = integer_rows(rows)
+    assert all(den % x.denominator == 0 for row in rows for _, x in row)
+    assert [[(j, F(x, den)) for j, x in row] for row in scaled] == [list(row) for row in rows]
+    assert den == lcm(*(x.denominator for row in rows for _, x in row))
