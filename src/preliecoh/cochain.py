@@ -19,6 +19,11 @@ f(...,-)(x_n) identifies this complex with the Chevalley-Eilenberg
 complex of the commutator Lie algebra with coefficients in Hom(g,V),
 where g acts by (x |> f)(y) = x . f(y) + f(x) . y - f(x*y). Both sides
 are implemented independently and compared in the tests.
+
+The matrices of both differentials are assembled in integers from the
+nonzero structure constants, scaled once per matrix by their common
+denominator; `coboundary` and `lie_coboundary`, the term-by-term
+formulas in Fraction arithmetic, are their references.
 """
 
 from __future__ import annotations
@@ -27,18 +32,20 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ArityMismatch, DimensionMismatch, NotACocycle, ShapeError
 from .linalg import (
     ONE,
     ZERO,
+    IntRow,
     MatrixQ,
     QuotientMap,
     SubspaceBasis,
     Vector,
     greedy_independent,
     in_kernel,
+    integer_rows,
     rank_kernel_image,
     rank_of,
     solve_particular,
@@ -208,7 +215,8 @@ class Cochain:
 
 
 def coboundary(rep: Representation, f: Cochain) -> Cochain:
-    """The pre-Lie differential d: C^n -> C^{n+1}."""
+    """The pre-Lie differential d: C^n -> C^{n+1}, term by term in
+    Fraction arithmetic; a term whose f value is zero is skipped."""
     a = rep.algebra
     if f.algebra_dim != a.dim or f.carrier_dim != rep.carrier_dim:
         raise DimensionMismatch("cochain does not match the representation")
@@ -223,20 +231,24 @@ def coboundary(rep: Representation, f: Cochain) -> Cochain:
             xi = args[i - 1]
             rest = args[: i - 1] + args[i:]
             # x_i . f(...,x_{n+1})
-            term = bilinear(rep.left, a.basis_vector(xi), f.value_at(rest))
-            total = vec_add(total, vec_scale(sign, term))
+            val = f.value_at(rest)
+            if any(val):
+                term = bilinear(rep.left, a.basis_vector(xi), val)
+                total = vec_add(total, vec_scale(sign, term))
             # f(...,x_n,x_i) . x_{n+1}
             shuffled = args[: i - 1] + args[i:n] + (xi,)
-            term = bilinear(rep.right, f.value_at(shuffled), a.basis_vector(args[n]))
-            total = vec_add(total, vec_scale(sign, term))
+            val = f.value_at(shuffled)
+            if any(val):
+                term = bilinear(rep.right, val, a.basis_vector(args[n]))
+                total = vec_add(total, vec_scale(sign, term))
             # -f(...,x_n, x_i * x_{n+1})
             prod = a.basis_product(xi, args[n])
             head = args[: i - 1] + args[i:n]
-            acc = zero_vector(rep.carrier_dim)
             for k, c in enumerate(prod):
                 if c != 0:
-                    acc = vec_add(acc, vec_scale(c, f.value_at(head + (k,))))
-            total = vec_sub(total, vec_scale(sign, acc))
+                    val = f.value_at(head + (k,))
+                    if any(val):
+                        total = vec_sub(total, vec_scale(sign * c, val))
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
                 sign = ONE if (i + j) % 2 == 0 else -ONE
@@ -245,81 +257,119 @@ def coboundary(rep: Representation, f: Cochain) -> Cochain:
                     a.basis_product(args[j - 1], args[i - 1]),
                 )
                 rest = tuple(args[t] for t in range(n + 1) if t not in (i - 1, j - 1))
-                acc = zero_vector(rep.carrier_dim)
                 for k, c in enumerate(br):
                     if c != 0:
-                        acc = vec_add(acc, vec_scale(c, f.value_at((k,) + rest)))
-                total = vec_add(total, vec_scale(sign, acc))
+                        val = f.value_at((k,) + rest)
+                        if any(val):
+                            total = vec_add(total, vec_scale(sign * c, val))
         values.append(total)
     return Cochain(n + 1, a.dim, rep.carrier_dim, tuple(values))
 
 
-def _assemble(rows: int, cols: int, terms: Iterable[tuple[int, int, Fraction]]) -> MatrixQ:
-    """The rows x cols matrix whose entry (r, c) sums every x in the
-    (r, c, x) triples of `terms`; the row rules below yield one triple per
-    nonzero structure constant they visit, so zero entries cost nothing."""
-    entries: dict[tuple[int, int], Fraction] = {}
+# A Tensor3's rows times an integer: planes[i][j] is the IntRow of (i, j).
+IntPlanes = tuple[tuple[IntRow, ...], ...]
+
+
+def _integer_tensors(*tensors: Tensor3) -> tuple[int, list[IntPlanes]]:
+    """(D, scaled): D is the common denominator of every entry of the
+    tensors, and scaled[t][i][j] is row (i, j) of tensors[t] times D."""
+    den, rows = integer_rows(row for t in tensors for plane in t.rows for row in plane)
+    it = iter(rows)
+    return den, [tuple(tuple(itertools.islice(it, len(plane))) for plane in t.rows) for t in tensors]
+
+
+def _assemble(rows: int, cols: int, den: int, terms: Iterable[tuple[int, int, int]]) -> MatrixQ:
+    """The rows x cols matrix whose entry (r, c) is the sum of every x in
+    the (r, c, x) triples of `terms`, over den.
+
+    The row rules below yield one integer triple per nonzero constant
+    they visit, each scaled by the common denominator den, so zero
+    entries cost nothing and the sums are exact in ints.
+    One Fraction is formed per distinct nonzero sum.
+    """
+    acc: list[dict[int, int]] = [{} for _ in range(rows)]
     for r, c, x in terms:
-        entries[r, c] = entries.get((r, c), ZERO) + x
-    return MatrixQ.from_entries(rows, cols, entries)
+        row = acc[r]
+        row[c] = row.get(c, 0) + x
+    fraction = {x: Fraction(x, den) for x in set().union(*(row.values() for row in acc)) if x}
+    return MatrixQ(rows, cols, tuple(
+        tuple([(c, fraction[x]) for c, x in sorted(row.items()) if x]) if row else ()
+        for row in acc
+    ))
 
 
-def _prelie_terms(rep: Representation, n: int) -> Iterable[tuple[int, int, Fraction]]:
-    """Row rule of d: C^n -> C^{n+1}, term by term as in `coboundary`.
+def _prelie_terms(
+    n: int, d: int, v: int, prod: IntPlanes, left: IntPlanes, right: IntPlanes
+) -> Iterator[tuple[int, int, int]]:
+    """Row rule of d: C^n -> C^{n+1}, term by term as in `coboundary`,
+    on integer-scaled structure rows: prod[x][y] (x * y), left[x][b]
+    (x . v_b) and right[b][y] (v_b . y); the commutator [x, y] is read
+    off prod.
 
     Output position (prefix, last) with prefix = (x_1..x_n) increasing
     and x_{n+1} = last; dropping x_i leaves an increasing head, so only
-    the bracket term needs a sign from re-sorting.
+    the bracket term needs a sign from re-sorting. Everything that does
+    not depend on last is found once per prefix.
     """
-    a = rep.algebra
-    d, v = a.dim, rep.carrier_dim
-    prod = a.product.rows
-    left = rep.left.rows  # left[x][b] -> (b', c): x . v_b
-    right = rep.right.rows  # right[b][y] -> (b', c): v_b . y
-    bracket = subadjacent_lie(a).bracket.rows
+    # (b', b, c) for each term c v_b' of x . v_b, and of v_b . y
+    lefts = [[(bp, b, c) for b in range(v) for bp, c in left[x][b]] for x in range(d)]
+    rights = [[(bp, b, c) for b in range(v) for bp, c in right[b][y]] for y in range(d)]
+    # [x, y] = x * y - y * x for x < y
+    bracket: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for x, y in itertools.combinations(range(d), 2):
+        terms = dict(prod[x][y])
+        for k, c in prod[y][x]:
+            terms[k] = terms.get(k, 0) - c
+        bracket[x, y] = [(k, c) for k, c in terms.items() if c]
     for out, prefix in enumerate(itertools.combinations(range(d), n)):
+        # (sign, x_i, position of the head without x_i times d)
+        heads = [
+            (1 if i % 2 == 0 else -1, xi, tuple_rank(prefix[:i] + prefix[i + 1 :], d) * d)
+            for i, xi in enumerate(prefix)
+        ]
+        # (position of the re-sorted bracket key times d, signed constant)
+        brackets = []
+        for i, j in itertools.combinations(range(n), 2):
+            s = 1 if (i + j) % 2 == 0 else -1
+            rest = prefix[:i] + prefix[i + 1 : j] + prefix[j + 1 :]
+            for k, c in bracket[prefix[i], prefix[j]]:
+                key, sign = sort_with_sign((k,) + rest)
+                if sign:
+                    brackets.append((tuple_rank(key, d) * d, s * sign * c))
         for last in range(d):
             row = (out * d + last) * v
-            for i, xi in enumerate(prefix):
-                s = 1 if i % 2 == 0 else -1
-                head = prefix[:i] + prefix[i + 1 :]
-                base = tuple_rank(head, d) * d
+            for s, xi, base in heads:
                 # x_i . f(head, x_{n+1})
                 col = (base + last) * v
-                for b in range(v):
-                    for bp, c in left[xi][b]:
-                        yield row + bp, col + b, s * c
+                for bp, b, c in lefts[xi]:
+                    yield row + bp, col + b, s * c
                 # f(head, x_i) . x_{n+1}
                 col = (base + xi) * v
-                for b in range(v):
-                    for bp, c in right[b][last]:
-                        yield row + bp, col + b, s * c
+                for bp, b, c in rights[last]:
+                    yield row + bp, col + b, s * c
                 # -f(head, x_i * x_{n+1})
                 for k, c in prod[xi][last]:
                     col = (base + k) * v
                     for b in range(v):
                         yield row + b, col + b, -s * c
             # f([x_i, x_j], ...no x_i, x_j..., x_{n+1})
-            for i, j in itertools.combinations(range(n), 2):
-                s = 1 if (i + j) % 2 == 0 else -1
-                rest = prefix[:i] + prefix[i + 1 : j] + prefix[j + 1 :]
-                for k, c in bracket[prefix[i]][prefix[j]]:
-                    key, sign = sort_with_sign((k,) + rest)
-                    if sign == 0:
-                        continue
-                    col = (tuple_rank(key, d) * d + last) * v
-                    for b in range(v):
-                        yield row + b, col + b, s * sign * c
+            for base, c in brackets:
+                col = (base + last) * v
+                for b in range(v):
+                    yield row + b, col + b, c
 
 
 def coboundary_matrix(rep: Representation, n: int) -> MatrixQ:
     """Matrix of d: C^n -> C^{n+1} in the CochainBasis coordinates,
-    assembled from the nonzero structure constants; `coboundary` is the
+    assembled from the nonzero structure constants, scaled once to
+    integers over their common denominator; `coboundary` is the
     reference it is tested against."""
-    a_dim, v_dim = rep.algebra.dim, rep.carrier_dim
-    rows = len(CochainBasis(n + 1, a_dim)) * v_dim
-    cols = len(CochainBasis(n, a_dim)) * v_dim
-    return _assemble(rows, cols, _prelie_terms(rep, n))
+    a = rep.algebra
+    d, v = a.dim, rep.carrier_dim
+    rows = len(CochainBasis(n + 1, d)) * v
+    cols = len(CochainBasis(n, d)) * v
+    den, tensors = _integer_tensors(a.product, rep.left, rep.right)
+    return _assemble(rows, cols, den, _prelie_terms(n, d, v, *tensors))
 
 
 class CochainComplex:
@@ -536,7 +586,8 @@ class LieCochain:
 
 
 def lie_coboundary(mod: LieModule, f: LieCochain) -> LieCochain:
-    """Chevalley-Eilenberg differential d: C^k -> C^{k+1}."""
+    """Chevalley-Eilenberg differential d: C^k -> C^{k+1}, term by term
+    in Fraction arithmetic; a term whose f value is zero is skipped."""
     lie = mod.algebra
     if f.algebra_dim != lie.dim or f.module_dim != mod.dim:
         raise DimensionMismatch("cochain does not match the module")
@@ -546,39 +597,39 @@ def lie_coboundary(mod: LieModule, f: LieCochain) -> LieCochain:
         total = zero_vector(mod.dim)
         for i in range(1, k + 2):
             sign = ONE if i % 2 == 1 else -ONE
-            rest = args[: i - 1] + args[i:]
-            term = mod.act(lie.basis_vector(args[i - 1]), f.value_at(rest))
-            total = vec_add(total, vec_scale(sign, term))
+            val = f.value_at(args[: i - 1] + args[i:])
+            if any(val):
+                term = mod.act(lie.basis_vector(args[i - 1]), val)
+                total = vec_add(total, vec_scale(sign, term))
         for i in range(1, k + 2):
             for j in range(i + 1, k + 2):
                 sign = ONE if (i + j) % 2 == 0 else -ONE
                 br = lie.basis_bracket(args[i - 1], args[j - 1])
                 rest = tuple(args[t] for t in range(k + 1) if t not in (i - 1, j - 1))
-                acc = zero_vector(mod.dim)
                 for t, c in enumerate(br):
                     if c != 0:
-                        acc = vec_add(acc, vec_scale(c, f.value_at((t,) + rest)))
-                total = vec_add(total, vec_scale(sign, acc))
+                        val = f.value_at((t,) + rest)
+                        if any(val):
+                            total = vec_add(total, vec_scale(sign * c, val))
         values.append(total)
     return LieCochain(k + 1, lie.dim, mod.dim, tuple(values))
 
 
-def _lie_terms(mod: LieModule, k: int) -> Iterable[tuple[int, int, Fraction]]:
-    """Row rule of the Chevalley-Eilenberg d: C^k -> C^{k+1}, written
-    apart from `_prelie_terms` so the two complexes stay independent."""
-    lie = mod.algebra
-    d, m = lie.dim, mod.dim
-    action = mod.action.rows  # action[x][w] -> (w', c): x . w
-    bracket = lie.bracket.rows
+def _lie_terms(k: int, d: int, m: int, action: IntPlanes, bracket: IntPlanes) -> Iterator[tuple[int, int, int]]:
+    """Row rule of the Chevalley-Eilenberg d: C^k -> C^{k+1} on
+    integer-scaled structure rows, action[x][w] (x . w) and bracket[x][y]
+    ([x, y]); written apart from `_prelie_terms` so the two complexes
+    stay independent."""
+    # (w', w, c) for each term c w' of x . w
+    actions = [[(wp, w, c) for w in range(m) for wp, c in action[x][w]] for x in range(d)]
     for out, args in enumerate(itertools.combinations(range(d), k + 1)):
         row = out * m
         # x_i . f(...no x_i...)
         for i, xi in enumerate(args):
             s = 1 if i % 2 == 0 else -1
             col = tuple_rank(args[:i] + args[i + 1 :], d) * m
-            for w in range(m):
-                for wp, c in action[xi][w]:
-                    yield row + wp, col + w, s * c
+            for wp, w, c in actions[xi]:
+                yield row + wp, col + w, s * c
         # f([x_i, x_j], ...no x_i, x_j...)
         for i, j in itertools.combinations(range(k + 1), 2):
             s = 1 if (i + j) % 2 == 0 else -1
@@ -593,9 +644,11 @@ def _lie_terms(mod: LieModule, k: int) -> Iterable[tuple[int, int, Fraction]]:
 
 
 def lie_coboundary_matrix(mod: LieModule, k: int) -> MatrixQ:
-    """Matrix of the CE differential; `lie_coboundary` is its reference."""
-    d = mod.algebra.dim
-    return _assemble(comb(d, k + 1) * mod.dim, comb(d, k) * mod.dim, _lie_terms(mod, k))
+    """Matrix of the CE differential, assembled in integers like
+    `coboundary_matrix`; `lie_coboundary` is its reference."""
+    d, m = mod.algebra.dim, mod.dim
+    den, tensors = _integer_tensors(mod.action, mod.algebra.bracket)
+    return _assemble(comb(d, k + 1) * m, comb(d, k) * m, den, _lie_terms(k, d, m, *tensors))
 
 
 class LieComplex:

@@ -6,6 +6,7 @@ code; cohomology dimensions for the abelian case follow a counting
 formula proved independently of any row reduction.
 """
 
+import hashlib
 import itertools
 import math
 import random
@@ -13,10 +14,10 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from preliecoh.algebra import PreLieAlgebra, Representation, check_prelie, subadjacent_lie
+from preliecoh.algebra import PreLieAlgebra, Representation, check_prelie, sparse_tensor, subadjacent_lie
 from preliecoh.catalog import representation_pairs
 from preliecoh.cochain import (
     Cochain,
@@ -417,6 +418,99 @@ def test_sparse_lie_matrix_and_phi_match_reference_columns():
             for p, unit in unit_vectors(len(CochainBasis(n, d)) * v):
                 f = Cochain.from_coordinates(n, d, v, unit)
                 assert phi_map(f).to_coordinates() == tuple(unit), (name, n, p)
+
+
+# Units of the product, left and right constants in the mixed-denominator
+# cases: every entry is a small integer times its tensor's unit.
+UNITS = (F(1, 3), F(-2, 5), F(7, 6))
+
+
+def tensor_shapes(d, v):
+    """Shapes of the product, left and right tensors of a representation."""
+    return (d, d, d), (d, v, v), (v, d, v)
+
+
+@st.composite
+def mixed_denominator_cases(draw):
+    """(d, v, cells): algebra and carrier dims 1-3 and, for the product,
+    left and right tensors, a sparse {index: integer} dict of each."""
+    d, v = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    cells = tuple(
+        draw(st.dictionaries(st.tuples(*(st.integers(0, s - 1) for s in shape)), st.integers(-3, 3), max_size=8))
+        for shape in tensor_shapes(d, v)
+    )
+    return d, v, cells
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_denominator_cases(), st.integers(1, 3))
+@example((2, 2, ({}, {}, {})), 2)
+@example((2, 1, ({(0, 1, 1): 1}, {}, {})), 2)
+@example((2, 2, ({}, {(1, 0, 1): -1}, {})), 1)
+@example((3, 1, ({}, {}, {(0, 2, 0): 2})), 3)
+def test_mixed_denominator_matrices_match_reference_columns(case, n):
+    # the constructors check shapes only and both sides are linear in the
+    # tensors, so the tensors need not satisfy any axiom
+    d, v, cells = case
+    prod, left, right = (
+        sparse_tensor(*shape, {idx: c * unit for idx, c in cell.items()})
+        for shape, cell, unit in zip(tensor_shapes(d, v), cells, UNITS)
+    )
+    rep = Representation(PreLieAlgebra(d, prod), v, left, right)
+    m = coboundary_matrix(rep, n)
+    for p, unit in unit_vectors(m.cols):
+        f = Cochain.from_coordinates(n, d, v, unit)
+        assert m.col(p) == coboundary(rep, f).to_coordinates(), p
+    mod = hom_module(rep)
+    m = lie_coboundary_matrix(mod, n - 1)
+    for p, unit in unit_vectors(m.cols):
+        f = LieCochain.from_coordinates(n - 1, d, mod.dim, unit)
+        assert m.col(p) == lie_coboundary(mod, f).to_coordinates(), p
+
+
+def differentials_digest(matrices):
+    """sha256 over the shape and the stored nonzeros of each matrix; the
+    repr spells out every Fraction, so a changed value or type shows."""
+    h = hashlib.sha256()
+    for m in matrices:
+        h.update(repr((m.rows, m.cols, m.nonzeros)).encode())
+    return h.hexdigest()
+
+
+# differentials_digest of d_1..d_4 per case, recorded from the Fraction
+# assembly; phi makes the Lie matrices L_0..L_3 of hom_module the same
+# matrices, so they hash the same
+DIFFERENTIAL_DIGESTS = {
+    "abelian1/trivial1": "eacd1d8ea5a1d7d3e05f331c540566b8b80857d1926bec88c72244cf5019eeb9",
+    "abelian1/trivial2": "3674b0bbc4382840bee578ae5f03b3b851e5cc8138f71c298f5aa01273a7c30a",
+    "abelian2/trivial1": "4f0d48cd2409dc5194064b8f15fc4cb58d40eac31d0729f9b9bc7b2536df339a",
+    "abelian2/trivial2": "7c52e9ca3ce273a2b936ddea41c7a95182202768e8cf444ddf1c9a23b0c56536",
+    "abelian3/trivial1": "c2b235520d19b7308b2c46379b2a83124898a2b106d40bc36ff4373349bede61",
+    "abelian3/trivial2": "8dcc6e7beec0e10cad5a0474cc20009c84762407b7bcce4252cd2e324b08b070",
+    "abelian4/trivial1": "a14c06472a36e378cee01972e7f325772b28a9fa3757bb6fc48fb0ee7038a82d",
+    "abelian4/trivial2": "cf01f6d503a2ae63abd16ab5203b4a498f3a070dbb91ad24c4e183fc09172b27",
+    "abelian3/weight100": "7031e50946e22895b851ddca505ccf69b6f8560d783c4b39ee55e0a973a106dd",
+    "idem1/trivial1": "d0d7fc220022ca1cbbe07c3c05cd5bcdf355ff20b6d46303a026a6adcde8ad21",
+    "idem1/regular": "24295106a535ec3392c09db174f5b455d9066058f739203cc54dd99a9177bca9",
+    "lmult2/trivial1": "00956646055aab99981a42b26f35a720e93fcfde40927dd4256b2703ded86dcf",
+    "lmult2/regular": "f9392113e3232ce98017361075d9907232941e101d9dfdb2b39ffe56e6cfe691",
+    "affine2/trivial1": "301417a5a5541b3dbd389e6f2e83e1a1f211866e83a648241e1835f46598becd",
+    "affine2/regular": "0b41bf28f1b48823dd00695aa7f7b1daba7d50d456d7d31d9865472df8e22c36",
+    "affine3/trivial1": "e70476218c9034bf5b7705b55aaeff3e52b6201574e5cef353cf665e1aa996f3",
+    "affine3/regular": "50cd6debcb326a72ebc3e44297c735aec65d4c7aaa7bbb4817ae9c7f44c8b955",
+    "lmult2/trivial2": "ab7b460c2240f634daa66a97af9124aabf73852e02fad3a6c37776684ea6ccb4",
+    "affine3/trivial2": "71e7eebe0f2eeb13bbdf6c4fd691ec2e1ab7e1e37969c3167d99d104df1a2b4f",
+    "dense4/regular": "d6e5d25079889ed7ed0d58d1279110d7218863f61ce74620e8ff1744dd2edd2e",
+}
+
+
+def test_catalog_differentials_equal_the_recorded_ones():
+    cases = representation_pairs() + [("dense4/regular", DENSE_REGULAR)]
+    assert [name for name, _ in cases] == list(DIFFERENTIAL_DIGESTS)
+    for name, rep in cases:
+        mod = hom_module(rep)
+        assert differentials_digest(coboundary_matrix(rep, n) for n in (1, 2, 3, 4)) == DIFFERENTIAL_DIGESTS[name], name
+        assert differentials_digest(lie_coboundary_matrix(mod, k) for k in (0, 1, 2, 3)) == DIFFERENTIAL_DIGESTS[name], name
 
 
 def test_cochain_complex_builds_each_differential_once(monkeypatch):
