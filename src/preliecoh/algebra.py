@@ -21,7 +21,9 @@ in integers; the witness divides them by D^2. It visits only the tuples
 at which some coefficient row is nonzero: at every other tuple both
 sides are 0. A linear map f enters an identity through the Rows of its
 columns f e_w, applied to a coefficient row, or through compose, which
-feeds f into an argument of a tensor.
+feeds f into an argument of a tensor or applies it to the tensor's
+values. The crossed-module side sums its own terms (theta of t_map) with
+the same integer scaling, _integer_terms.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .linalg import (
     as_fraction,
     dense_vector,
     integer_rows,
-    solve_particular,
+    right_inverse_on_image,
     standard_basis_vector,
     zero_vector,
 )
@@ -69,6 +71,14 @@ class Tensor3:
 
     def is_zero(self) -> bool:
         return not any(map(any, self.rows))
+
+    def __sub__(self, other: "Tensor3") -> "Tensor3":
+        if other.shape != self.shape:
+            raise ShapeError(f"cannot subtract a {other.shape} tensor from a {self.shape} one")
+        cells = {(i, j, k): c for i, j, k, c in self.entries()}
+        for i, j, k, c in other.entries():
+            cells[i, j, k] = cells.get((i, j, k), ZERO) - c
+        return sparse_tensor(*self.shape, cells)
 
 
 def _from_cells(d1: int, d2: int, d3: int, cells: dict[tuple[int, int], list]) -> Tensor3:
@@ -147,21 +157,29 @@ def bilinear(t: Tensor3, x: Vector, y: Vector) -> Vector:
     return tuple(out)
 
 
-def compose(t: Tensor3, f: MatrixQ | None = None, g: MatrixQ | None = None) -> Tensor3:
-    """The tensor of t(f e_i, g e_j): the map f fed into the first argument
-    of t and g into the second, each the identity when None. It is built
-    from the nonzeros of the columns of f and g."""
-    f, g = (MatrixQ.identity(d) if m is None else m for m, d in zip((f, g), t.shape))
-    if (f.rows, g.rows) != t.shape[:2]:
-        raise ShapeError(f"cannot feed {f.rows}- and {g.rows}-dimensional values into a {t.shape} tensor")
-    g_cols = g.transpose().nonzeros
+def compose(
+    t: Tensor3, f: MatrixQ | None = None, g: MatrixQ | None = None, h: MatrixQ | None = None
+) -> Tensor3:
+    """The tensor of h(t(f e_i, g e_j)): the map f fed into the first
+    argument of t, g into the second and h applied to the value, each the
+    identity when None. It is built from the nonzeros of the columns of
+    f, g and h."""
+    f, g, h = (MatrixQ.identity(d) if m is None else m for m, d in zip((f, g, h), t.shape))
+    if (f.rows, g.rows, h.cols) != t.shape:
+        raise ShapeError(
+            f"cannot feed {f.rows}- and {g.rows}-dimensional values into a {t.shape} tensor"
+            f" and map its values from dimension {h.cols}"
+        )
+    g_cols, h_cols = g.transpose().nonzeros, h.transpose().nonzeros
     cells: dict[tuple[int, int, int], Fraction] = {}
     for i, f_col in enumerate(f.transpose().nonzeros):
         for j, g_col in enumerate(g_cols):
             for (a, x), (b, y) in itertools.product(f_col, g_col):
                 for k, z in t.rows[a][b]:
-                    cells[i, j, k] = cells.get((i, j, k), ZERO) + x * y * z
-    return sparse_tensor(f.cols, g.cols, t.shape[2], cells)
+                    xyz = x * y * z
+                    for r, w in h_cols[k]:
+                        cells[i, j, r] = cells.get((i, j, r), ZERO) + xyz * w
+    return sparse_tensor(f.cols, g.cols, h.rows, cells)
 
 
 # The rows of a structure tensor, planes[i][j] = the Row of t[i][j]:
@@ -225,24 +243,16 @@ def _candidates(shape: tuple[int, ...], terms: Iterable[Term]) -> list[tuple[int
     return sorted(found)
 
 
-def _first_failure(families: Sequence[Family], n: int) -> "Violation | None":
-    """Scan each family's index tuples in lexicographic order, and at each
-    tuple its identities in order; returns the first place where the two
-    sides differ, with both sides as vectors of length n and the indices
-    in the order the identity names.
-
-    The work is in integers. Every tensor the terms read is scaled once by
-    the common denominator D of all their entries, so each side is D^2
-    times its value; fractions are formed only for the witness. Tuples at
-    which every coefficient row is empty read 0 = 0 and are not visited.
-    """
+def _integer_terms(terms: Sequence[Term]) -> tuple[int, list[Term]]:
+    """(den, scaled): den is the common denominator of every entry of the
+    tensors the terms read, and scaled holds the terms with each of those
+    tensors scaled once by den, in integers. A term reads two tensors, so
+    a sum of scaled terms is den^2 times the sum of the terms."""
     # every tensor read, by id, as planes or (c is None) as a sequence of rows
     sources: dict[int, tuple[Planes, bool]] = {}
-    for _, identities in families:
-        for _, lhs, rhs, *_ in identities:
-            for _, coeffs, _, rows, c in (*lhs, *rhs):
-                sources[id(coeffs)] = (coeffs, True)
-                sources[id(rows)] = (rows, c is not None)
+    for _, coeffs, _, rows, c in terms:
+        sources[id(coeffs)] = (coeffs, True)
+        sources[id(rows)] = (rows, c is not None)
     den, scaled = integer_rows(row for t, planes in sources.values() for row in (itertools.chain(*t) if planes else t))
     # hand the scaled rows back to their tensors, in the order they were read
     it = iter(scaled)
@@ -251,9 +261,24 @@ def _first_failure(families: Sequence[Family], n: int) -> "Violation | None":
         return tuple(itertools.islice(it, len(rows)))
 
     ints = {key: tuple(map(take, t)) if planes else take(t) for key, (t, planes) in sources.items()}
+    return den, [(s, ints[id(co)], ab, ints[id(rows)], c) for s, co, ab, rows, c in terms]
 
-    def integer(terms: Iterable[Term], outer: int) -> list[Term]:
-        return [(outer * s, ints[id(co)], ab, ints[id(rows)], c) for s, co, ab, rows, c in terms]
+
+def _first_failure(families: Sequence[Family], n: int) -> "Violation | None":
+    """Scan each family's index tuples in lexicographic order, and at each
+    tuple its identities in order; returns the first place where the two
+    sides differ, with both sides as vectors of length n and the indices
+    in the order the identity names.
+
+    The work is in integers: the terms of every identity are scaled
+    together by _integer_terms, so each side is D^2 times its value;
+    fractions are formed only for the witness. Tuples at which every
+    coefficient row is empty read 0 = 0 and are not visited.
+    """
+    den, scaled = _integer_terms(
+        [t for _, identities in families for _, lhs, rhs, *_ in identities for t in (*lhs, *rhs)]
+    )
+    it = iter(scaled)
 
     def side(terms: list[Term], idx: tuple[int, ...]) -> Vector:
         out: dict[int, int] = {}
@@ -263,9 +288,9 @@ def _first_failure(families: Sequence[Family], n: int) -> "Violation | None":
     for shape, identities in families:
         checks = []
         for axiom, lhs, rhs, *order in identities:
-            lhs_int, rhs_int = integer(lhs, 1), integer(rhs, 1)
+            lhs_int, rhs_int = list(itertools.islice(it, len(lhs))), list(itertools.islice(it, len(rhs)))
             # both: lhs - rhs as one list of terms
-            checks.append((axiom, order, lhs_int, rhs_int, lhs_int + integer(rhs, -1)))
+            checks.append((axiom, order, lhs_int, rhs_int, lhs_int + [(-s, *rest) for s, *rest in rhs_int]))
         for idx in _candidates(shape, [t for *_, both in checks for t in both]):
             for axiom, order, lhs, rhs, both in checks:
                 diff: dict[int, int] = {}
@@ -320,9 +345,6 @@ class PreLieAlgebra:
 
     def basis_vector(self, i: int) -> Vector:
         return standard_basis_vector(self.dim, i)
-
-    def is_zero_algebra(self) -> bool:
-        return self.product.is_zero()
 
 
 @dataclass(frozen=True)
@@ -527,37 +549,37 @@ def check_morphism(f: AlgebraMorphism) -> Violation | None:
     return _first_failure([((d, d), [morphism])], f.target.dim)
 
 
-def check_two_sided_ideal(a: PreLieAlgebra, sub: SubspaceBasis) -> Violation | None:
-    """A*R and R*A both land in span(R) for every (basis vector, generator)."""
+def _ideal(a: PreLieAlgebra, sub: SubspaceBasis) -> tuple[MatrixQ, MatrixQ, Violation | None]:
+    """(incl, section, bad): the generators as columns, a right inverse of
+    incl on its image, and the first (basis vector, generator) pair whose
+    product with the generator on either side leaves their span, or None.
+    A value w lies in the span exactly when incl (section w) = w."""
     if sub.ambient_dim != a.dim:
         raise DimensionMismatch("subspace lives in a different space than the algebra")
-    for i in range(a.dim):
-        for t, r in enumerate(sub.vectors):
-            left = a.multiply(a.basis_vector(i), r)
-            if not sub.contains(left):
-                return Violation("ideal-left", (i, t), left, zero_vector(a.dim))
-            right = a.multiply(r, a.basis_vector(i))
-            if not sub.contains(right):
-                return Violation("ideal-right", (t, i), right, zero_vector(a.dim))
-    return None
+    incl = sub.as_column_matrix()
+    section = right_inverse_on_image(incl)
+    back = incl @ section
+    left = compose(a.product, g=incl)  # e_i * r_t at (i, t)
+    right = compose(a.product, incl)  # r_t * e_i at (t, i)
+    left_in, right_in = compose(left, h=back), compose(right, h=back)
+    for i, u in itertools.product(range(a.dim), range(incl.cols)):
+        sides = (("ideal-left", left, left_in, (i, u)), ("ideal-right", right, right_in, (u, i)))
+        for axiom, t, in_span, (p, q) in sides:
+            if t.rows[p][q] != in_span.rows[p][q]:
+                return incl, section, Violation(axiom, (p, q), t.vector(p, q), zero_vector(a.dim))
+    return incl, section, None
+
+
+def check_two_sided_ideal(a: PreLieAlgebra, sub: SubspaceBasis) -> Violation | None:
+    """A*R and R*A both land in span(R) for every (basis vector, generator)."""
+    return _ideal(a, sub)[2]
 
 
 def ideal_subalgebra(a: PreLieAlgebra, sub: SubspaceBasis) -> tuple[PreLieAlgebra, MatrixQ]:
     """The ideal span(sub) as an algebra in its own basis, plus the
     inclusion matrix (columns are the generators). Raises NotAnIdeal."""
-    bad = check_two_sided_ideal(a, sub)
+    incl, section, bad = _ideal(a, sub)
     if bad is not None:
         raise NotAnIdeal(str(bad))
-    incl = sub.as_column_matrix()
-    m = sub.dim
-    prod = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            p = a.multiply(sub.vectors[i], sub.vectors[j])
-            coords = solve_particular(incl, p)
-            if coords is None:
-                raise NotAnIdeal("ideal product left the subspace")
-            row.append(coords)
-        prod.append(tuple(row))
-    return PreLieAlgebra(m, tuple(prod)), incl
+    # the products of generators lie in the span, so section reads their coordinates
+    return PreLieAlgebra(sub.dim, compose(a.product, incl, incl, section)), incl

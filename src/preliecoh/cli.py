@@ -19,6 +19,7 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 from fractions import Fraction
@@ -426,7 +427,10 @@ def cmd_cohomologous(args) -> int:
 # --- entry point ----------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing leaves no state
+    in it, so every main call can share it."""
     parser = _Parser(
         prog="prelie-coh",
         description="Exact verification and cohomology for pre-Lie structures.",

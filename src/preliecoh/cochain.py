@@ -430,9 +430,6 @@ class CohomologySpace:
             raise NotACocycle("vector does not reduce into the span of the representatives")
         return coords
 
-    def is_coboundary(self, z: Cochain) -> bool:
-        return all(c == 0 for c in self.class_coordinates(z))
-
 
 def cohomology(rep: Representation | CochainComplex, n: int) -> CohomologySpace:
     """Kernel of d_n modulo image of d_{n-1}; for n = 1 just the kernel.
@@ -507,9 +504,6 @@ class LieModule:
 
     def act(self, x: Vector, w: Vector) -> Vector:
         return bilinear(self.action, x, w)
-
-    def basis_act(self, i: int, a: int) -> Vector:
-        return self.action.vector(i, a)
 
 
 def hom_module(rep: Representation) -> LieModule:

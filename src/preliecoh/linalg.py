@@ -331,11 +331,6 @@ class SubspaceBasis:
     def as_column_matrix(self) -> MatrixQ:
         return MatrixQ.from_cols(list(self.vectors), rows=self.ambient_dim)
 
-    def contains(self, v: Sequence[Fraction]) -> bool:
-        if not self.vectors:
-            return is_zero_vector(tuple(v))
-        return solve_particular(self.as_column_matrix(), tuple(v)) is not None
-
 
 def rank_kernel_image(m: MatrixQ) -> tuple[int, SubspaceBasis, SubspaceBasis]:
     """Rank, kernel basis (in Q^cols) and image basis (in Q^rows) of m.

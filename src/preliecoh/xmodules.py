@@ -27,11 +27,18 @@ rho(x*y) lands in im(mu); beta = sigma(alpha) measures it in m, and
 is killed by mu, hence pulls back through i to a V-valued 3-cocycle.
 Its class is independent of all choices; different sections give
 cohomologous cocycles (verified by tests, not assumed).
+
+Everything here runs on the tensor engines of the algebra module. alpha,
+beta and the actions through rho are tensors built by compose; theta is
+seven engine terms summed in integers at every basis triple. Reading
+values in coordinates against a basis (theta through i, the induced
+actions through i or an ideal's generators) factors the basis once: a
+right inverse s of it on its image gives every coordinate, and a value
+w lies in the span exactly when i(s(w)) = w.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,7 +46,6 @@ from fractions import Fraction
 from .errors import (
     InternalAssertionFailed,
     InvalidExtension,
-    NotACocycle,
     OutputCheckFailed,
     ShapeError,
 )
@@ -50,15 +56,18 @@ from .algebra import (
     Representation,
     Tensor3,
     Violation,
+    _accumulate,
     _first_failure,
     _image_identity,
+    _integer_terms,
+    _transpose,
     check_action,
     check_morphism,
     check_prelie,
     compose,
     ideal_subalgebra,
     sparse_tensor,
-    zero_tensor3,
+    subadjacent_lie,
 )
 from .cochain import Cochain, CochainBasis, CohomologySpace, coboundary, cohomology
 from .linalg import (
@@ -66,16 +75,9 @@ from .linalg import (
     SubspaceBasis,
     QuotientMap,
     Vector,
-    is_zero_vector,
     rank_kernel_image,
     rank_of,
     right_inverse_on_image,
-    solve_particular,
-    standard_basis_vector,
-    vec_add,
-    vec_scale,
-    vec_sub,
-    zero_vector,
 )
 
 
@@ -137,32 +139,33 @@ def identity_xmod(n: PreLieAlgebra) -> CrossedModule:
     return CrossedModule(mu, ActionData(n, n, n.product, n.product))
 
 
-def _induced_action(act_left, act_right, xs, us, onto: MatrixQ, error: Exception):
-    """The tables left[x][u] and right[u][x] of act_left(x, u) and
-    act_right(u, x) in coordinates against the columns of `onto`, for x in
-    xs and u in us; raises `error` if a value leaves their span."""
+def _induced_action(
+    left: Tensor3, right: Tensor3, f: MatrixQ | None, onto: MatrixQ, error: Exception
+) -> tuple[Tensor3, Tensor3]:
+    """The actions left(f e_x, onto e_u) and right(onto e_u, f e_x), f the
+    identity when None, in coordinates against the columns of `onto`;
+    raises `error` if a value leaves their span. onto is factored once: a
+    right inverse s of it on its image reads every coordinate, and a value
+    w lies in the span exactly when onto (s w) = w."""
+    section = right_inverse_on_image(onto)
 
-    def coords(w: Vector) -> Vector:
-        c = solve_particular(onto, w)
-        if c is None:
+    def coordinates(t: Tensor3, a: MatrixQ | None, b: MatrixQ | None) -> Tensor3:
+        values = compose(t, a, b)
+        coords = compose(values, h=section)
+        if compose(coords, h=onto) != values:
             raise error
-        return c
+        return coords
 
-    left = tuple(tuple(coords(act_left(x, u)) for u in us) for x in xs)
-    right = tuple(tuple(coords(act_right(u, x)) for x in xs) for u in us)
-    return left, right
+    return coordinates(left, f, onto), coordinates(right, onto, f)
 
 
 def ideal_inclusion_xmod(n: PreLieAlgebra, sub: SubspaceBasis) -> CrossedModule:
     """A two-sided ideal with its inclusion; raises NotAnIdeal."""
-    ideal, incl_cols = ideal_subalgebra(n, sub)
-    incl = AlgebraMorphism(ideal, n, incl_cols)
-    basis = [n.basis_vector(i) for i in range(n.dim)]
+    ideal, incl = ideal_subalgebra(n, sub)
     left, right = _induced_action(
-        n.multiply, n.multiply, basis, sub.vectors, incl_cols,
-        InternalAssertionFailed("ideal action left the subspace"),
+        n.product, n.product, None, incl, InternalAssertionFailed("ideal action left the subspace")
     )
-    return CrossedModule(incl, ActionData(n, ideal, left, right))
+    return CrossedModule(AlgebraMorphism(ideal, n, incl), ActionData(n, ideal, left, right))
 
 
 def kernel_xmod(f: AlgebraMorphism) -> CrossedModule:
@@ -244,20 +247,15 @@ def induced_representation(e: CrossedModuleExtension, section: MatrixQ | None = 
     if e.pi.matrix @ rho != MatrixQ.identity(g.dim):
         raise InvalidExtension("section is not a right inverse of pi")
     left, right = _induced_action(
-        e.action.act_left,
-        e.action.act_right,
-        [rho.col(x) for x in range(g.dim)],
-        [e.i.col(u) for u in range(e.v_dim)],
-        e.i,
-        InvalidExtension("induced action escapes the image of i"),
+        e.action.left, e.action.right, rho, e.i, InvalidExtension("induced action escapes the image of i")
     )
     return Representation(g, e.v_dim, left, right)
 
 
 def check_extension(e: CrossedModuleExtension) -> Violation | None:
-    """Crossed module axioms, exactness of the four-term sequence, the
-    centrality consequences, and agreement of v_rep with the induced
-    representation."""
+    """Crossed module axioms, exactness of the four-term sequence, and
+    agreement of v_rep with the induced representation. im(i) = ker(mu)
+    is then central with zero square, by Peiffer: u v = mu(u) . v = 0."""
     bad = check_prelie(e.g_algebra)
     if bad is not None:
         return bad
@@ -285,12 +283,6 @@ def check_extension(e: CrossedModuleExtension) -> Violation | None:
         return Violation("exactness-pi-mu", (), (), ())
     if rank_of(e.mu.matrix) + g_dim != n_dim:
         return Violation("exactness-at-n", (), (), ())
-    # at (u, w): i(v_u) i(v_w) = 0 in m (im i is central, being ker mu)
-    square = compose(e.m_algebra.product, e.i, e.i)
-    central = _image_identity("i-image-central", None, square, zero_tensor3(v_dim, v_dim, m_dim))
-    bad = _first_failure([((v_dim, v_dim), [central])], m_dim)
-    if bad is not None:
-        return bad
     induced = induced_representation(e)
     if induced.left != e.v_rep.left or induced.right != e.v_rep.right:
         return Violation("induced-representation", (), (), ())
@@ -308,28 +300,16 @@ def canonical_extension(x: CrossedModule) -> CrossedModuleExtension:
     _, kernel, image = rank_kernel_image(x.mu.matrix)
     i = kernel.as_column_matrix()
     quot = QuotientMap.build(n.dim, image)
-    g_dim = quot.dim
-    prod = []
-    for a in range(g_dim):
-        row = []
-        lift_a = quot.lift(standard_basis_vector(g_dim, a))
-        for b in range(g_dim):
-            lift_b = quot.lift(standard_basis_vector(g_dim, b))
-            row.append(quot.reduce(n.multiply(lift_a, lift_b)))
-        prod.append(tuple(row))
-    g = PreLieAlgebra(g_dim, tuple(prod))
-    pi = AlgebraMorphism(n, g, quot.reduce_matrix())
-    v_dim = kernel.dim
+    reduce = quot.reduce_matrix()
+    # g = n / im(mu): the product of two lifted basis vectors, reduced
+    lift = MatrixQ.from_entries(n.dim, quot.dim, {(j, a): 1 for a, j in enumerate(quot.complement)})
+    g = PreLieAlgebra(quot.dim, compose(n.product, lift, lift, reduce))
+    pi = AlgebraMorphism(n, g, reduce)
     rho = right_inverse_on_image(pi.matrix)
     left, right = _induced_action(
-        x.action.act_left,
-        x.action.act_right,
-        [rho.col(xx) for xx in range(g_dim)],
-        kernel.vectors,
-        i,
-        InternalAssertionFailed("induced action escaped ker mu"),
+        x.action.left, x.action.right, rho, i, InternalAssertionFailed("induced action escaped ker mu")
     )
-    v_rep = Representation(g, v_dim, left, right)
+    v_rep = Representation(g, kernel.dim, left, right)
     ext = CrossedModuleExtension(v_rep, i, x.mu, pi, x.action)
     bad = check_extension(ext)
     if bad is not None:
@@ -352,16 +332,12 @@ def semidirect_product(v_rep: Representation) -> PreLieAlgebra:
     return PreLieAlgebra(v_rep.algebra.dim + v_rep.carrier_dim, _semidirect_tensor(v_rep))
 
 
-def _semidirect_tensor(v_rep: Representation, omega: Cochain | None = None) -> Tensor3:
-    """Product tensor of g (+) V, plus omega(x, y) in the V part of x*y."""
+def _semidirect_tensor(v_rep: Representation) -> Tensor3:
+    """Product tensor of g (+) V."""
     d, v = v_rep.algebra.dim, v_rep.carrier_dim
     cells = {(a, b, k): c for a, b, k, c in v_rep.algebra.product.entries()}
     cells.update(((a, d + u, d + k), c) for a, u, k, c in v_rep.left.entries())
     cells.update(((d + u, b, d + k), c) for u, b, k, c in v_rep.right.entries())
-    if omega is not None:
-        for x, y in itertools.product(range(d), repeat=2):
-            for k, c in enumerate(omega.value_at((x, y))):
-                cells[x, y, d + k] = c
     return sparse_tensor(d + v, d + v, d + v, cells)
 
 
@@ -428,62 +404,43 @@ def t_map(
     sigma = default_mu_section(e) if sigma is None else sigma
     if e.mu.matrix @ (sigma @ e.mu.matrix) != e.mu.matrix:
         raise InvalidExtension("sigma is not a right inverse of mu on its image")
-    d = g.dim
-    alpha = [
-        [
-            vec_sub(
-                n.multiply(rho.col(x), rho.col(y)),
-                rho.mul_vec(g.basis_product(x, y)),
-            )
-            for y in range(d)
-        ]
-        for x in range(d)
+    # the curvature alpha(x, y) = rho(x) rho(y) - rho(x y) and beta = sigma(alpha)
+    alpha = compose(n.product, rho, rho) - compose(g.product, h=rho)
+    beta = compose(alpha, h=sigma)
+    if compose(beta, h=e.mu.matrix) != alpha:
+        raise InternalAssertionFailed("curvature not in the image of mu")
+    b, act = beta.rows, e.action
+    left = compose(act.left, rho).rows  # rho(e_x) . m_w at (x, w)
+    right_t = _transpose(compose(act.right, g=rho).rows)  # m_w . rho(e_z) at (z, w)
+    theta_terms = [
+        (1, b, (1, 2), left, 0),  # rho(x) . beta(y, z)
+        (-1, b, (0, 2), left, 1),  # - rho(y) . beta(x, z)
+        (1, b, (1, 0), right_t, 2),  # beta(y, x) . rho(z)
+        (-1, b, (0, 1), right_t, 2),  # - beta(x, y) . rho(z)
+        (-1, g.product.rows, (0, 2), b, 1),  # - beta(y, x z)
+        (1, g.product.rows, (1, 2), b, 0),  # beta(x, y z)
+        (-1, subadjacent_lie(g).bracket.rows, (0, 1), _transpose(b), 2),  # - beta([x, y], z)
     ]
-    beta = [[sigma.mul_vec(alpha[x][y]) for y in range(d)] for x in range(d)]
-    for x, y in itertools.product(range(d), repeat=2):
-        if e.mu.apply(beta[x][y]) != alpha[x][y]:
-            raise InternalAssertionFailed("curvature not in the image of mu")
-
-    def beta_lin_second(x: int, w: Vector) -> Vector:
-        out = zero_vector(e.m_algebra.dim)
-        for k, c in enumerate(w):
-            if c != 0:
-                out = vec_add(out, vec_scale(c, beta[x][k]))
-        return out
-
-    def beta_lin_first(w: Vector, z: int) -> Vector:
-        out = zero_vector(e.m_algebra.dim)
-        for k, c in enumerate(w):
-            if c != 0:
-                out = vec_add(out, vec_scale(c, beta[k][z]))
-        return out
-
-    act = e.action
-    values_m = []
-    values_v = []
-    for (x, y), z in CochainBasis(3, d).tuples:
-        val = act.act_left(rho.col(x), beta[y][z])
-        val = vec_sub(val, act.act_left(rho.col(y), beta[x][z]))
-        val = vec_add(val, act.act_right(beta[y][x], rho.col(z)))
-        val = vec_sub(val, act.act_right(beta[x][y], rho.col(z)))
-        val = vec_sub(val, beta_lin_second(y, g.basis_product(x, z)))
-        val = vec_add(val, beta_lin_second(x, g.basis_product(y, z)))
-        br = vec_sub(g.basis_product(x, y), g.basis_product(y, x))
-        val = vec_sub(val, beta_lin_first(br, z))
-        if not is_zero_vector(e.mu.apply(val)):
-            raise InternalAssertionFailed("cocycle values not killed by mu")
-        coords = solve_particular(e.i, val)
-        if coords is None:
-            raise InternalAssertionFailed("cocycle values not in the image of i")
-        values_m.append(val)
-        values_v.append(coords)
-    theta = Cochain(3, d, e.v_dim, tuple(values_v))
+    den, terms = _integer_terms(theta_terms)
+    values = []
+    for (x, y), z in CochainBasis(3, g.dim).tuples:
+        out: dict[int, int] = {}
+        _accumulate(out, terms, (x, y, z))
+        values.append(tuple((k, Fraction(c, den * den)) for k, c in sorted(out.items()) if c))
+    theta_m = MatrixQ(len(values), e.m_algebra.dim, tuple(values))
+    if not (theta_m @ e.mu.matrix.transpose()).is_zero():
+        raise InternalAssertionFailed("cocycle values not killed by mu")
+    # coordinates against the columns of i, from one right inverse of i
+    theta_v = theta_m @ right_inverse_on_image(e.i).transpose()
+    if theta_v @ e.i.transpose() != theta_m:
+        raise InternalAssertionFailed("cocycle values not in the image of i")
+    theta = Cochain(3, g.dim, e.v_dim, tuple(map(theta_v.row, range(theta_v.rows))))
     if not coboundary(e.v_rep, theta).is_zero():
         raise InternalAssertionFailed("realized 3-cochain is not closed")
     if h3 is None:
         h3 = cohomology(e.v_rep, 3)
     coords = h3.class_coordinates(theta)
-    return ThreeCocycleResult(theta, tuple(values_m), coords, h3, rho, sigma)
+    return ThreeCocycleResult(theta, tuple(map(theta_m.row, range(theta_m.rows))), coords, h3, rho, sigma)
 
 
 def random_pi_section(e: CrossedModuleExtension, rng: random.Random) -> MatrixQ:
@@ -552,37 +509,3 @@ def check_equivalence_witness(w: EquivalenceWitness) -> Violation | None:
         _image_identity("action-right-respected", r, src.right, compose(dst.right, r, s), (1, 0), (1, 0)),
     ]
     return _first_failure([((w.src.n_algebra.dim, w.src.m_algebra.dim), respected)], w.dst.m_algebra.dim)
-
-
-@dataclass(frozen=True)
-class AbelianExtension:
-    """g (+) V with product twisted by a 2-cocycle; the classical
-    degree-2 picture, kept around as a cross-check for the machinery."""
-
-    algebra: PreLieAlgebra
-    include_v: MatrixQ
-    project_g: MatrixQ
-
-
-def abelian_extension_from_2cocycle(rep: Representation, omega: Cochain) -> AbelianExtension:
-    """(x,u)*(y,w) = (x*y, x.w + u.y + omega(x,y)); pre-Lie exactly when
-    omega is closed, so a non-cocycle raises NotACocycle."""
-    if omega.arity != 2:
-        raise ShapeError("need a 2-cochain")
-    g = rep.algebra
-    if omega.algebra_dim != g.dim or omega.carrier_dim != rep.carrier_dim:
-        raise ShapeError("cochain does not match the representation")
-    if not coboundary(rep, omega).is_zero():
-        raise NotACocycle("the twisting 2-cochain is not closed")
-    d, v = g.dim, rep.carrier_dim
-    algebra = PreLieAlgebra(d + v, _semidirect_tensor(rep, omega))
-    bad = check_prelie(algebra)
-    if bad is not None:
-        raise OutputCheckFailed(f"twisted product is not pre-Lie: {bad}")
-    include_v = MatrixQ.from_rows(
-        [[Fraction(1) if r == d + c else Fraction(0) for c in range(v)] for r in range(d + v)]
-    )
-    project_g = MatrixQ.from_rows(
-        [[Fraction(1) if r == c else Fraction(0) for c in range(d + v)] for r in range(d)]
-    )
-    return AbelianExtension(algebra, include_v, project_g)

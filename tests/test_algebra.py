@@ -37,7 +37,7 @@ from preliecoh.catalog import ALGEBRAS, BAD_ALGEBRA, fixture_documents, represen
 from preliecoh.documents import document_from_obj, verify_document
 from preliecoh.functors import DendriformAlgebra, LieCrossedModule, check_dendriform, check_lie_crossed_module
 from preliecoh.errors import NotAnIdeal, ShapeError
-from preliecoh.linalg import MatrixQ, standard_basis_vector, vec_add, vec_sub, vector, zero_vector
+from preliecoh.linalg import MatrixQ, rank_kernel_image, solve_particular, standard_basis_vector, vec_add, vec_sub, vector, zero_vector
 
 F = Fraction
 
@@ -311,7 +311,7 @@ def test_ideal_check_and_restriction():
     assert check_two_sided_ideal(a, sub) is None
     ideal, incl = ideal_subalgebra(a, sub)
     assert ideal.dim == 1
-    assert ideal.is_zero_algebra()
+    assert ideal.product.is_zero()
     assert incl == MatrixQ.from_rows([[0], [1]])
 
 
@@ -690,8 +690,15 @@ def test_compose_equals_bilinear_on_columns(data):
     assert compose(t, f) == compose(t, f, MatrixQ.identity(d2))
     assert compose(t, g=g) == compose(t, MatrixQ.identity(d1), g)
     assert compose(t) == t
+    h = random_matrix(data, data.draw(st.integers(0, 3)), d3)
+    want = tuple(tuple(h.mul_vec(v) for v in plane) for plane in want)
+    assert dense(compose(t, f, g, h)) == want
+    assert compose(t, f, g, h) == compose(compose(t, f, g), h=h)
+    assert compose(t, h=MatrixQ.identity(d3)) == t
     with pytest.raises(ShapeError):
         compose(t, MatrixQ.zero(d1 + 1, p))
+    with pytest.raises(ShapeError):
+        compose(t, h=MatrixQ.zero(1, d3 + 1))
 
 
 def morphisms():
@@ -725,3 +732,83 @@ def test_morphism_checker_equals_dense_oracle(base, data):
         matrix = random_matrix(data, target.dim, source.dim)
     f = AlgebraMorphism(source, target, matrix)
     assert on_both_engines(check_morphism, f) == check_morphism_dense(f)
+
+
+# --- ideals against the solving oracles ----------------------------------------
+# check_two_sided_ideal and ideal_subalgebra as first written: one
+# elimination per product of a basis vector with a generator.
+
+
+def in_span_dense(sub, v):
+    if not sub.vectors:
+        return not any(v)
+    return solve_particular(sub.as_column_matrix(), v) is not None
+
+
+def check_two_sided_ideal_dense(a, sub):
+    for i in range(a.dim):
+        for t, r in enumerate(sub.vectors):
+            left = a.multiply(a.basis_vector(i), r)
+            if not in_span_dense(sub, left):
+                return Violation("ideal-left", (i, t), left, zero_vector(a.dim))
+            right = a.multiply(r, a.basis_vector(i))
+            if not in_span_dense(sub, right):
+                return Violation("ideal-right", (t, i), right, zero_vector(a.dim))
+    return None
+
+
+def ideal_subalgebra_dense(a, sub):
+    bad = check_two_sided_ideal_dense(a, sub)
+    if bad is not None:
+        raise NotAnIdeal(str(bad))
+    incl = sub.as_column_matrix()
+    prod = tuple(
+        tuple(solve_particular(incl, a.multiply(sub.vectors[i], sub.vectors[j])) for j in range(sub.dim))
+        for i in range(sub.dim)
+    )
+    return PreLieAlgebra(sub.dim, prod), incl
+
+
+def ideal_outcome(make, a, sub):
+    try:
+        return make(a, sub)
+    except NotAnIdeal as exc:
+        return str(exc)
+
+
+def assert_ideal_matches_oracle(a, sub):
+    assert check_two_sided_ideal(a, sub) == check_two_sided_ideal_dense(a, sub)
+    assert ideal_outcome(ideal_subalgebra, a, sub) == ideal_outcome(ideal_subalgebra_dense, a, sub)
+
+
+def catalog_subspaces():
+    """(algebra, subspace) pairs: the kernels and images of the catalog
+    morphisms in their source and target, and every coordinate line."""
+    out = []
+    for doc in fixture_documents().values():
+        for name in ("mu", "pi"):
+            f = getattr(doc.payload, name, None)
+            if isinstance(f, AlgebraMorphism):
+                _, kernel, image = rank_kernel_image(f.matrix)
+                out += [(f.source, kernel), (f.target, image)]
+    for a in [*ALGEBRAS.values(), *POSITIVE]:
+        out += [(a, SubspaceBasis(a.dim, (standard_basis_vector(a.dim, i),))) for i in range(a.dim)]
+    return out
+
+
+def test_ideals_equal_solving_oracle_on_catalog():
+    pairs = catalog_subspaces()
+    for a, sub in pairs:
+        assert_ideal_matches_oracle(a, sub)
+    found = [check_two_sided_ideal(a, sub) for a, sub in pairs]
+    assert any(bad is None for bad in found) and any(bad is not None for bad in found)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_ideals_equal_solving_oracle(data):
+    # random generators, dependent ones included, in perturbed algebras
+    a = data.draw(st.sampled_from([*ALGEBRAS.values(), *POSITIVE]))
+    a = PreLieAlgebra(a.dim, perturbed(data, a.product))
+    gens = random_matrix(data, a.dim, data.draw(st.integers(0, a.dim)))
+    assert_ideal_matches_oracle(a, SubspaceBasis(a.dim, tuple(map(gens.col, range(gens.cols)))))

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from preliecoh import cli
 from preliecoh.catalog import fixture_path, fixture_specs
 from preliecoh.cli import main
 
@@ -340,6 +341,29 @@ def test_cohomologous_rational_nonclosed_exits_two_with_one_line(tmp_path: Path)
 def test_no_subcommand_is_a_usage_error() -> None:
     code, _, err = run_cli()
     assert code == 1 and err.startswith("error:")
+
+
+# two different subcommands and usage errors of each, run back to back
+SHARED_PARSER_RUNS = (
+    ("tmap", fx("ext_dbl")),
+    ("validate", fx("lmult2"), "--json"),
+    ("tmap", fx("ext_dbl"), "--sections", "sideways"),
+    ("validate",),
+    ("cohomology", fx("rep_abelian2_trivial1"), "--n", "2"),
+    ("validate", fx("bad2")),
+    ("cohomology", fx("rep_abelian2_trivial1"), "--n"),
+    ("tmap", fx("ext_dbl"), "--seed", "3"),
+)
+
+
+def test_main_reuses_one_parser_with_fresh_parser_results(monkeypatch) -> None:
+    assert cli.build_parser() is cli.build_parser()
+    shared = [run_cli(*argv) for argv in SHARED_PARSER_RUNS]
+    # the same runs, each on a parser built for it alone
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = [run_cli(*argv) for argv in SHARED_PARSER_RUNS]
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 1, 1, 0, 2, 1, 0]
 
 
 # --- validate on mutated fixtures ---------------------------------------------

@@ -6,9 +6,9 @@ extensions built by hand are fed through the cocycle realization and
 its section-independence properties.
 """
 
-import contextlib
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -21,29 +21,48 @@ from preliecoh.algebra import (
     PreLieAlgebra,
     Representation,
     Violation,
+    check_prelie,
     check_representation,
+    compose,
     sparse_tensor,
 )
-from preliecoh import xmodules
-from preliecoh.catalog import equivalence_witnesses, extensions, fixture_documents
+from preliecoh.catalog import equivalence_witnesses, extensions, fixture_documents, representation_pairs
 from preliecoh.cochain import Cochain, CochainBasis, coboundary, cohomology
 from preliecoh.errors import (
+    InternalAssertionFailed,
     InvalidExtension,
     NotACocycle,
     NotAnIdeal,
+    OutputCheckFailed,
+    PreLieError,
     ShapeError,
 )
-from preliecoh.linalg import MatrixQ, SubspaceBasis, vector, zero_vector
+from preliecoh.linalg import (
+    MatrixQ,
+    QuotientMap,
+    SubspaceBasis,
+    is_zero_vector,
+    rank_kernel_image,
+    right_inverse_on_image,
+    solve_particular,
+    standard_basis_vector,
+    vec_add,
+    vec_scale,
+    vec_sub,
+    vector,
+    zero_vector,
+)
 from preliecoh.xmodules import (
-    AbelianExtension,
     CrossedModule,
     CrossedModuleExtension,
     EquivalenceWitness,
-    abelian_extension_from_2cocycle,
+    ThreeCocycleResult,
     canonical_extension,
     check_crossed_module,
     check_equivalence_witness,
     check_extension,
+    default_mu_section,
+    default_pi_section,
     double_extension,
     ideal_inclusion_xmod,
     identity_xmod,
@@ -61,6 +80,7 @@ from test_algebra import (
     check_action_dense,
     check_morphism_dense,
     check_prelie_dense,
+    ideal_subalgebra_dense,
     on_both_engines,
     perturbed,
     perturbed_matrix,
@@ -304,9 +324,41 @@ def test_witness_negative_different_modules():
 # --- degree-2 cross-check ------------------------------------------------------
 
 
-def test_semidirect_product_is_prelie():
-    from preliecoh.algebra import check_prelie
+@dataclass(frozen=True)
+class AbelianExtension:
+    """g (+) V with product twisted by a 2-cocycle; the classical
+    degree-2 picture, kept as a cross-check for the machinery."""
 
+    algebra: PreLieAlgebra
+    include_v: MatrixQ
+    project_g: MatrixQ
+
+
+def abelian_extension_from_2cocycle(rep, omega):
+    """(x,u)*(y,w) = (x*y, x.w + u.y + omega(x,y)); pre-Lie exactly when
+    omega is closed, so a non-cocycle raises NotACocycle."""
+    if omega.arity != 2:
+        raise ShapeError("need a 2-cochain")
+    g = rep.algebra
+    if omega.algebra_dim != g.dim or omega.carrier_dim != rep.carrier_dim:
+        raise ShapeError("cochain does not match the representation")
+    if not coboundary(rep, omega).is_zero():
+        raise NotACocycle("the twisting 2-cochain is not closed")
+    d, v = g.dim, rep.carrier_dim
+    cells = {(a, b, k): c for a, b, k, c in semidirect_product(rep).product.entries()}
+    for x, y in itertools.product(range(d), repeat=2):
+        for k, c in enumerate(omega.value_at((x, y))):
+            cells[x, y, d + k] = c
+    algebra = PreLieAlgebra(d + v, sparse_tensor(d + v, d + v, d + v, cells))
+    bad = check_prelie(algebra)
+    if bad is not None:
+        raise OutputCheckFailed(f"twisted product is not pre-Lie: {bad}")
+    include_v = MatrixQ.from_entries(d + v, v, {(d + c, c): 1 for c in range(v)})
+    project_g = MatrixQ.from_entries(d, d + v, {(r, r): 1 for r in range(d)})
+    return AbelianExtension(algebra, include_v, project_g)
+
+
+def test_semidirect_product_is_prelie():
     for rep in (Representation.trivial(LMULT2, 2), Representation.regular(AFFINE2)):
         assert check_prelie(semidirect_product(rep)) is None
 
@@ -374,15 +426,6 @@ def check_crossed_module_dense(x):
         lhs = act.act_right(m.basis_vector(u), mu.matrix.col(v))
         if lhs != prod:
             return Violation("peiffer-right", (u, v), lhs, prod)
-    return None
-
-
-def i_image_central_dense(e):
-    """The i-image-central step of check_extension."""
-    for u, w in itertools.product(range(e.v_dim), repeat=2):
-        p = e.m_algebra.multiply(e.i.col(u), e.i.col(w))
-        if any(p):
-            return Violation("i-image-central", (u, w), p, zero_vector(e.m_algebra.dim))
     return None
 
 
@@ -508,44 +551,264 @@ def test_equivalence_witness_action_right_witness_reports_u_before_a():
     assert bad == Violation("action-right-respected", (1, 0), (F(0), F(0)), (F(1), F(0)))
 
 
-@contextlib.contextmanager
-def crossed_module_unchecked():
-    """check_extension with its crossed-module step passing. The Peiffer
-    identity makes im i = ker mu central, so only an extension whose
-    crossed module is not checked can reach a failing i-image-central."""
-    saved = xmodules.check_crossed_module
-    xmodules.check_crossed_module = lambda x: None
+# --- dense oracles for t_map and the induced actions ---------------------------
+# The constructions as first written: dense alpha/beta tables and one
+# elimination per value read against a basis.
+
+
+def induced_action_dense(act_left, act_right, xs, us, onto, error):
+    def coords(w):
+        c = solve_particular(onto, w)
+        if c is None:
+            raise error
+        return c
+
+    left = tuple(tuple(coords(act_left(x, u)) for u in us) for x in xs)
+    right = tuple(tuple(coords(act_right(u, x)) for x in xs) for u in us)
+    return left, right
+
+
+def ideal_inclusion_xmod_dense(n, sub):
+    ideal, incl_cols = ideal_subalgebra_dense(n, sub)
+    basis = [n.basis_vector(i) for i in range(n.dim)]
+    left, right = induced_action_dense(
+        n.multiply, n.multiply, basis, sub.vectors, incl_cols, InternalAssertionFailed("ideal action left the subspace")
+    )
+    return CrossedModule(AlgebraMorphism(ideal, n, incl_cols), ActionData(n, ideal, left, right))
+
+
+def induced_representation_dense(e, section=None):
+    g = e.g_algebra
+    rho = default_pi_section(e) if section is None else section
+    if e.pi.matrix @ rho != MatrixQ.identity(g.dim):
+        raise InvalidExtension("section is not a right inverse of pi")
+    left, right = induced_action_dense(
+        e.action.act_left,
+        e.action.act_right,
+        [rho.col(x) for x in range(g.dim)],
+        [e.i.col(u) for u in range(e.v_dim)],
+        e.i,
+        InvalidExtension("induced action escapes the image of i"),
+    )
+    return Representation(g, e.v_dim, left, right)
+
+
+def canonical_extension_dense(x):
+    """canonical_extension without its input and output checks."""
+    n = x.n_algebra
+    _, kernel, image = rank_kernel_image(x.mu.matrix)
+    i = kernel.as_column_matrix()
+    quot = QuotientMap.build(n.dim, image)
+    g_dim = quot.dim
+    prod = []
+    for a in range(g_dim):
+        lift_a = quot.lift(standard_basis_vector(g_dim, a))
+        prod.append(
+            tuple(
+                quot.reduce(n.multiply(lift_a, quot.lift(standard_basis_vector(g_dim, b))))
+                for b in range(g_dim)
+            )
+        )
+    g = PreLieAlgebra(g_dim, tuple(prod))
+    pi = AlgebraMorphism(n, g, quot.reduce_matrix())
+    rho = right_inverse_on_image(pi.matrix)
+    left, right = induced_action_dense(
+        x.action.act_left,
+        x.action.act_right,
+        [rho.col(xx) for xx in range(g_dim)],
+        kernel.vectors,
+        i,
+        InternalAssertionFailed("induced action escaped ker mu"),
+    )
+    v_rep = Representation(g, kernel.dim, left, right)
+    return CrossedModuleExtension(v_rep, i, x.mu, pi, x.action)
+
+
+def t_map_dense(e, rho=None, sigma=None, h3=None):
+    g = e.g_algebra
+    n = e.n_algebra
+    rho = default_pi_section(e) if rho is None else rho
+    if e.pi.matrix @ rho != MatrixQ.identity(g.dim):
+        raise InvalidExtension("rho is not a right inverse of pi")
+    sigma = default_mu_section(e) if sigma is None else sigma
+    if e.mu.matrix @ (sigma @ e.mu.matrix) != e.mu.matrix:
+        raise InvalidExtension("sigma is not a right inverse of mu on its image")
+    d = g.dim
+    alpha = [
+        [vec_sub(n.multiply(rho.col(x), rho.col(y)), rho.mul_vec(g.basis_product(x, y))) for y in range(d)]
+        for x in range(d)
+    ]
+    beta = [[sigma.mul_vec(alpha[x][y]) for y in range(d)] for x in range(d)]
+    for x, y in itertools.product(range(d), repeat=2):
+        if e.mu.apply(beta[x][y]) != alpha[x][y]:
+            raise InternalAssertionFailed("curvature not in the image of mu")
+
+    def beta_lin_second(x, w):
+        out = zero_vector(e.m_algebra.dim)
+        for k, c in enumerate(w):
+            if c != 0:
+                out = vec_add(out, vec_scale(c, beta[x][k]))
+        return out
+
+    def beta_lin_first(w, z):
+        out = zero_vector(e.m_algebra.dim)
+        for k, c in enumerate(w):
+            if c != 0:
+                out = vec_add(out, vec_scale(c, beta[k][z]))
+        return out
+
+    act = e.action
+    values_m = []
+    values_v = []
+    for (x, y), z in CochainBasis(3, d).tuples:
+        val = act.act_left(rho.col(x), beta[y][z])
+        val = vec_sub(val, act.act_left(rho.col(y), beta[x][z]))
+        val = vec_add(val, act.act_right(beta[y][x], rho.col(z)))
+        val = vec_sub(val, act.act_right(beta[x][y], rho.col(z)))
+        val = vec_sub(val, beta_lin_second(y, g.basis_product(x, z)))
+        val = vec_add(val, beta_lin_second(x, g.basis_product(y, z)))
+        br = vec_sub(g.basis_product(x, y), g.basis_product(y, x))
+        val = vec_sub(val, beta_lin_first(br, z))
+        if not is_zero_vector(e.mu.apply(val)):
+            raise InternalAssertionFailed("cocycle values not killed by mu")
+        coords = solve_particular(e.i, val)
+        if coords is None:
+            raise InternalAssertionFailed("cocycle values not in the image of i")
+        values_m.append(val)
+        values_v.append(coords)
+    theta = Cochain(3, d, e.v_dim, tuple(values_v))
+    if not coboundary(e.v_rep, theta).is_zero():
+        raise InternalAssertionFailed("realized 3-cochain is not closed")
+    if h3 is None:
+        h3 = cohomology(e.v_rep, 3)
+    return ThreeCocycleResult(theta, tuple(values_m), h3.class_coordinates(theta), h3, rho, sigma)
+
+
+# --- engine constructions against the dense oracles ---------------------------
+
+
+def heisenberg_xmod():
+    """m = Q^3 with e1 e2 = e3, mapped onto the first two coordinates of
+    the zero algebra Q^3, which acts on m by the products of the lifts:
+    e3 annihilates m, so ker mu = span(e3) sits in a nonzero product."""
+    m = PreLieAlgebra(3, sparse_tensor(3, 3, 3, {(0, 1, 2): 1}))
+    n = PreLieAlgebra.zero_product(3)
+    mu = AlgebraMorphism(m, n, MatrixQ.from_entries(3, 3, {(0, 0): 1, (1, 1): 1}))
+    return CrossedModule(mu, ActionData(n, m, m.product, m.product))
+
+
+def oracle_extensions():
+    """The catalog extensions, the double and trivial extensions of every
+    catalog representation, and the extension of heisenberg_xmod."""
+    out = [*all_extensions(), canonical_extension(heisenberg_xmod())]
+    for _, rep in representation_pairs():
+        out += [double_extension(rep), trivial_extension(rep)]
+    return out
+
+
+def valid_extensions():
+    return [e for e in oracle_extensions() if check_extension(e) is None]
+
+
+def outcome(make, *args):
+    """What make(*args) returns, or the type and message of the library
+    error it raises."""
     try:
-        yield
-    finally:
-        xmodules.check_crossed_module = saved
+        return make(*args)
+    except PreLieError as exc:
+        return type(exc), str(exc)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.sampled_from([e for e in all_extensions() if check_extension(e) is None]), st.data())
-def test_i_image_central_equals_dense_oracle(base, data):
-    m = PreLieAlgebra(base.m_algebra.dim, perturbed(data, base.m_algebra.product))
-    mu = AlgebraMorphism(m, base.n_algebra, base.mu.matrix)
-    action = ActionData(base.n_algebra, m, base.action.left, base.action.right)
-    e = CrossedModuleExtension(base.v_rep, base.i, mu, base.pi, action)
-    want = i_image_central_dense(e)
-    with crossed_module_unchecked():
-        bad = on_both_engines(check_extension, e)
-    # only m changed, so every step before i-image-central passes
-    if want is not None:
-        assert bad == want
+def assert_t_map_matches_oracle(e, rho=None, sigma=None):
+    h3 = cohomology(e.v_rep, 3)
+    got, want = t_map(e, rho, sigma, h3), t_map_dense(e, rho, sigma, h3)
+    assert got.theta == want.theta
+    assert got.theta_m == want.theta_m
+    assert got.class_coordinates == want.class_coordinates
+    assert (got.rho, got.sigma) == (want.rho, want.sigma)
+    return got
+
+
+def test_t_map_and_induced_actions_equal_dense_oracles_on_catalog():
+    rng = random.Random(31)
+    nonzero = 0
+    for e in valid_extensions():
+        assert_t_map_matches_oracle(e)
+        rho, sigma = random_pi_section(e, rng), random_mu_section(e, rng)
+        got = assert_t_map_matches_oracle(e, rho, sigma)
+        nonzero += any(map(any, got.theta_m))
+    for e in oracle_extensions():
+        assert outcome(induced_representation, e) == outcome(induced_representation_dense, e)
+        x = e.crossed_module()
+        if check_crossed_module(x) is None:
+            assert canonical_extension(x) == canonical_extension_dense(x)
+    # every class here is zero, but random sections make some theta nonzero
+    assert nonzero > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(valid_extensions()), st.integers(0, 2**32 - 1))
+def test_t_map_and_induced_actions_equal_dense_oracles_on_random_sections(e, seed):
+    rng = random.Random(seed)
+    rho, sigma = random_pi_section(e, rng), random_mu_section(e, rng)
+    assert_t_map_matches_oracle(e, rho, sigma)
+    assert induced_representation(e, rho) == induced_representation_dense(e, rho)
+
+
+def test_induced_action_escape_raises_like_the_oracle():
+    e = double_extension(Representation.regular(LMULT2))
+    not_a_section = MatrixQ.zero(e.n_algebra.dim, e.g_algebra.dim)
+    want = (InvalidExtension, "section is not a right inverse of pi")
+    assert outcome(induced_representation, e, not_a_section) == want
+    assert outcome(induced_representation_dense, e, not_a_section) == want
+    # i onto span(v_2 of the first copy, v_1 of the second): the second
+    # copy's v_1 . e_2 = v_1 e_2 = v_2 leaves it
+    mixed = MatrixQ.from_entries(4, 2, {(1, 0): 1, (2, 1): 1})
+    shifted = CrossedModuleExtension(e.v_rep, mixed, e.mu, e.pi, e.action)
+    want = (InvalidExtension, "induced action escapes the image of i")
+    assert outcome(induced_representation, shifted) == outcome(induced_representation_dense, shifted) == want
+
+
+def ideal_pairs():
+    """(algebra, subspace) pairs from the catalog: the kernels of its
+    morphisms, and every coordinate line of the stock algebras."""
+    out = []
+    for e in oracle_extensions():
+        for f in (e.mu, e.pi):
+            out.append((f.source, rank_kernel_image(f.matrix)[1]))
+    for a in (IDEM1, LMULT2, AFFINE2):
+        out += [(a, SubspaceBasis(a.dim, (standard_basis_vector(a.dim, i),))) for i in range(a.dim)]
+    return out
+
+
+def test_ideal_inclusion_xmod_equals_dense_oracle():
+    found = []
+    for n, sub in ideal_pairs():
+        got = outcome(ideal_inclusion_xmod, n, sub)
+        assert got == outcome(ideal_inclusion_xmod_dense, n, sub)
+        found.append(isinstance(got, CrossedModule))
+    assert any(found) and not all(found)
+
+
+# --- the Peiffer guarantee that replaced the i-image-central step ------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(valid_extensions()), st.data())
+def test_crossed_module_and_exactness_make_im_i_square_zero(base, data):
+    # Peiffer: for u, v in im i = ker mu, u v = mu(u) . v = 0, so once the
+    # crossed module and mu i = 0 hold, i(V) i(V) = 0 needs no check
+    how = data.draw(st.sampled_from(["product", "action", "mu", "i"]))
+    m, n, i, mu = base.m_algebra, base.n_algebra, base.i, base.mu.matrix
+    left, right = base.action.left, base.action.right
+    if how == "product":
+        m = PreLieAlgebra(m.dim, perturbed(data, m.product))
+    elif how == "action":
+        left, right = perturbed(data, left), perturbed(data, right)
+    elif how == "mu":
+        mu = perturbed_matrix(data, mu)
     else:
-        assert bad is None or bad.axiom != "i-image-central"
-
-
-def test_i_image_central_witness():
-    # V = m = Q with e1 e1 = e1: i = id squares to nonzero
-    e = trivial_extension(Representation.trivial(IDEM1, 1))
-    idem = PreLieAlgebra(1, IDEM1.product)
-    action = ActionData(e.n_algebra, idem, e.action.left, e.action.right)
-    e = CrossedModuleExtension(e.v_rep, e.i, AlgebraMorphism(idem, e.n_algebra, e.mu.matrix), e.pi, action)
-    want = Violation("i-image-central", (0, 0), (F(1),), (F(0),))
-    assert i_image_central_dense(e) == want
-    with crossed_module_unchecked():
-        assert on_both_engines(check_extension, e) == want
-    assert check_extension(e).axiom != "i-image-central"
+        i = perturbed_matrix(data, i)
+    x = CrossedModule(AlgebraMorphism(m, n, mu), ActionData(n, m, left, right))
+    if check_crossed_module(x) is None and (mu @ i).is_zero():
+        assert compose(m.product, i, i).is_zero()
