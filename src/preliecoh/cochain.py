@@ -41,6 +41,7 @@ from .linalg import (
     IntRow,
     MatrixQ,
     QuotientMap,
+    Row,
     SubspaceBasis,
     Vector,
     greedy_independent,
@@ -154,6 +155,22 @@ class Cochain:
             for p in range(n)
         )
         return cls(arity, algebra_dim, carrier_dim, values)
+
+    @classmethod
+    def from_row(cls, arity: int, algebra_dim: int, carrier_dim: int, row: Row) -> "Cochain":
+        """The cochain with the coordinates of a Row: positions the row does
+        not touch share one zero V-vector."""
+        zero = zero_vector(carrier_dim)
+        values = [zero] * len(CochainBasis(arity, algebra_dim))
+        if row and not 0 <= row[0][0] <= row[-1][0] < len(values) * carrier_dim:
+            raise ShapeError("coordinate row outside the cochain space")
+        filled: dict[int, list[Fraction]] = {}
+        for k, x in row:
+            p, b = divmod(k, carrier_dim)
+            filled.setdefault(p, list(zero))[b] = x
+        for p, v in filled.items():
+            values[p] = tuple(v)
+        return cls(arity, algebra_dim, carrier_dim, tuple(values))
 
     def to_coordinates(self) -> Vector:
         return tuple(c for v in self.values for c in v)
@@ -410,7 +427,8 @@ class CohomologySpace:
     Representatives are kernel basis vectors of d_n picked greedily (in
     the deterministic kernel order) so their images in the quotient by
     im d_{n-1} are independent; the same quotient coordinates classify
-    arbitrary cocycles.
+    arbitrary cocycles. The kernel, its reduced images and the
+    representatives are built from sparse Rows.
     """
 
     arity: int
@@ -450,19 +468,15 @@ def cohomology(rep: Representation | CochainComplex, n: int) -> CohomologySpace:
         boundary = cx.d(n - 1)
         _, _, image = cx.eliminated(n - 1)
     quot = QuotientMap.build(space_dim, image)
-    candidates = [quot.reduce(v) for v in kernel.vectors]
+    candidates = [quot.reduce_row(row) for row in kernel.rows]
     kept = greedy_independent(candidates)
-    reps = [kernel.vectors[i] for i in kept]
-    reduced = [candidates[i] for i in kept]
-    rep_cochains = tuple(
-        Cochain.from_coordinates(n, a_dim, v_dim, v) for v in reps
-    )
+    reduced = tuple(candidates[i] for i in kept)
     return CohomologySpace(
         arity=n,
-        dimension=len(reps),
-        representatives=rep_cochains,
+        dimension=len(kept),
+        representatives=tuple(Cochain.from_row(n, a_dim, v_dim, kernel.rows[i]) for i in kept),
         quotient=quot,
-        reduced_reps=MatrixQ.from_cols(reduced, rows=quot.dim),
+        reduced_reps=MatrixQ(len(kept), quot.dim, reduced).transpose(),
         boundary_matrix=boundary,
     )
 

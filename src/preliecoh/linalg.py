@@ -16,9 +16,18 @@ cleared against a pivot row p at column c by r <- a r - b p with a/b =
 p[c]/r[c] in lowest terms, after which r is divided by the gcd of its
 entries (its content). The forward pass and the back substitution both
 work this way, and fractions are formed only as the Row entries of the
-reduced rows, entry / pivot. QuotientMap.reduce and in_kernel scale
-their rows and vectors to integers the same way, and form fractions
-only for the coordinates they return.
+reduced rows, entry / pivot. The back substitution goes by pattern, as in
+Gilbert and Peierls (SIAM J. Sci. Stat. Comput. 9, 1988) and Davis,
+Direct Methods for Sparse Linear Systems (SIAM 2006, ch. 3): each row is
+cleared only at the later pivot columns it holds, not against every
+later pivot row.
+
+Subspaces stay sparse too. A SubspaceBasis stores one Row per basis
+vector: kernel rows are read off the reduced rows and image rows are
+columns of the matrix, and its dense `vectors` are a view for callers.
+QuotientMap.reduce_row and greedy_independent take Rows; reduce_row and
+in_kernel scale their rows and vectors to integers like the elimination,
+and form fractions only for the coordinates they return.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -274,21 +284,28 @@ def _echelon(rows: list[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
 
     Columns are visited left to right; among the rows leading at a column,
     the one with fewest entries (then smallest pivot) clears the others.
-    The rows are consumed.
+    The leading columns wait in a heap, so finding the next one does not
+    scan all of them. The rows are consumed.
     """
     leading: dict[int, list[dict[int, int]]] = {}
     for r in rows:
         leading.setdefault(min(r), []).append(r)
+    columns = list(leading)
+    heapify(columns)
     echelon = []
-    while leading:
-        c = min(leading)
+    while columns:
+        c = heappop(columns)
         group = leading.pop(c)
         p = min(group, key=lambda r: (len(r), abs(r[c])))
         for r in group:
             if r is not p:
                 _clear(r, p, c)
                 if r:
-                    leading.setdefault(min(r), []).append(r)
+                    k = min(r)
+                    if k not in leading:
+                        leading[k] = []
+                        heappush(columns, k)
+                    leading[k].append(r)
         echelon.append((c, p))
     return echelon
 
@@ -302,34 +319,49 @@ def _rref(rows: Iterable[Row]) -> list[tuple[int, Row]]:
     docstring); fractions appear only in the returned rows.
     """
     echelon = _echelon(_integer_rows(rows))
-    # back substitution: rows below t are already reduced, so clearing
-    # their pivot columns from row t disturbs no other pivot column
-    for t in range(len(echelon) - 1, -1, -1):
-        r = echelon[t][1]
-        for c, p in echelon[t + 1 :]:
-            if c in r:
-                _clear(r, p, c)
+    at = dict(echelon)
+    # back substitution, bottom up, by pattern: row t is cleared only at
+    # the pivot columns it holds. The rows below t are already reduced, so
+    # a clear adds no pivot column to row t and changes no later pivot.
+    for c, r in reversed(echelon):
+        for j in sorted(j for j in r if j != c and j in at):
+            _clear(r, at[j], j)
     return [(c, tuple((j, Fraction(p[j], p[c])) for j in sorted(p))) for c, p in echelon]
 
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """An ordered independent spanning set of a subspace of Q^ambient_dim."""
+    """An ordered independent spanning set of a subspace of Q^ambient_dim,
+    stored as one Row per basis vector."""
 
     ambient_dim: int
-    vectors: tuple[Vector, ...]
+    rows: tuple[Row, ...]
 
     def __post_init__(self) -> None:
-        for v in self.vectors:
-            if len(v) != self.ambient_dim:
+        for row in self.rows:
+            if row and not 0 <= row[0][0] <= row[-1][0] < self.ambient_dim:
+                raise ShapeError("basis row column outside the ambient dimension")
+
+    @classmethod
+    def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence[object]]) -> "SubspaceBasis":
+        rows = []
+        for v in vectors:
+            if len(v) != ambient_dim:
                 raise ShapeError("basis vector length differs from ambient dimension")
+            rows.append(sparse_row(vector(v)))
+        return cls(ambient_dim, tuple(rows))
+
+    @property
+    def vectors(self) -> tuple[Vector, ...]:
+        """The basis as dense vectors."""
+        return tuple(dense_vector(row, self.ambient_dim) for row in self.rows)
 
     @property
     def dim(self) -> int:
-        return len(self.vectors)
+        return len(self.rows)
 
     def as_column_matrix(self) -> MatrixQ:
-        return MatrixQ.from_cols(list(self.vectors), rows=self.ambient_dim)
+        return MatrixQ(self.dim, self.ambient_dim, self.rows).transpose()
 
 
 def rank_kernel_image(m: MatrixQ) -> tuple[int, SubspaceBasis, SubspaceBasis]:
@@ -341,38 +373,34 @@ def rank_kernel_image(m: MatrixQ) -> tuple[int, SubspaceBasis, SubspaceBasis]:
     """
     echelon = _rref(m.nonzeros)
     pivots = [c for c, _ in echelon]
-    # the kernel vector of free column j holds -x at pivot p for each
-    # entry x of column j in the reduced row of p
+    # the kernel row of free column j holds -x at pivot p for each entry x
+    # of column j in the reduced row of p; every such p is below j and
+    # comes in increasing order, so 1 at j ends the row
     at_pivots: dict[int, list[tuple[int, Fraction]]] = {}
     for p, row in echelon:
         for j, x in row:
             if j != p:
                 at_pivots.setdefault(j, []).append((p, -x))
     pivot_set = set(pivots)
-    kernel = []
-    for j in range(m.cols):
-        if j not in pivot_set:
-            v = [ZERO] * m.cols
-            v[j] = ONE
-            for p, x in at_pivots.get(j, ()):
-                v[p] = x
-            kernel.append(tuple(v))
+    kernel = tuple(
+        (*at_pivots.get(j, ()), (j, ONE)) for j in range(m.cols) if j not in pivot_set
+    )
     columns = m.transpose().nonzeros
-    image = tuple(dense_vector(columns[p], m.rows) for p in pivots)
-    return len(pivots), SubspaceBasis(m.cols, tuple(kernel)), SubspaceBasis(m.rows, image)
+    image = tuple(columns[p] for p in pivots)
+    return len(pivots), SubspaceBasis(m.cols, kernel), SubspaceBasis(m.rows, image)
 
 
-def greedy_independent(vectors: Iterable[Sequence[Fraction]]) -> list[int]:
-    """Indices of the vectors a left-to-right scan keeps when it keeps each
-    vector independent of those kept before it.
+def greedy_independent(rows: Iterable[Row]) -> list[int]:
+    """Indices of the rows a left-to-right scan keeps when it keeps each
+    row independent of those kept before it.
 
-    Each vector is reduced once against an echelon of the kept ones, so
-    this equals testing rank_of on the growing matrix without repeating it.
+    Each row is reduced once against an echelon of the kept ones, so this
+    equals testing rank_of on the growing matrix without repeating it.
     """
     echelon: dict[int, dict[int, int]] = {}
     kept = []
-    for i, v in enumerate(vectors):
-        for r in _integer_rows([sparse_row(v)]):  # no row when v is zero
+    for i, row in enumerate(rows):
+        for r in _integer_rows([row]):  # none when the row is zero
             while r:
                 c = min(r)
                 if c not in echelon:
@@ -439,15 +467,15 @@ def right_inverse_on_image(m: MatrixQ) -> MatrixQ:
 class QuotientMap:
     """Coordinates on Q^ambient_dim / span(sub), via non-pivot coordinates.
 
-    reduce() rewrites a vector modulo the subspace so that all pivot
+    reduce_row() rewrites a Row modulo the subspace so that all pivot
     coordinates of the reduced row echelon basis of the subspace (the
     Rows of sub_rref) vanish, then reads off the remaining (non-pivot)
     coordinates. Each row of sub_rref has zeros at the other pivots, so
-    coordinate j of the result is v_j - sum_p v_p sub_rref[p][j]; reduce()
-    computes it in integers, from the rows scaled once by their common
-    denominator, reading only the nonzeros of v and the rows of its
-    nonzero pivot coordinates, and forms fractions only for the returned
-    coordinates.
+    coordinate j of the result is v_j - sum_p v_p sub_rref[p][j];
+    reduce_row() computes it in integers, from the rows scaled once by
+    their common denominator, reading only the nonzeros of v and the rows
+    of its nonzero pivot coordinates, and forms fractions only for the
+    returned coordinates. reduce() is the same map on dense vectors.
     """
 
     ambient_dim: int
@@ -472,8 +500,8 @@ class QuotientMap:
     def build(cls, ambient_dim: int, sub: SubspaceBasis) -> "QuotientMap":
         if sub.ambient_dim != ambient_dim:
             raise DimensionMismatch("subspace lives in a different ambient space")
-        echelon = _rref(map(sparse_row, sub.vectors))
-        if len(echelon) != len(sub.vectors):
+        echelon = _rref(sub.rows)
+        if len(echelon) != sub.dim:
             raise BadBasis("subspace vectors are linearly dependent")
         pivots = tuple(c for c, _ in echelon)
         pivot_set = set(pivots)
@@ -484,25 +512,28 @@ class QuotientMap:
     def dim(self) -> int:
         return len(self.complement)
 
+    def reduce_row(self, row: Row) -> Row:
+        """The coordinates of a Row of Q^ambient_dim in the quotient, as a
+        Row over the complement positions."""
+        if row and not 0 <= row[0][0] <= row[-1][0] < self.ambient_dim:
+            raise DimensionMismatch("row column outside the ambient dimension")
+        # row = w / den_v, so the result is (den w_j - sum_p w_p row_p[j]) / (den_v den)
+        den_v, w = _scaled(row)
+        acc: dict[int, int] = {}
+        for j, x in w.items():
+            pivot_row = self._pivot_rows.get(j)
+            if pivot_row is None:
+                acc[j] = acc.get(j, 0) + x * self._den
+            else:
+                for k, y in pivot_row:
+                    acc[k] = acc.get(k, 0) - x * y
+        den = den_v * self._den
+        return tuple(sorted((self._position[j], Fraction(x, den)) for j, x in acc.items() if x))
+
     def reduce(self, v: Sequence[Fraction]) -> Vector:
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector length differs from ambient dimension")
-        # v = w / den_v, so the result is (den w_j - sum_p w_p row_p[j]) / (den_v den)
-        den_v, w = _scaled(sparse_row(v))
-        acc: dict[int, int] = {}
-        for j, x in w.items():
-            row = self._pivot_rows.get(j)
-            if row is None:
-                acc[j] = acc.get(j, 0) + x * self._den
-            else:
-                for k, y in row:
-                    acc[k] = acc.get(k, 0) - x * y
-        den = den_v * self._den
-        out = [ZERO] * len(self.complement)
-        for j, x in acc.items():
-            if x:
-                out[self._position[j]] = Fraction(x, den)
-        return tuple(out)
+        return dense_vector(self.reduce_row(sparse_row(v)), self.dim)
 
     def lift(self, coords: Sequence[Fraction]) -> Vector:
         if len(coords) != self.dim:
@@ -513,5 +544,5 @@ class QuotientMap:
         return tuple(w)
 
     def reduce_matrix(self) -> MatrixQ:
-        cols = [self.reduce(standard_basis_vector(self.ambient_dim, j)) for j in range(self.ambient_dim)]
-        return MatrixQ.from_cols(cols, rows=self.dim)
+        cols = tuple(self.reduce_row(((j, ONE),)) for j in range(self.ambient_dim))
+        return MatrixQ(self.ambient_dim, self.dim, cols).transpose()

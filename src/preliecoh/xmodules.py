@@ -277,11 +277,12 @@ def check_extension(e: CrossedModuleExtension) -> Violation | None:
         return Violation("pi-surjective", (), (), ())
     if not (e.mu.matrix @ e.i).is_zero():
         return Violation("exactness-mu-i", (), (), ())
-    if rank_of(e.mu.matrix) + v_dim != m_dim:
+    mu_rank = rank_of(e.mu.matrix)
+    if mu_rank + v_dim != m_dim:
         return Violation("exactness-at-m", (), (), ())
     if not (e.pi.matrix @ e.mu.matrix).is_zero():
         return Violation("exactness-pi-mu", (), (), ())
-    if rank_of(e.mu.matrix) + g_dim != n_dim:
+    if mu_rank + g_dim != n_dim:
         return Violation("exactness-at-n", (), (), ())
     induced = induced_representation(e)
     if induced.left != e.v_rep.left or induced.right != e.v_rep.right:

@@ -171,8 +171,8 @@ def test_criterion_07_worked_constructions_conform():
     one = Fraction(1)
     zero = Fraction(0)
     ideal_cases = [
-        (lmult2, SubspaceBasis(2, ((zero, one),))),
-        (affine3, SubspaceBasis(3, ((zero, one, zero), (zero, zero, one)))),
+        (lmult2, SubspaceBasis.from_vectors(2, ((zero, one),))),
+        (affine3, SubspaceBasis.from_vectors(3, ((zero, one, zero), (zero, zero, one)))),
     ]
     for algebra, sub in ideal_cases:
         assert check_crossed_module(ideal_inclusion_xmod(algebra, sub)) is None

@@ -307,7 +307,7 @@ def test_morphism_identity_and_negative():
 
 def test_ideal_check_and_restriction():
     a = lmult2()
-    sub = SubspaceBasis(2, (vector([0, 1]),))
+    sub = SubspaceBasis.from_vectors(2, (vector([0, 1]),))
     assert check_two_sided_ideal(a, sub) is None
     ideal, incl = ideal_subalgebra(a, sub)
     assert ideal.dim == 1
@@ -317,7 +317,7 @@ def test_ideal_check_and_restriction():
 
 def test_not_an_ideal():
     a = lmult2()
-    sub = SubspaceBasis(2, (vector([1, 0]),))  # e1*e2=e2 escapes span(e1)
+    sub = SubspaceBasis.from_vectors(2, (vector([1, 0]),))  # e1*e2=e2 escapes span(e1)
     bad = check_two_sided_ideal(a, sub)
     assert bad is not None
     with pytest.raises(NotAnIdeal):
@@ -792,7 +792,7 @@ def catalog_subspaces():
                 _, kernel, image = rank_kernel_image(f.matrix)
                 out += [(f.source, kernel), (f.target, image)]
     for a in [*ALGEBRAS.values(), *POSITIVE]:
-        out += [(a, SubspaceBasis(a.dim, (standard_basis_vector(a.dim, i),))) for i in range(a.dim)]
+        out += [(a, SubspaceBasis.from_vectors(a.dim, (standard_basis_vector(a.dim, i),))) for i in range(a.dim)]
     return out
 
 
@@ -811,4 +811,4 @@ def test_ideals_equal_solving_oracle(data):
     a = data.draw(st.sampled_from([*ALGEBRAS.values(), *POSITIVE]))
     a = PreLieAlgebra(a.dim, perturbed(data, a.product))
     gens = random_matrix(data, a.dim, data.draw(st.integers(0, a.dim)))
-    assert_ideal_matches_oracle(a, SubspaceBasis(a.dim, tuple(map(gens.col, range(gens.cols)))))
+    assert_ideal_matches_oracle(a, SubspaceBasis.from_vectors(a.dim, tuple(map(gens.col, range(gens.cols)))))

@@ -40,9 +40,12 @@ from preliecoh.cochain import (
 from preliecoh.errors import ArityMismatch, DimensionMismatch, NotACocycle, ShapeError
 from preliecoh.linalg import (
     MatrixQ,
+    _rref,
     invert,
     rank_kernel_image,
     rank_of,
+    solve_particular,
+    sparse_row,
     standard_basis_vector,
     vec_add,
     vec_scale,
@@ -51,6 +54,7 @@ from preliecoh.linalg import (
     zero_vector,
 )
 from preliecoh.xmodules import semidirect_product
+from test_linalg import DenseQuotient, dense_greedy_independent, dense_rank_kernel_image, dense_rref_rows
 
 F = Fraction
 
@@ -575,6 +579,72 @@ def test_incremental_selection_picks_the_rank_rule_representatives():
             reps, reduced = rank_rule_representatives(rep, n, h.quotient)
             assert [r.to_coordinates() for r in h.representatives] == reps
             assert h.reduced_reps == MatrixQ.from_cols(reduced, rows=h.quotient.dim)
+
+
+def dense_cohomology(rep, n):
+    """cohomology as it was before kernels, images and representatives were
+    built from Rows, on the dense oracles of test_linalg: (kernel vectors,
+    image vectors, quotient, representatives, reduced_reps). The rref under
+    them is the engine's, which the test above holds to dense_rref."""
+    a_dim, v_dim = rep.algebra.dim, rep.carrier_dim
+    d = coboundary_matrix(rep, n)
+    _, kernel, _ = dense_rank_kernel_image(d)
+    image = dense_rank_kernel_image(coboundary_matrix(rep, n - 1))[2] if n > 1 else ()
+    quot = DenseQuotient(d.cols, image)
+    candidates = [quot.reduce(v) for v in kernel]
+    kept = dense_greedy_independent(candidates)
+    reps = tuple(Cochain.from_coordinates(n, a_dim, v_dim, kernel[i]) for i in kept)
+    reduced_reps = MatrixQ.from_cols([candidates[i] for i in kept], rows=quot.dim)
+    return kernel, image, quot, reps, reduced_reps
+
+
+def test_rref_of_every_catalog_differential_equals_the_dense_oracle():
+    for name, rep in representation_pairs() + [("dense4/regular", DENSE_REGULAR)]:
+        for n in (1, 2, 3, 4):
+            rows = coboundary_matrix(rep, n).nonzeros
+            assert _rref(rows) == dense_rref_rows(rows), (name, n)
+
+
+def test_sparse_cohomology_equals_the_dense_oracles_on_the_catalog():
+    rng = random.Random(12)
+    cases = representation_pairs() + [("dense4/regular", DENSE_REGULAR)]
+    cases += [(f"lu{d}/regular", Representation.regular(left_unit(d))) for d in (2, 3, 4)]
+    for name, rep in cases:
+        cx = CochainComplex(rep)
+        for n in (1, 2, 3):
+            h = cohomology(cx, n)
+            kernel, image, quot, reps, reduced_reps = dense_cohomology(rep, n)
+            assert cx.eliminated(n)[1].vectors == kernel, (name, n)
+            if n > 1:
+                assert cx.eliminated(n - 1)[2].vectors == image, (name, n)
+            q = h.quotient
+            assert (q.sub_rref, q.pivots, q.complement) == (quot.sub_rref, quot.pivots, quot.complement), (name, n)
+            assert h.representatives == reps, (name, n)
+            assert h.reduced_reps == reduced_reps, (name, n)
+            # a random cocycle: a combination of the representatives plus a
+            # coboundary
+            z = Cochain.zero(n, rep.algebra.dim, rep.carrier_dim)
+            for r in reps:
+                z = z.add(r.scale(F(rng.randint(-3, 3), rng.randint(1, 3))))
+            if n > 1:
+                z = z.add(coboundary(rep, random_cochain(rep, n - 1, rng)))
+            for c in (*reps, z):
+                want = solve_particular(reduced_reps, quot.reduce(c.to_coordinates()))
+                assert h.class_coordinates(c) == want, (name, n)
+
+
+def test_representatives_built_from_rows_equal_the_coordinate_build():
+    rng = random.Random(5)
+    for n, d, v in [(1, 1, 1), (2, 3, 2), (3, 4, 3)]:
+        size = len(CochainBasis(n, d)) * v
+        for _ in range(5):
+            coords = [F(rng.randint(-2, 2), rng.randint(1, 3)) if rng.random() < 0.3 else F(0) for _ in range(size)]
+            f = Cochain.from_row(n, d, v, sparse_row(coords))
+            assert f == Cochain.from_coordinates(n, d, v, coords)
+            assert f.to_coordinates() == tuple(coords)
+        assert Cochain.from_row(n, d, v, ()) == Cochain.zero(n, d, v)
+        with pytest.raises(ShapeError):
+            Cochain.from_row(n, d, v, ((size, F(1)),))
 
 
 def test_cochain_complex_eliminates_each_differential_once(monkeypatch):

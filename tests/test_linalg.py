@@ -112,24 +112,24 @@ def test_right_inverse_zero_matrix():
 
 
 def test_quotient_reduce_plane_mod_axis():
-    sub = SubspaceBasis(2, (vector([1, 0]),))
+    sub = SubspaceBasis.from_vectors(2, (vector([1, 0]),))
     assert quotient_reduce(2, sub, vector([3, 7])) == vector([7])
 
 
 def test_quotient_reduce_skew_line():
     # span{(1,1)} in Q^2: pivot coordinate 0, complement (1,)
-    sub = SubspaceBasis(2, (vector([1, 1]),))
+    sub = SubspaceBasis.from_vectors(2, (vector([1, 1]),))
     assert quotient_reduce(2, sub, vector([3, 7])) == vector([4])
 
 
 def test_quotient_rejects_dependent_spanning_set():
-    sub = SubspaceBasis(2, (vector([1, 0]), vector([2, 0])))
+    sub = SubspaceBasis.from_vectors(2, (vector([1, 0]), vector([2, 0])))
     with pytest.raises(BadBasis):
         QuotientMap.build(2, sub)
 
 
 def test_quotient_lift_then_reduce_is_identity():
-    q = QuotientMap.build(3, SubspaceBasis(3, (vector([1, 2, 3]),)))
+    q = QuotientMap.build(3, SubspaceBasis.from_vectors(3, (vector([1, 2, 3]),)))
     coords = vector([5, -1])
     assert q.reduce(q.lift(coords)) == coords
 
@@ -431,7 +431,177 @@ def test_greedy_independent_equals_rank_rule(vectors):
         trial = MatrixQ.from_cols([vectors[j] for j in kept] + [v])
         if rank_of(trial) == len(kept) + 1:
             kept.append(i)
-    assert greedy_independent(vectors) == kept
+    assert greedy_independent(map(sparse_row, vectors)) == kept
+
+
+# --- pattern back substitution ------------------------------------------------
+
+
+@st.composite
+def staircase_rows(draw, max_dim=8):
+    """Rows in echelon form with arbitrary entries right of each pivot, so
+    a row holds many later pivot columns and every clear of the back
+    substitution fills in; columns past the pivots stay free."""
+    c = draw(st.integers(1, max_dim))
+    pivots = sorted(draw(st.sets(st.integers(0, c - 1), min_size=1)))
+    rows = []
+    for p in pivots:
+        rest = draw(st.lists(sparse_fracs, min_size=c - p - 1, max_size=c - p - 1))
+        rows.append([F(0)] * p + [draw(fracs.filter(bool))] + rest)
+    return draw(st.permutations(rows))
+
+
+def full_upper_rows(n):
+    """Every row holds every later pivot column, and one free column."""
+    return [[F(0)] * i + [F(j - i + 1, 1 + (i + j) % 3) for j in range(i, n)] + [F(i + 1)] for i in range(n)]
+
+
+def first_row_full(n):
+    """The first row holds all pivot columns, the rest only their own."""
+    return [[F(1)] * (n + 1)] + [[F(int(i == j)) for j in range(n)] + [F(i)] for i in range(1, n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(staircase_rows())
+@example(full_upper_rows(30))
+@example(first_row_full(30))
+def test_pattern_back_substitution_equals_dense_oracle(rows):
+    sparse = [sparse_row(r) for r in rows]
+    assert _rref(sparse) == dense_rref_rows(sparse)
+
+
+# --- sparse subspaces against the dense path they replaced -------------------
+
+
+def dense_rank_kernel_image(m):
+    """rank_kernel_image as it was before subspaces were stored as Rows,
+    kept as its oracle: (rank, kernel vectors, image vectors), every
+    vector dense. Inside dense_engine() it runs on dense_rref."""
+    echelon = linalg._rref(m.nonzeros)
+    pivots = [c for c, _ in echelon]
+    at_pivots = {}
+    for p, row in echelon:
+        for j, x in row:
+            if j != p:
+                at_pivots.setdefault(j, []).append((p, -x))
+    pivot_set = set(pivots)
+    kernel = []
+    for j in range(m.cols):
+        if j not in pivot_set:
+            v = [F(0)] * m.cols
+            v[j] = F(1)
+            for p, x in at_pivots.get(j, ()):
+                v[p] = x
+            kernel.append(tuple(v))
+    columns = m.transpose().nonzeros
+    image = tuple(dense_vector(columns[p], m.rows) for p in pivots)
+    return len(pivots), tuple(kernel), image
+
+
+class DenseQuotient:
+    """QuotientMap.build, reduce and reduce_matrix as they were on dense
+    vectors, kept as their oracle. Inside dense_engine() it runs on
+    dense_rref."""
+
+    def __init__(self, ambient_dim, vectors):
+        echelon = linalg._rref(map(sparse_row, vectors))
+        if len(echelon) != len(vectors):
+            raise BadBasis("subspace vectors are linearly dependent")
+        self.ambient_dim = ambient_dim
+        self.sub_rref = tuple(row for _, row in echelon)
+        self.pivots = tuple(c for c, _ in echelon)
+        self.complement = tuple(j for j in range(ambient_dim) if j not in self.pivots)
+        self.den, scaled = integer_rows(self.sub_rref)
+        self.pivot_rows = {p: tuple((j, x) for j, x in row if j != p) for p, row in zip(self.pivots, scaled)}
+        self.position = {j: t for t, j in enumerate(self.complement)}
+
+    @property
+    def dim(self):
+        return len(self.complement)
+
+    def reduce(self, v):
+        assert len(v) == self.ambient_dim
+        den_v, w = linalg._scaled(sparse_row(v))
+        acc = {}
+        for j, x in w.items():
+            row = self.pivot_rows.get(j)
+            if row is None:
+                acc[j] = acc.get(j, 0) + x * self.den
+            else:
+                for k, y in row:
+                    acc[k] = acc.get(k, 0) - x * y
+        out = [F(0)] * self.dim
+        for j, x in acc.items():
+            if x:
+                out[self.position[j]] = F(x, den_v * self.den)
+        return tuple(out)
+
+    def reduce_matrix(self):
+        cols = [self.reduce(standard_basis_vector(self.ambient_dim, j)) for j in range(self.ambient_dim)]
+        return MatrixQ.from_cols(cols, rows=self.dim)
+
+
+def dense_greedy_independent(vectors):
+    """greedy_independent as it was on dense vectors, kept as its oracle."""
+    echelon = {}
+    kept = []
+    for i, v in enumerate(vectors):
+        for r in linalg._integer_rows([sparse_row(v)]):
+            while r:
+                c = min(r)
+                if c not in echelon:
+                    echelon[c] = r
+                    kept.append(i)
+                    break
+                linalg._clear(r, echelon[c], c)
+    return kept
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_rows(6), st.data())
+def test_sparse_subspaces_equal_the_dense_oracles(rows, data):
+    cols = len(rows[0]) if rows else data.draw(st.integers(0, 4))
+    m = MatrixQ.from_rows(rows) if rows else MatrixQ.zero(0, cols)
+    rank, ker, img = rank_kernel_image(m)
+    with dense_engine():
+        assert (rank, ker.vectors, img.vectors) == dense_rank_kernel_image(m)
+        dq = DenseQuotient(m.rows, img.vectors)
+    assert ker == SubspaceBasis.from_vectors(m.cols, ker.vectors)
+    assert img == SubspaceBasis.from_vectors(m.rows, img.vectors)
+    assert img.as_column_matrix() == MatrixQ.from_cols(img.vectors, rows=m.rows)
+    q = QuotientMap.build(m.rows, img)
+    assert (q.sub_rref, q.pivots, q.complement) == (dq.sub_rref, dq.pivots, dq.complement)
+    assert q.reduce_matrix() == dq.reduce_matrix()
+    drawn = [tuple(data.draw(st.lists(mixed_fracs, min_size=m.rows, max_size=m.rows))) for _ in range(2)]
+    for u in [*drawn, *img.vectors, *row_list(m.transpose())]:
+        assert q.reduce(u) == dq.reduce(u)
+        assert q.reduce_row(sparse_row(u)) == sparse_row(dq.reduce(u))
+    # rows and columns of m, then kernel vectors: dependent runs included
+    vectors = [*map(tuple, row_list(m)), *map(tuple, row_list(m.transpose())), *ker.vectors]
+    for length in {len(v) for v in vectors}:
+        same = [v for v in vectors if len(v) == length]
+        assert greedy_independent(map(sparse_row, same)) == dense_greedy_independent(same)
+
+
+def test_kernel_of_a_wide_zero_matrix_stays_sparse():
+    # a dense kernel basis would hold 200_000 ** 2 = 4 * 10 ** 10 entries
+    rank, ker, img = rank_kernel_image(MatrixQ.zero(1, 200_000))
+    assert rank == 0 and img.dim == 0 and img.ambient_dim == 1
+    assert ker.dim == ker.ambient_dim == 200_000
+    assert all(row == ((j, 1),) for j, row in enumerate(ker.rows))
+
+
+def test_subspace_rows_are_checked_against_the_ambient_dimension():
+    assert SubspaceBasis(3, (((0, F(1)), (2, F(-1))), ())).vectors == (vector([1, 0, -1]), vector([0, 0, 0]))
+    for bad in [((3, F(1)),), ((-1, F(1)),)]:
+        with pytest.raises(ShapeError):
+            SubspaceBasis(3, (bad,))
+    with pytest.raises(ShapeError):
+        SubspaceBasis.from_vectors(3, [vector([1, 2])])
+    q = QuotientMap.build(3, SubspaceBasis.from_vectors(3, [vector([1, 2, 3])]))
+    assert q.reduce_row(((0, F(1)), (2, F(1, 2)))) == ((0, F(-2)), (1, F(-5, 2)))
+    with pytest.raises(DimensionMismatch):
+        q.reduce_row(((3, F(1)),))
 
 
 # --- the integer quotient and closedness test against fraction oracles ------

@@ -119,12 +119,12 @@ def test_identity_crossed_module():
 
 
 def test_ideal_inclusion_crossed_module():
-    sub = SubspaceBasis(2, (vector([0, 1]),))
+    sub = SubspaceBasis.from_vectors(2, (vector([0, 1]),))
     x = ideal_inclusion_xmod(LMULT2, sub)
     assert check_crossed_module(x) is None
     assert x.m_algebra.dim == 1
     with pytest.raises(NotAnIdeal):
-        ideal_inclusion_xmod(LMULT2, SubspaceBasis(2, (vector([1, 0]),)))
+        ideal_inclusion_xmod(LMULT2, SubspaceBasis.from_vectors(2, (vector([1, 0]),)))
 
 
 def test_kernel_crossed_module():
@@ -473,7 +473,7 @@ def crossed_modules():
     for a in (IDEM1, LMULT2, AFFINE2):
         out.append(identity_xmod(a))
         out.append(trivial_module_xmod(Representation.regular(a)))
-    out.append(ideal_inclusion_xmod(LMULT2, SubspaceBasis(2, (vector([0, 1]),))))
+    out.append(ideal_inclusion_xmod(LMULT2, SubspaceBasis.from_vectors(2, (vector([0, 1]),))))
     return out
 
 
@@ -777,7 +777,7 @@ def ideal_pairs():
         for f in (e.mu, e.pi):
             out.append((f.source, rank_kernel_image(f.matrix)[1]))
     for a in (IDEM1, LMULT2, AFFINE2):
-        out += [(a, SubspaceBasis(a.dim, (standard_basis_vector(a.dim, i),))) for i in range(a.dim)]
+        out += [(a, SubspaceBasis.from_vectors(a.dim, (standard_basis_vector(a.dim, i),))) for i in range(a.dim)]
     return out
 
 
