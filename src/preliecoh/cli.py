@@ -27,11 +27,9 @@ from fractions import Fraction
 from .algebra import PreLieAlgebra, Representation, check_prelie, check_representation
 from .cochain import (
     Cochain,
-    CochainBasis,
     CochainComplex,
     LieComplex,
     are_cohomologous,
-    coboundary,
     cohomology,
     hom_module,
     lie_cohomology_dimension,
@@ -59,7 +57,7 @@ from .functors import (
     prelie_to_lie_xmod,
     rblie_to_prelie_xmod,
 )
-from .linalg import is_zero_vector
+from .linalg import in_kernel, is_zero_vector
 from .trees import TreePoly, enumerate_trees, format_tree, graft_product, parse_tree
 from .xmodules import (
     check_extension,
@@ -104,26 +102,16 @@ def _linear_combo(pairs: list[tuple[Fraction, str]]) -> str:
     return out
 
 
-def _vector_combo(vec, prefix: str = "v") -> str:
-    return _linear_combo([(c, f"{prefix}{b + 1}") for b, c in enumerate(vec)])
-
-
 def _coords_str(coords) -> str:
     return "(" + ", ".join(str(c) for c in coords) + ")"
 
 
 def _cochain_lines(f: Cochain, name: str, arg_names: tuple[str, ...]) -> list[str]:
-    basis = CochainBasis(f.arity, f.algebra_dim)
     lines = []
-    for pos, (prefix, last) in enumerate(basis.tuples):
-        value = f.values[pos]
-        if all(c == 0 for c in value):
-            continue
-        args = ", ".join(arg_names[i] for i in prefix + (last,))
-        lines.append(f"{name}({args}) = {_vector_combo(value)}")
-    if not lines:
-        return [f"{name} = 0"]
-    return lines
+    for args, value in f.nonzero_values():
+        names = ", ".join(arg_names[i] for i in args)
+        lines.append(f"{name}({names}) = {_linear_combo([(c, f'v{b + 1}') for b, c in value])}")
+    return lines or [f"{name} = 0"]
 
 
 def _emit(args, human_lines: list[str], machine: dict) -> None:
@@ -253,7 +241,7 @@ def cmd_tmap(args) -> int:
     result = t_map(e, h3=cohomology(cx, 3))
     names = _basis_names(e.g_algebra)
     mu_kills = all(is_zero_vector(e.mu.apply(v)) for v in result.theta_m)
-    d_zero = coboundary(e.v_rep, result.theta).is_zero()
+    d_zero = in_kernel(cx.d(3), (result.theta.row,))
     lines = [
         f"extension: dim V = {e.v_dim}, dim m = {e.m_algebra.dim}, "
         f"dim n = {e.n_algebra.dim}, dim g = {e.g_algebra.dim}",

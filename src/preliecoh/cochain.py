@@ -23,12 +23,17 @@ are implemented independently and compared in the tests.
 The matrices of both differentials are assembled in integers from the
 nonzero structure constants, scaled once per matrix by their common
 denominator; `coboundary` and `lie_coboundary`, the term-by-term
-formulas in Fraction arithmetic, are their references.
+formulas in Fraction arithmetic, are their references. Closedness and
+classes are decided on the matrices alone.
+
+A Cochain is stored as the Row of its nonzero coordinates, so its cost
+follows its nonzeros, not the size of C^n.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -44,12 +49,15 @@ from .linalg import (
     Row,
     SubspaceBasis,
     Vector,
+    _summed,
+    dense_vector,
     greedy_independent,
     in_kernel,
     integer_rows,
     rank_kernel_image,
     rank_of,
     solve_particular,
+    sparse_row,
     vec_add,
     vec_scale,
     vec_sub,
@@ -116,74 +124,77 @@ class CochainBasis:
     def position(self, prefix: tuple[int, ...], last: int) -> int:
         return tuple_rank(prefix, self.algebra_dim) * self.algebra_dim + last
 
+    def args(self, position: int) -> tuple[int, ...]:
+        """prefix + (last,) at a position; the inverse of `position`.
+
+        Of the increasing m-tuples, C(dim - 1 - c, m - 1) start with c, so
+        each prefix entry is found by skipping whole blocks.
+        """
+        rank, last = divmod(position, self.algebra_dim)
+        prefix = []
+        c = 0
+        for m in range(self.arity - 1, 0, -1):
+            while rank >= (block := comb(self.algebra_dim - 1 - c, m - 1)):
+                rank -= block
+                c += 1
+            prefix.append(c)
+            c += 1
+        return (*prefix, last)
+
     def __len__(self) -> int:
         return comb(self.algebra_dim, self.arity - 1) * self.algebra_dim
 
 
 @dataclass(frozen=True)
 class Cochain:
-    """Element of C^n(g, V): one V-vector per CochainBasis position."""
+    """Element of C^n(g, V), stored as the Row of its nonzero coordinates:
+    the V-component b of the value at CochainBasis position p is
+    coordinate p * carrier_dim + b. Equal cochains compare and hash equal."""
 
     arity: int
     algebra_dim: int
     carrier_dim: int
-    values: tuple[Vector, ...]
+    row: Row = ()
 
     def __post_init__(self) -> None:
-        basis = CochainBasis(self.arity, self.algebra_dim)
-        if len(self.values) != len(basis):
-            raise ShapeError(
-                f"arity-{self.arity} cochain over dim {self.algebra_dim} needs "
-                f"{len(basis)} values, got {len(self.values)}"
-            )
-        for v in self.values:
-            if len(v) != self.carrier_dim:
-                raise ShapeError("cochain value has wrong carrier dimension")
+        size = len(CochainBasis(self.arity, self.algebra_dim)) * self.carrier_dim
+        if self.row and not 0 <= self.row[0][0] <= self.row[-1][0] < size:
+            raise ShapeError("coordinate row outside the cochain space")
 
     @classmethod
     def zero(cls, arity: int, algebra_dim: int, carrier_dim: int) -> "Cochain":
-        basis = CochainBasis(arity, algebra_dim)
-        return cls(arity, algebra_dim, carrier_dim, tuple(zero_vector(carrier_dim) for _ in range(len(basis))))
+        return cls(arity, algebra_dim, carrier_dim)
 
     @classmethod
     def from_coordinates(cls, arity: int, algebra_dim: int, carrier_dim: int, coords: Sequence[Fraction]) -> "Cochain":
-        n = len(CochainBasis(arity, algebra_dim))
-        if len(coords) != n * carrier_dim:
+        if len(coords) != len(CochainBasis(arity, algebra_dim)) * carrier_dim:
             raise ShapeError("coordinate vector has wrong length")
-        values = tuple(
-            tuple(coords[p * carrier_dim + b] for b in range(carrier_dim))
-            for p in range(n)
-        )
-        return cls(arity, algebra_dim, carrier_dim, values)
-
-    @classmethod
-    def from_row(cls, arity: int, algebra_dim: int, carrier_dim: int, row: Row) -> "Cochain":
-        """The cochain with the coordinates of a Row: positions the row does
-        not touch share one zero V-vector."""
-        zero = zero_vector(carrier_dim)
-        values = [zero] * len(CochainBasis(arity, algebra_dim))
-        if row and not 0 <= row[0][0] <= row[-1][0] < len(values) * carrier_dim:
-            raise ShapeError("coordinate row outside the cochain space")
-        filled: dict[int, list[Fraction]] = {}
-        for k, x in row:
-            p, b = divmod(k, carrier_dim)
-            filled.setdefault(p, list(zero))[b] = x
-        for p, v in filled.items():
-            values[p] = tuple(v)
-        return cls(arity, algebra_dim, carrier_dim, tuple(values))
+        return cls(arity, algebra_dim, carrier_dim, sparse_row(coords))
 
     def to_coordinates(self) -> Vector:
-        return tuple(c for v in self.values for c in v)
+        return dense_vector(self.row, len(CochainBasis(self.arity, self.algebra_dim)) * self.carrier_dim)
+
+    def nonzero_values(self) -> Iterator[tuple[tuple[int, ...], Row]]:
+        """(arguments, value) at each position with a nonzero value, in
+        position order; the value is the Row of its V-components."""
+        basis = CochainBasis(self.arity, self.algebra_dim)
+        v = self.carrier_dim
+        for p, entries in itertools.groupby(self.row, key=lambda e: e[0] // v):
+            yield basis.args(p), tuple((k - p * v, x) for k, x in entries)
 
     def value_at(self, args: Sequence[int]) -> Vector:
         """Evaluate on a tuple of basis indices (length = arity)."""
         if len(args) != self.arity:
             raise ArityMismatch(f"expected {self.arity} arguments, got {len(args)}")
         prefix, sign = sort_with_sign(args[:-1])
-        if sign == 0:
-            return zero_vector(self.carrier_dim)
-        v = self.values[tuple_rank(prefix, self.algebra_dim) * self.algebra_dim + args[-1]]
-        return v if sign == 1 else vec_scale(Fraction(-1), v)
+        out = [ZERO] * self.carrier_dim
+        if sign:
+            base = (tuple_rank(prefix, self.algebra_dim) * self.algebra_dim + args[-1]) * self.carrier_dim
+            # (k,) sorts just before (k, x), so no Fraction is compared
+            lo = bisect_left(self.row, (base,))
+            for k, x in self.row[lo : bisect_left(self.row, (base + self.carrier_dim,), lo)]:
+                out[k - base] = x if sign == 1 else -x
+        return tuple(out)
 
     def evaluate(self, vectors: Sequence[Vector]) -> Vector:
         """Fully multilinear evaluation on algebra-valued arguments."""
@@ -203,26 +214,15 @@ class Cochain:
 
     def add(self, other: "Cochain") -> "Cochain":
         self._require_same_space(other)
-        return Cochain(
-            self.arity, self.algebra_dim, self.carrier_dim,
-            tuple(vec_add(a, b) for a, b in zip(self.values, other.values)),
-        )
+        return Cochain(self.arity, self.algebra_dim, self.carrier_dim, _summed(self.row + other.row))
 
     def sub(self, other: "Cochain") -> "Cochain":
         self._require_same_space(other)
-        return Cochain(
-            self.arity, self.algebra_dim, self.carrier_dim,
-            tuple(vec_sub(a, b) for a, b in zip(self.values, other.values)),
-        )
-
-    def scale(self, c: Fraction) -> "Cochain":
-        return Cochain(
-            self.arity, self.algebra_dim, self.carrier_dim,
-            tuple(vec_scale(c, v) for v in self.values),
-        )
+        negated = tuple((k, -x) for k, x in other.row)
+        return Cochain(self.arity, self.algebra_dim, self.carrier_dim, _summed(self.row + negated))
 
     def is_zero(self) -> bool:
-        return all(all(c == 0 for c in v) for v in self.values)
+        return not self.row
 
     def _require_same_space(self, other: "Cochain") -> None:
         if self.arity != other.arity:
@@ -239,7 +239,7 @@ def coboundary(rep: Representation, f: Cochain) -> Cochain:
         raise DimensionMismatch("cochain does not match the representation")
     n = f.arity
     out_basis = CochainBasis(n + 1, a.dim)
-    values = []
+    coords: list[Fraction] = []
     for prefix, last in out_basis.tuples:
         args = prefix + (last,)
         total = zero_vector(rep.carrier_dim)
@@ -279,8 +279,8 @@ def coboundary(rep: Representation, f: Cochain) -> Cochain:
                         val = f.value_at((k,) + rest)
                         if any(val):
                             total = vec_add(total, vec_scale(sign * c, val))
-        values.append(total)
-    return Cochain(n + 1, a.dim, rep.carrier_dim, tuple(values))
+        coords.extend(total)
+    return Cochain.from_coordinates(n + 1, a.dim, rep.carrier_dim, coords)
 
 
 # A Tensor3's rows times an integer: planes[i][j] is the IntRow of (i, j).
@@ -439,11 +439,17 @@ class CohomologySpace:
     boundary_matrix: MatrixQ
 
     def class_coordinates(self, z: Cochain) -> Vector:
-        """Coordinates of [z] against the representatives; z must be closed."""
+        """Coordinates of [z] against the representatives.
+
+        The representatives span ker d_n modulo im d_{n-1}, and im d_{n-1}
+        lies in ker d_n, so z reduces into their span exactly when d_n z =
+        0: NotACocycle is the closedness test.
+        """
         if z.arity != self.arity:
             raise ArityMismatch(f"expected arity {self.arity}, got {z.arity}")
-        reduced = self.quotient.reduce(z.to_coordinates())
-        coords = solve_particular(self.reduced_reps, reduced)
+        if len(CochainBasis(z.arity, z.algebra_dim)) * z.carrier_dim != self.quotient.ambient_dim:
+            raise DimensionMismatch("cochain does not live in this cochain space")
+        coords = solve_particular(self.reduced_reps, self.quotient.reduce_row(z.row))
         if coords is None:
             raise NotACocycle("vector does not reduce into the span of the representatives")
         return coords
@@ -474,7 +480,7 @@ def cohomology(rep: Representation | CochainComplex, n: int) -> CohomologySpace:
     return CohomologySpace(
         arity=n,
         dimension=len(kept),
-        representatives=tuple(Cochain.from_row(n, a_dim, v_dim, kernel.rows[i]) for i in kept),
+        representatives=tuple(Cochain(n, a_dim, v_dim, kernel.rows[i]) for i in kept),
         quotient=quot,
         reduced_reps=MatrixQ(len(kept), quot.dim, reduced).transpose(),
         boundary_matrix=boundary,
@@ -494,12 +500,14 @@ def are_cohomologous(rep: Representation | CochainComplex, f1: Cochain, f2: Coch
         raise ArityMismatch("no coboundaries below arity 2")
     cx = CochainComplex.of(rep)
     diff = f1.sub(f2)
-    if not in_kernel(cx.d(n), (f1.to_coordinates(), f2.to_coordinates())):
+    if (f1.algebra_dim, f1.carrier_dim) != (cx.rep.algebra.dim, cx.rep.carrier_dim):
+        raise DimensionMismatch("cochain does not match the representation")
+    if not in_kernel(cx.d(n), (f1.row, f2.row)):
         raise NotACocycle("inputs must be closed")
-    coords = solve_particular(cx.d(n - 1), diff.to_coordinates())
+    coords = solve_particular(cx.d(n - 1), diff.row)
     if coords is None:
         return None
-    return Cochain.from_coordinates(n - 1, cx.rep.algebra.dim, cx.rep.carrier_dim, coords)
+    return Cochain(n - 1, cx.rep.algebra.dim, cx.rep.carrier_dim, sparse_row(coords))
 
 
 # --- Lie side ---------------------------------------------------------------

@@ -166,10 +166,10 @@ def _read_labels(obj, ptr: str, dim: int) -> tuple[str, ...]:
 
 
 def _read_cochain_entries(obj, ptr: str, arity: int, algebra_dim: int, carrier_dim: int):
-    """Cochain values from [[args...], component, value] entries."""
+    """The Row of cochain coordinates from [[args...], component, value]
+    entries."""
     basis = CochainBasis(arity, algebra_dim)
-    values = [[Fraction(0)] * carrier_dim for _ in range(len(basis))]
-    seen: set[tuple[int, int]] = set()
+    coords: dict[int, Fraction] = {}
     for pos, entry in enumerate(_read_entry_list(obj, ptr)):
         eptr = f"{ptr}/{pos}"
         if not isinstance(entry, list) or len(entry) != 3:
@@ -184,12 +184,11 @@ def _read_cochain_entries(obj, ptr: str, arity: int, algebra_dim: int, carrier_d
         if any(prefix[t] >= prefix[t + 1] for t in range(len(prefix) - 1)):
             raise SchemaError(f"{eptr}/0", "leading arguments must strictly increase")
         b = _read_index(entry[1], f"{eptr}/1", carrier_dim)
-        slot = (basis.position(prefix, last), b)
-        if slot in seen:
+        k = basis.position(prefix, last) * carrier_dim + b
+        if k in coords:
             raise SchemaError(eptr, "duplicate entry")
-        seen.add(slot)
-        values[slot[0]][b] = _read_fraction(entry[2], f"{eptr}/2")
-    return tuple(tuple(v) for v in values)
+        coords[k] = _read_fraction(entry[2], f"{eptr}/2")
+    return tuple(sorted((k, x) for k, x in coords.items() if x))
 
 
 def _ser_tensor(t: Tensor3) -> list:
@@ -203,10 +202,7 @@ def _ser_matrix(m: MatrixQ) -> list:
 def _cochain_entries(f: Cochain) -> list:
     """Nonzero entries of f in the document format: [[args...], component, value]."""
     return [
-        [[t + 1 for t in prefix + (last,)], b + 1, str(value)]
-        for (prefix, last), row in zip(CochainBasis(f.arity, f.algebra_dim).tuples, f.values)
-        for b, value in enumerate(row)
-        if value != 0
+        [[t + 1 for t in args], b + 1, str(x)] for args, value in f.nonzero_values() for b, x in value
     ]
 
 

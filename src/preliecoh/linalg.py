@@ -25,9 +25,10 @@ later pivot row.
 Subspaces stay sparse too. A SubspaceBasis stores one Row per basis
 vector: kernel rows are read off the reduced rows and image rows are
 columns of the matrix, and its dense `vectors` are a view for callers.
-QuotientMap.reduce_row and greedy_independent take Rows; reduce_row and
-in_kernel scale their rows and vectors to integers like the elimination,
-and form fractions only for the coordinates they return.
+QuotientMap.reduce_row, greedy_independent, in_kernel and
+solve_particular take Rows; reduce_row and in_kernel scale them to
+integers like the elimination, and form fractions only for the
+coordinates they return.
 """
 
 from __future__ import annotations
@@ -147,10 +148,6 @@ class MatrixQ:
         return cls(len(vecs), cols, tuple(map(sparse_row, vecs)))
 
     @classmethod
-    def from_cols(cls, cols: Sequence[Sequence[object]], rows: int | None = None) -> "MatrixQ":
-        return cls.from_rows(cols, rows).transpose()
-
-    @classmethod
     def from_entries(cls, rows: int, cols: int, entries: dict) -> "MatrixQ":
         """The rows x cols matrix with entry (r, c) = x for each (r, c): x
         of entries, zero elsewhere; explicit zeros are dropped."""
@@ -171,11 +168,6 @@ class MatrixQ:
     def identity(cls, n: int) -> "MatrixQ":
         return cls(n, n, tuple(((i, ONE),) for i in range(n)))
 
-    @property
-    def entries(self) -> tuple[Fraction, ...]:
-        """All rows * cols entries, row-major."""
-        return tuple(x for i in range(self.rows) for x in self.row(i))
-
     def at(self, i: int, j: int) -> Fraction:
         row = self.nonzeros[i]
         # (j,) sorts just before (j, x), so no Fraction is compared
@@ -184,9 +176,6 @@ class MatrixQ:
 
     def row(self, i: int) -> Vector:
         return dense_vector(self.nonzeros[i], self.cols)
-
-    def col(self, j: int) -> Vector:
-        return tuple(self.at(i, j) for i in range(self.rows))
 
     def transpose(self) -> "MatrixQ":
         cols: list[list[tuple[int, Fraction]]] = [[] for _ in range(self.cols)]
@@ -243,17 +232,21 @@ def _integer_rows(rows: Iterable[Row]) -> list[dict[int, int]]:
     return [_scaled(row)[1] for row in rows if row]
 
 
-def in_kernel(m: MatrixQ, vectors: Iterable[Sequence[Fraction]]) -> bool:
-    """Whether m v = 0 for every v of vectors. Each row of m and each v is
-    scaled to integers, which does not change whether a product vanishes."""
-    rows = _integer_rows(m.nonzeros)
-    for v in vectors:
-        if len(v) != m.cols:
-            raise DimensionMismatch(f"matrix has {m.cols} cols, vector has {len(v)}")
-        w = [0] * m.cols
-        for j, x in _scaled(sparse_row(v))[1].items():
-            w[j] = x
-        if any(sum(x * w[j] for j, x in r.items()) for r in rows):
+def _check_row(row: Row, n: int, what: str) -> None:
+    """DimensionMismatch unless every column of the row is below n."""
+    if row and not 0 <= row[0][0] <= row[-1][0] < n:
+        raise DimensionMismatch(f"row column outside the {what}")
+
+
+def in_kernel(m: MatrixQ, rows: Iterable[Row]) -> bool:
+    """Whether m v = 0 for the vector v of every Row. Each row of m and
+    each v is scaled to integers, which does not change whether a product
+    vanishes."""
+    scaled = _integer_rows(m.nonzeros)
+    for row in rows:
+        _check_row(row, m.cols, "matrix columns")
+        w = _scaled(row)[1]
+        if any(sum(x * w[j] for j, x in r.items() if j in w) for r in scaled):
             return False
     return True
 
@@ -415,13 +408,14 @@ def rank_of(m: MatrixQ) -> int:
     return len(_echelon(_integer_rows(m.nonzeros)))
 
 
-def solve_particular(m: MatrixQ, b: Sequence[Fraction]) -> Vector | None:
-    """One solution of m x = b with every free variable set to 0, else None."""
-    if len(b) != m.rows:
-        raise DimensionMismatch(f"matrix has {m.rows} rows, rhs has {len(b)}")
+def solve_particular(m: MatrixQ, b: Row) -> Vector | None:
+    """One solution of m x = b, for the vector b of a Row, with every free
+    variable set to 0, else None."""
+    _check_row(b, m.rows, "matrix rows")
     n = m.cols
+    rhs = dict(b)
     # b is the extra column n, so it is the last entry of a reduced row
-    echelon = _rref(row + ((n, y),) if y else row for row, y in zip(m.nonzeros, b))
+    echelon = _rref(row + ((n, rhs[i]),) if i in rhs else row for i, row in enumerate(m.nonzeros))
     if echelon and echelon[-1][0] == n:
         return None
     x = [ZERO] * n
@@ -515,8 +509,7 @@ class QuotientMap:
     def reduce_row(self, row: Row) -> Row:
         """The coordinates of a Row of Q^ambient_dim in the quotient, as a
         Row over the complement positions."""
-        if row and not 0 <= row[0][0] <= row[-1][0] < self.ambient_dim:
-            raise DimensionMismatch("row column outside the ambient dimension")
+        _check_row(row, self.ambient_dim, "ambient dimension")
         # row = w / den_v, so the result is (den w_j - sum_p w_p row_p[j]) / (den_v den)
         den_v, w = _scaled(row)
         acc: dict[int, int] = {}
@@ -534,14 +527,6 @@ class QuotientMap:
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector length differs from ambient dimension")
         return dense_vector(self.reduce_row(sparse_row(v)), self.dim)
-
-    def lift(self, coords: Sequence[Fraction]) -> Vector:
-        if len(coords) != self.dim:
-            raise DimensionMismatch("coordinate length differs from quotient dimension")
-        w = [ZERO] * self.ambient_dim
-        for c, j in zip(coords, self.complement):
-            w[j] = c
-        return tuple(w)
 
     def reduce_matrix(self) -> MatrixQ:
         cols = tuple(self.reduce_row(((j, ONE),)) for j in range(self.ambient_dim))

@@ -231,16 +231,6 @@ class TreePoly:
     def of_tree(cls, t: LabeledRootedTree, max_degree: int) -> "TreePoly":
         return cls.make(max_degree, [(t, Fraction(1))])
 
-    @classmethod
-    def zero(cls, max_degree: int) -> "TreePoly":
-        return cls.make(max_degree, [])
-
-    def coefficient(self, t: LabeledRootedTree) -> Fraction:
-        for s, c in self.terms:
-            if s == t:
-                return c
-        return Fraction(0)
-
     def add(self, other: "TreePoly") -> "TreePoly":
         self._check_compatible(other)
         return TreePoly.make(
@@ -393,8 +383,8 @@ def check_cocycle_pullback(
     with th(y1, y2, y3) = theta(E y1, E y2, E y3), . the module actions
     of `rep` and * the grafting product, so both the free side and the
     evaluation are exercised. Before the loop the basis trees and every
-    product of two that fits are evaluated once, theta is read once on
-    the basis triples, and each family (tree images, product images,
+    product of two that fits are evaluated once, theta's nonzero values
+    are read once, and each family (tree images, product images,
     theta, left and right action) is scaled by one common denominator.
     Every term kind then has a known integer scale; terms are cached by
     tuples of tree indices and each quadruple is summed in integers.
@@ -433,12 +423,14 @@ def check_cocycle_pullback(
     product_of = dict(zip(pairs, products))
 
     v = rep.carrier_dim
-    triples = list(itertools.product(range(a.dim), repeat=3))
-    t_den, t_values = _integer_family([theta.value_at(t) for t in triples])
-    theta_rows: dict[tuple[int, int], list[tuple[int, list[int]]]] = {}
-    for (x, y, z), value in zip(triples, t_values):
-        if any(value):
-            theta_rows.setdefault((x, y), []).append((z, value))
+    # theta's nonzero values as integer Rows, at (x, y) -> [(z, value)];
+    # theta is alternating in x, y, so (y, x) holds the negated values
+    nonzero = list(theta.nonzero_values())
+    t_den, t_values = integer_rows(value for _, value in nonzero)
+    theta_rows: dict[tuple[int, int], list[tuple[int, IntRow]]] = {}
+    for ((x, y, z), _), value in zip(nonzero, t_values):
+        theta_rows.setdefault((x, y), []).append((z, value))
+        theta_rows.setdefault((y, x), []).append((z, tuple((b, -t) for b, t in value)))
 
     def tensor_rows(t: Tensor3) -> tuple[int, dict[tuple[int, int], IntRow]]:
         """One denominator for t, and its nonzero rows times it, in integers."""
@@ -471,7 +463,7 @@ def check_cocycle_pullback(
                             c = r[z]
                             if c:
                                 c *= px * qy
-                                for b, t in enumerate(value):
+                                for b, t in value:
                                     out[b] += c * t
         return out
 

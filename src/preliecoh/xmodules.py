@@ -46,6 +46,7 @@ from fractions import Fraction
 from .errors import (
     InternalAssertionFailed,
     InvalidExtension,
+    NotACocycle,
     OutputCheckFailed,
     ShapeError,
 )
@@ -69,7 +70,7 @@ from .algebra import (
     sparse_tensor,
     subadjacent_lie,
 )
-from .cochain import Cochain, CochainBasis, CohomologySpace, coboundary, cohomology
+from .cochain import Cochain, CochainBasis, CohomologySpace, cohomology
 from .linalg import (
     MatrixQ,
     SubspaceBasis,
@@ -435,12 +436,15 @@ def t_map(
     theta_v = theta_m @ right_inverse_on_image(e.i).transpose()
     if theta_v @ e.i.transpose() != theta_m:
         raise InternalAssertionFailed("cocycle values not in the image of i")
-    theta = Cochain(3, g.dim, e.v_dim, tuple(map(theta_v.row, range(theta_v.rows))))
-    if not coboundary(e.v_rep, theta).is_zero():
-        raise InternalAssertionFailed("realized 3-cochain is not closed")
+    v = e.v_dim
+    theta = Cochain(3, g.dim, v, tuple((p * v + k, x) for p, row in enumerate(theta_v.nonzeros) for k, x in row))
     if h3 is None:
         h3 = cohomology(e.v_rep, 3)
-    coords = h3.class_coordinates(theta)
+    try:
+        # classifying theta is the closedness test (see class_coordinates)
+        coords = h3.class_coordinates(theta)
+    except NotACocycle:
+        raise InternalAssertionFailed("realized 3-cochain is not closed") from None
     return ThreeCocycleResult(theta, tuple(map(theta_m.row, range(theta_m.rows))), coords, h3, rho, sigma)
 
 

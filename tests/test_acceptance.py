@@ -75,6 +75,7 @@ from preliecoh.xmodules import (
 )
 
 from test_cochain import d1_oracle, d2_oracle, random_cochain
+from test_linalg import col, from_cols
 
 PAIRS = representation_pairs()
 SMALL_PAIRS = [(n, r) for n, r in PAIRS if r.algebra.dim <= 3 and r.carrier_dim <= 2]
@@ -158,10 +159,10 @@ def _shifted_pi_section(e) -> MatrixQ:
     """A second deterministic section: add a kernel vector to one column."""
     kernel = rank_kernel_image(e.pi.matrix)[1]
     rho = default_pi_section(e)
-    cols = [rho.col(j) for j in range(e.g_algebra.dim)]
+    cols = [col(rho, j) for j in range(e.g_algebra.dim)]
     if kernel.dim:
         cols[0] = vec_add(cols[0], kernel.vectors[0])
-    return MatrixQ.from_cols(cols, rows=e.n_algebra.dim)
+    return from_cols(cols, rows=e.n_algebra.dim)
 
 
 def test_criterion_07_worked_constructions_conform():

@@ -9,8 +9,12 @@ Regenerate after an intentional output change with:
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,8 +22,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from preliecoh import cli
-from preliecoh.catalog import fixture_path, fixture_specs
+from preliecoh.catalog import fixture_path, fixture_specs, representation_pairs
 from preliecoh.cli import main
+from preliecoh.documents import DocumentModel, serialize_document
+from preliecoh.xmodules import double_extension
+
+from test_cochain import nonclosed_unit
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -193,6 +201,51 @@ def test_validate_large_zero_product(tmp_path: Path) -> None:
         code, out, err = run_cli("validate", str(doc))
         assert (code, err) == (0, "")
         assert "result: valid" in out.splitlines()
+
+
+def test_validate_wide_cochain_within_500_mb(tmp_path: Path) -> None:
+    # one entry of an arity-3 cochain over dim 2000, whose coordinate
+    # space has C(2000, 2) * 2000 ~ 4 * 10^9 positions; reading it used to
+    # fill a dense table and end in MemoryError. The address-space limit
+    # is set in the child process only.
+    pytest.importorskip("resource")
+    doc = tmp_path / "cochain.json"
+    doc.write_text(json.dumps({
+        "kind": "cochain", "arity": 3, "algebra_dim": 2000, "carrier_dim": 1,
+        "entries": [[[1, 2, 2000], 1, "1/2"]],
+    }))
+    limit = 500 * 10**6
+    child = (
+        f"import resource, sys; resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
+        "from preliecoh.cli import main; sys.exit(main(['validate', sys.argv[1]]))"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", child, str(doc)], capture_output=True, text=True, env=env, timeout=120)
+    assert (run.returncode, run.stderr) == (0, ""), run.stderr[-2000:]
+    assert "kind: cochain" in run.stdout.splitlines()
+
+
+def test_tmap_reports_a_non_closed_theta(monkeypatch, tmp_path: Path) -> None:
+    # cmd_tmap checks d(theta) = 0 on the complex's d_3; hand it a theta
+    # with a nonzero coboundary
+    rep = dict(representation_pairs())["affine3/trivial1"]
+    doc = tmp_path / "ext.json"
+    doc.write_text(serialize_document(DocumentModel("extension", double_extension(rep))))
+    unit = nonclosed_unit(rep, 3)
+    realized = cli.t_map
+
+    def nonclosed_t_map(e, **kwargs):
+        result = realized(e, **kwargs)
+        return dataclasses.replace(result, theta=result.theta.add(unit))
+
+    monkeypatch.setattr(cli, "t_map", nonclosed_t_map)
+    code, out, err = run_cli("tmap", str(doc))
+    assert (code, err) == (2, "")
+    assert "d(theta) = 0: FAIL" in out.splitlines()
+    assert "mu kills theta: PASS" in out.splitlines()
+    code, out, _ = run_cli("tmap", str(doc), "--json")
+    assert code == 2 and json.loads(out)["d_theta_zero"] is False
 
 
 def test_wrong_document_kind_is_an_input_error() -> None:

@@ -6,6 +6,7 @@ code; cohomology dimensions for the abelian case follow a counting
 formula proved independently of any row reduction.
 """
 
+import functools
 import hashlib
 import itertools
 import math
@@ -54,7 +55,7 @@ from preliecoh.linalg import (
     zero_vector,
 )
 from preliecoh.xmodules import semidirect_product
-from test_linalg import DenseQuotient, dense_greedy_independent, dense_rank_kernel_image, dense_rref_rows
+from test_linalg import DenseQuotient, col, dense_greedy_independent, dense_rank_kernel_image, dense_rref_rows, from_cols
 
 F = Fraction
 
@@ -78,11 +79,11 @@ def phi_inverse(f, carrier_dim):
     a_dim = f.algebra_dim
     if f.module_dim != a_dim * carrier_dim:
         raise DimensionMismatch("module dimension does not factor through Hom(g,V)")
-    values = []
+    coords = []
     for prefix, last in CochainBasis(f.arity + 1, a_dim).tuples:
         w = f.value_at(prefix)
-        values.append(tuple(w[last * carrier_dim + b] for b in range(carrier_dim)))
-    return Cochain(f.arity + 1, a_dim, carrier_dim, tuple(values))
+        coords.extend(w[last * carrier_dim + b] for b in range(carrier_dim))
+    return Cochain.from_coordinates(f.arity + 1, a_dim, carrier_dim, coords)
 
 
 def sparse_algebra(dim, entries):
@@ -113,11 +114,23 @@ PAIRS = [
 
 def random_cochain(rep, n, rng):
     basis = CochainBasis(n, rep.algebra.dim)
-    values = tuple(
-        tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rep.carrier_dim))
-        for _ in range(len(basis))
-    )
-    return Cochain(n, rep.algebra.dim, rep.carrier_dim, values)
+    coords = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(len(basis) * rep.carrier_dim)]
+    return Cochain.from_coordinates(n, rep.algebra.dim, rep.carrier_dim, coords)
+
+
+def scaled(f, c):
+    """c times the cochain f."""
+    return Cochain(f.arity, f.algebra_dim, f.carrier_dim, tuple((k, c * x) for k, x in f.row if c))
+
+
+def nonclosed_unit(rep, n):
+    """The first unit n-cochain whose coboundary is nonzero."""
+    d, v = rep.algebra.dim, rep.carrier_dim
+    for k in range(len(CochainBasis(n, d)) * v):
+        unit = Cochain(n, d, v, ((k, F(1)),))
+        if not coboundary(rep, unit).is_zero():
+            return unit
+    raise ValueError("every unit cochain is closed")
 
 
 # --- oracles written before the implementation ------------------------------
@@ -257,8 +270,54 @@ def test_are_cohomologous_positive_and_negative():
     prim = are_cohomologous(rep, shifted, z)
     assert prim is not None
     assert coboundary(rep, prim).to_coordinates() == shifted.sub(z).to_coordinates()
-    other = z.scale(F(2))
+    other = scaled(z, F(2))
     assert are_cohomologous(rep, other, z) is None
+
+
+CATALOG_PAIRS = representation_pairs()
+
+
+@functools.cache
+def catalog_space(index, n):
+    """cohomology of catalog pair `index` in degree n, computed once."""
+    return cohomology(CATALOG_PAIRS[index][1], n)
+
+
+def sparse_cochains(rep, n):
+    """Cochains of C^n with at most four nonzero coordinates."""
+    size = len(CochainBasis(n, rep.algebra.dim)) * rep.carrier_dim
+    if not size:
+        return st.just(Cochain.zero(n, rep.algebra.dim, rep.carrier_dim))
+    coords = st.dictionaries(st.integers(0, size - 1), st.fractions(-3, 3, max_denominator=3).filter(bool), max_size=4)
+    return coords.map(lambda c: Cochain(n, rep.algebra.dim, rep.carrier_dim, tuple(sorted(c.items()))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, len(CATALOG_PAIRS) - 1), st.integers(1, 3), st.data())
+def test_class_coordinates_raise_exactly_on_non_cocycles(index, n, data):
+    # class_coordinates is the closedness test of t_map and of the tmap
+    # command: NotACocycle exactly when the reference coboundary is nonzero.
+    # z is a combination of the representatives plus a coboundary, plus a
+    # random sparse cochain half of the time
+    name, rep = CATALOG_PAIRS[index]
+    h = catalog_space(index, n)
+    d, v = rep.algebra.dim, rep.carrier_dim
+    coefficients = data.draw(st.lists(st.fractions(-3, 3, max_denominator=3), min_size=h.dimension, max_size=h.dimension))
+    z = Cochain.zero(n, d, v)
+    for c, r in zip(coefficients, h.representatives):
+        z = z.add(scaled(r, c))
+    if n > 1:
+        z = z.add(coboundary(rep, data.draw(sparse_cochains(rep, n - 1))))
+    noise = data.draw(st.one_of(st.none(), sparse_cochains(rep, n)))
+    if noise is None:
+        assert h.class_coordinates(z) == tuple(coefficients), (name, n)
+        return
+    z = z.add(noise)
+    if coboundary(rep, z).is_zero():
+        h.class_coordinates(z)
+    else:
+        with pytest.raises(NotACocycle):
+            h.class_coordinates(z)
 
 
 def test_are_cohomologous_guards():
@@ -323,8 +382,8 @@ def test_lie_d_squared_zero():
 def test_coboundary_is_linear(rep, n, rng):
     f = random_cochain(rep, n, rng)
     g = random_cochain(rep, n, rng)
-    lhs = coboundary(rep, f.add(g.scale(F(3, 2))))
-    rhs = coboundary(rep, f).add(coboundary(rep, g).scale(F(3, 2)))
+    lhs = coboundary(rep, f.add(scaled(g, F(3, 2))))
+    rhs = coboundary(rep, f).add(scaled(coboundary(rep, g), F(3, 2)))
     assert lhs.to_coordinates() == rhs.to_coordinates()
 
 
@@ -347,7 +406,7 @@ def transported(algebra, p):
     """The same algebra in the basis given by the columns of p."""
     p_inv = invert(p)
     d = algebra.dim
-    cols = [p.col(i) for i in range(d)]
+    cols = [col(p, i) for i in range(d)]
     prod = tuple(
         tuple(p_inv.mul_vec(algebra.multiply(cols[i], cols[j])) for j in range(d))
         for i in range(d)
@@ -405,7 +464,7 @@ def test_sparse_coboundary_matrix_matches_reference_columns():
             assert (m.rows, m.cols) == (len(CochainBasis(n + 1, d)) * v, len(CochainBasis(n, d)) * v)
             for p, unit in unit_vectors(m.cols):
                 f = Cochain.from_coordinates(n, d, v, unit)
-                assert m.col(p) == coboundary(rep, f).to_coordinates(), (name, n, p)
+                assert col(m, p) == coboundary(rep, f).to_coordinates(), (name, n, p)
 
 
 def test_sparse_lie_matrix_and_phi_match_reference_columns():
@@ -417,7 +476,7 @@ def test_sparse_lie_matrix_and_phi_match_reference_columns():
             assert m.cols == math.comb(d, n - 1) * mod.dim
             for p, unit in unit_vectors(m.cols):
                 f = LieCochain.from_coordinates(n - 1, d, mod.dim, unit)
-                assert m.col(p) == lie_coboundary(mod, f).to_coordinates(), (name, n, p)
+                assert col(m, p) == lie_coboundary(mod, f).to_coordinates(), (name, n, p)
             for p, unit in unit_vectors(len(CochainBasis(n, d)) * v):
                 f = Cochain.from_coordinates(n, d, v, unit)
                 assert phi_map(f).to_coordinates() == tuple(unit), (name, n, p)
@@ -463,12 +522,12 @@ def test_mixed_denominator_matrices_match_reference_columns(case, n):
     m = coboundary_matrix(rep, n)
     for p, unit in unit_vectors(m.cols):
         f = Cochain.from_coordinates(n, d, v, unit)
-        assert m.col(p) == coboundary(rep, f).to_coordinates(), p
+        assert col(m, p) == coboundary(rep, f).to_coordinates(), p
     mod = hom_module(rep)
     m = lie_coboundary_matrix(mod, n - 1)
     for p, unit in unit_vectors(m.cols):
         f = LieCochain.from_coordinates(n - 1, d, mod.dim, unit)
-        assert m.col(p) == lie_coboundary(mod, f).to_coordinates(), p
+        assert col(m, p) == lie_coboundary(mod, f).to_coordinates(), p
 
 
 def differentials_digest(matrices):
@@ -564,7 +623,7 @@ def rank_rule_representatives(rep, n, quot):
     reps, reduced = [], []
     for v in kernel.vectors:
         cand = quot.reduce(v)
-        if rank_of(MatrixQ.from_cols(reduced + [cand], rows=quot.dim)) == len(reduced) + 1:
+        if rank_of(from_cols(reduced + [cand], rows=quot.dim)) == len(reduced) + 1:
             reps.append(v)
             reduced.append(cand)
     return reps, reduced
@@ -578,7 +637,7 @@ def test_incremental_selection_picks_the_rank_rule_representatives():
             h = cohomology(rep, n)
             reps, reduced = rank_rule_representatives(rep, n, h.quotient)
             assert [r.to_coordinates() for r in h.representatives] == reps
-            assert h.reduced_reps == MatrixQ.from_cols(reduced, rows=h.quotient.dim)
+            assert h.reduced_reps == from_cols(reduced, rows=h.quotient.dim)
 
 
 def dense_cohomology(rep, n):
@@ -594,7 +653,7 @@ def dense_cohomology(rep, n):
     candidates = [quot.reduce(v) for v in kernel]
     kept = dense_greedy_independent(candidates)
     reps = tuple(Cochain.from_coordinates(n, a_dim, v_dim, kernel[i]) for i in kept)
-    reduced_reps = MatrixQ.from_cols([candidates[i] for i in kept], rows=quot.dim)
+    reduced_reps = from_cols([candidates[i] for i in kept], rows=quot.dim)
     return kernel, image, quot, reps, reduced_reps
 
 
@@ -625,11 +684,11 @@ def test_sparse_cohomology_equals_the_dense_oracles_on_the_catalog():
             # coboundary
             z = Cochain.zero(n, rep.algebra.dim, rep.carrier_dim)
             for r in reps:
-                z = z.add(r.scale(F(rng.randint(-3, 3), rng.randint(1, 3))))
+                z = z.add(scaled(r, F(rng.randint(-3, 3), rng.randint(1, 3))))
             if n > 1:
                 z = z.add(coboundary(rep, random_cochain(rep, n - 1, rng)))
             for c in (*reps, z):
-                want = solve_particular(reduced_reps, quot.reduce(c.to_coordinates()))
+                want = solve_particular(reduced_reps, sparse_row(quot.reduce(c.to_coordinates())))
                 assert h.class_coordinates(c) == want, (name, n)
 
 
@@ -639,12 +698,44 @@ def test_representatives_built_from_rows_equal_the_coordinate_build():
         size = len(CochainBasis(n, d)) * v
         for _ in range(5):
             coords = [F(rng.randint(-2, 2), rng.randint(1, 3)) if rng.random() < 0.3 else F(0) for _ in range(size)]
-            f = Cochain.from_row(n, d, v, sparse_row(coords))
+            f = Cochain(n, d, v, sparse_row(coords))
             assert f == Cochain.from_coordinates(n, d, v, coords)
             assert f.to_coordinates() == tuple(coords)
-        assert Cochain.from_row(n, d, v, ()) == Cochain.zero(n, d, v)
+        assert Cochain(n, d, v, ()) == Cochain.zero(n, d, v)
         with pytest.raises(ShapeError):
-            Cochain.from_row(n, d, v, ((size, F(1)),))
+            Cochain(n, d, v, ((size, F(1)),))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3), st.data())
+def test_cochain_readers_equal_the_dense_values(n, d, v, data):
+    # every reader of the Row against the dense table of V-vectors, one
+    # per CochainBasis position
+    basis = CochainBasis(n, d)
+    entry = st.one_of(st.just(F(0)), st.just(F(0)), st.fractions(-3, 3, max_denominator=3))
+    coords = [data.draw(st.lists(entry, min_size=len(basis) * v, max_size=len(basis) * v)) for _ in range(2)]
+    f, g = (Cochain.from_coordinates(n, d, v, c) for c in coords)
+    table = [tuple(coords[0][p * v : (p + 1) * v]) for p in range(len(basis))]
+    for p, (prefix, last) in enumerate(basis.tuples):
+        assert basis.args(p) == prefix + (last,)
+        assert f.value_at(prefix + (last,)) == table[p]
+        if n > 2:  # swapping two leading arguments negates the value
+            swapped = (prefix[1], prefix[0], *prefix[2:], last)
+            assert f.value_at(swapped) == vec_scale(F(-1), table[p])
+    if n > 2:
+        assert f.value_at((0, 0) + (0,) * (n - 2)) == zero_vector(v)
+    want = [
+        (prefix + (last,), sparse_row(value))
+        for (prefix, last), value in zip(basis.tuples, table)
+        if any(value)
+    ]
+    assert list(f.nonzero_values()) == want
+    assert f.add(g).to_coordinates() == tuple(x + y for x, y in zip(*coords))
+    assert f.sub(g).to_coordinates() == tuple(x - y for x, y in zip(*coords))
+    assert f.is_zero() == (not any(coords[0]))
+    twin = Cochain.from_coordinates(n, d, v, list(coords[0]))
+    assert f == twin and hash(f) == hash(twin)
+    assert f.sub(f) == Cochain.zero(n, d, v)
 
 
 def test_cochain_complex_eliminates_each_differential_once(monkeypatch):

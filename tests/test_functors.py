@@ -43,6 +43,7 @@ from preliecoh.functors import (
 from preliecoh.linalg import MatrixQ, standard_basis_vector, vec_add, vec_sub, vector, zero_vector
 from preliecoh.xmodules import CrossedModule, identity_xmod, trivial_module_xmod
 
+from test_linalg import col
 from test_algebra import (
     check_lie_dense,
     on_both_engines,
@@ -371,7 +372,7 @@ def check_lie_crossed_module_dense(x):
     m, n = x.m, x.n
     for u, v in itertools.product(range(m.dim), repeat=2):
         lhs = x.mu.mul_vec(m.basis_bracket(u, v))
-        rhs = bilinear(n.bracket, x.mu.col(u), x.mu.col(v))
+        rhs = bilinear(n.bracket, col(x.mu, u), col(x.mu, v))
         if lhs != rhs:
             return Violation("lie-morphism", (u, v), lhs, rhs)
     for i, j, u in itertools.product(range(n.dim), range(n.dim), range(m.dim)):
@@ -392,11 +393,11 @@ def check_lie_crossed_module_dense(x):
             return Violation("derivation", (i, u, v), lhs, rhs)
     for i, u in itertools.product(range(n.dim), range(m.dim)):
         lhs = x.mu.mul_vec(x.action.vector(i, u))
-        rhs = bilinear(n.bracket, n.basis_vector(i), x.mu.col(u))
+        rhs = bilinear(n.bracket, n.basis_vector(i), col(x.mu, u))
         if lhs != rhs:
             return Violation("lie-equivariance", (i, u), lhs, rhs)
     for u, v in itertools.product(range(m.dim), repeat=2):
-        lhs = bilinear(x.action, x.mu.col(u), m.basis_vector(v))
+        lhs = bilinear(x.action, col(x.mu, u), m.basis_vector(v))
         rhs = m.basis_bracket(u, v)
         if lhs != rhs:
             return Violation("lie-peiffer", (u, v), lhs, rhs)
@@ -423,10 +424,10 @@ def check_dendriform_dense(a):
 
 def check_rota_baxter_dense(lie, t):
     for i, j in itertools.product(range(lie.dim), repeat=2):
-        lhs = bilinear(lie.bracket, t.col(i), t.col(j))
+        lhs = bilinear(lie.bracket, col(t, i), col(t, j))
         inner = vec_add(
-            bilinear(lie.bracket, t.col(i), lie.basis_vector(j)),
-            bilinear(lie.bracket, lie.basis_vector(i), t.col(j)),
+            bilinear(lie.bracket, col(t, i), lie.basis_vector(j)),
+            bilinear(lie.bracket, lie.basis_vector(i), col(t, j)),
         )
         rhs = t.mul_vec(inner)
         if lhs != rhs:
@@ -441,11 +442,11 @@ def check_dendriform_xmod_dense(x):
             return bad
     for u, v in itertools.product(range(x.m.dim), repeat=2):
         lhs = x.mu.mul_vec(x.m.succ.vector(u, v))
-        rhs = bilinear(x.n.succ, x.mu.col(u), x.mu.col(v))
+        rhs = bilinear(x.n.succ, col(x.mu, u), col(x.mu, v))
         if lhs != rhs:
             return Violation("mu-preserves-succ", (u, v), lhs, rhs)
         lhs = x.mu.mul_vec(x.m.prec.vector(u, v))
-        rhs = bilinear(x.n.prec, x.mu.col(u), x.mu.col(v))
+        rhs = bilinear(x.n.prec, col(x.mu, u), col(x.mu, v))
         if lhs != rhs:
             return Violation("mu-preserves-prec", (u, v), lhs, rhs)
     return None

@@ -63,3 +63,24 @@ def _unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
     assert _unused_imports(path) == []
+
+
+def _names(path: Path) -> set[str]:
+    """Every identifier, attribute and imported name that path mentions."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+    return names
+
+
+# the package re-exports the reference formulas as public names
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name not in ("cochain.py", "__init__.py")], ids=lambda p: p.name)
+def test_only_cochain_names_the_reference_coboundaries(path):
+    # closedness and classes are decided on the complex's matrices;
+    # `coboundary` and `lie_coboundary` are references for the tests
+    assert _names(path) & {"coboundary", "lie_coboundary"} == set()

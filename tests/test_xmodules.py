@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from preliecoh import xmodules
 from preliecoh.algebra import (
     ActionData,
     AlgebraMorphism,
@@ -45,6 +46,7 @@ from preliecoh.linalg import (
     rank_kernel_image,
     right_inverse_on_image,
     solve_particular,
+    sparse_row,
     standard_basis_vector,
     vec_add,
     vec_scale,
@@ -76,6 +78,8 @@ from preliecoh.xmodules import (
     trivial_module_xmod,
 )
 
+from test_cochain import nonclosed_unit
+from test_linalg import col, lift
 from test_algebra import (
     check_action_dense,
     check_morphism_dense,
@@ -271,6 +275,20 @@ def test_t_map_random_sections_cohomologous():
             assert res.class_coordinates == base.class_coordinates
 
 
+def test_t_map_raises_on_a_non_closed_theta(monkeypatch):
+    # t_map tests closedness only by classifying theta; a theta with a
+    # nonzero coboundary must still stop it
+    rep = dict(representation_pairs())["affine3/trivial1"]
+    e = double_extension(rep)
+    unit = nonclosed_unit(rep, 3)
+    built = xmodules.Cochain
+    monkeypatch.setattr(xmodules, "Cochain", lambda *args: built(*args).add(unit))
+    with pytest.raises(InternalAssertionFailed, match="realized 3-cochain is not closed"):
+        t_map(e)
+    with pytest.raises(InternalAssertionFailed, match="realized 3-cochain is not closed"):
+        t_map(e, h3=cohomology(rep, 3))
+
+
 def test_t_map_rejects_bad_sections():
     e = double_extension(Representation.trivial(LMULT2, 1))
     with pytest.raises(InvalidExtension):
@@ -378,10 +396,7 @@ def test_abelian_extension_rejects_non_cocycle():
     basis = CochainBasis(2, 2)
     found = None
     for _ in range(20):
-        vals = tuple(
-            tuple(F(rng.randint(-3, 3)) for _ in range(2)) for _ in range(len(basis))
-        )
-        cand = Cochain(2, 2, 2, vals)
+        cand = Cochain.from_coordinates(2, 2, 2, [F(rng.randint(-3, 3)) for _ in range(len(basis) * 2)])
         if not coboundary(rep, cand).is_zero():
             found = cand
             break
@@ -392,7 +407,7 @@ def test_abelian_extension_rejects_non_cocycle():
 
 # --- dense oracles for the engine checkers ----------------------------------
 # The checks as first written: every identity is evaluated on every basis
-# tuple, through MatrixQ.col and mul_vec and bilinear products.
+# tuple, through matrix columns and mul_vec and bilinear products.
 
 
 def check_crossed_module_dense(x):
@@ -411,19 +426,19 @@ def check_crossed_module_dense(x):
     act = x.action
     for u, i in itertools.product(range(m.dim), range(n.dim)):
         lhs = mu.apply(act.right.vector(u, i))
-        rhs = n.multiply(mu.matrix.col(u), n.basis_vector(i))
+        rhs = n.multiply(col(mu.matrix, u), n.basis_vector(i))
         if lhs != rhs:
             return Violation("equivariance-right", (u, i), lhs, rhs)
         lhs = mu.apply(act.left.vector(i, u))
-        rhs = n.multiply(n.basis_vector(i), mu.matrix.col(u))
+        rhs = n.multiply(n.basis_vector(i), col(mu.matrix, u))
         if lhs != rhs:
             return Violation("equivariance-left", (i, u), lhs, rhs)
     for u, v in itertools.product(range(m.dim), repeat=2):
         prod = m.basis_product(u, v)
-        lhs = act.act_left(mu.matrix.col(u), m.basis_vector(v))
+        lhs = act.act_left(col(mu.matrix, u), m.basis_vector(v))
         if lhs != prod:
             return Violation("peiffer-left", (u, v), lhs, prod)
-        lhs = act.act_right(m.basis_vector(u), mu.matrix.col(v))
+        lhs = act.act_right(m.basis_vector(u), col(mu.matrix, v))
         if lhs != prod:
             return Violation("peiffer-right", (u, v), lhs, prod)
     return None
@@ -447,11 +462,11 @@ def check_equivalence_witness_dense(w):
     for a in range(w.src.n_algebra.dim):
         for u in range(w.src.m_algebra.dim):
             lhs = w.r.mul_vec(w.src.action.left.vector(a, u))
-            rhs = w.dst.action.act_left(w.s.col(a), w.r.col(u))
+            rhs = w.dst.action.act_left(col(w.s, a), col(w.r, u))
             if lhs != rhs:
                 return Violation("action-left-respected", (a, u), lhs, rhs)
             lhs = w.r.mul_vec(w.src.action.right.vector(u, a))
-            rhs = w.dst.action.act_right(w.r.col(u), w.s.col(a))
+            rhs = w.dst.action.act_right(col(w.r, u), col(w.s, a))
             if lhs != rhs:
                 return Violation("action-right-respected", (u, a), lhs, rhs)
     return None
@@ -558,7 +573,7 @@ def test_equivalence_witness_action_right_witness_reports_u_before_a():
 
 def induced_action_dense(act_left, act_right, xs, us, onto, error):
     def coords(w):
-        c = solve_particular(onto, w)
+        c = solve_particular(onto, sparse_row(w))
         if c is None:
             raise error
         return c
@@ -585,8 +600,8 @@ def induced_representation_dense(e, section=None):
     left, right = induced_action_dense(
         e.action.act_left,
         e.action.act_right,
-        [rho.col(x) for x in range(g.dim)],
-        [e.i.col(u) for u in range(e.v_dim)],
+        [col(rho, x) for x in range(g.dim)],
+        [col(e.i, u) for u in range(e.v_dim)],
         e.i,
         InvalidExtension("induced action escapes the image of i"),
     )
@@ -602,10 +617,10 @@ def canonical_extension_dense(x):
     g_dim = quot.dim
     prod = []
     for a in range(g_dim):
-        lift_a = quot.lift(standard_basis_vector(g_dim, a))
+        lift_a = lift(quot, standard_basis_vector(g_dim, a))
         prod.append(
             tuple(
-                quot.reduce(n.multiply(lift_a, quot.lift(standard_basis_vector(g_dim, b))))
+                quot.reduce(n.multiply(lift_a, lift(quot, standard_basis_vector(g_dim, b))))
                 for b in range(g_dim)
             )
         )
@@ -615,7 +630,7 @@ def canonical_extension_dense(x):
     left, right = induced_action_dense(
         x.action.act_left,
         x.action.act_right,
-        [rho.col(xx) for xx in range(g_dim)],
+        [col(rho, xx) for xx in range(g_dim)],
         kernel.vectors,
         i,
         InternalAssertionFailed("induced action escaped ker mu"),
@@ -635,7 +650,7 @@ def t_map_dense(e, rho=None, sigma=None, h3=None):
         raise InvalidExtension("sigma is not a right inverse of mu on its image")
     d = g.dim
     alpha = [
-        [vec_sub(n.multiply(rho.col(x), rho.col(y)), rho.mul_vec(g.basis_product(x, y))) for y in range(d)]
+        [vec_sub(n.multiply(col(rho, x), col(rho, y)), rho.mul_vec(g.basis_product(x, y))) for y in range(d)]
         for x in range(d)
     ]
     beta = [[sigma.mul_vec(alpha[x][y]) for y in range(d)] for x in range(d)]
@@ -661,22 +676,22 @@ def t_map_dense(e, rho=None, sigma=None, h3=None):
     values_m = []
     values_v = []
     for (x, y), z in CochainBasis(3, d).tuples:
-        val = act.act_left(rho.col(x), beta[y][z])
-        val = vec_sub(val, act.act_left(rho.col(y), beta[x][z]))
-        val = vec_add(val, act.act_right(beta[y][x], rho.col(z)))
-        val = vec_sub(val, act.act_right(beta[x][y], rho.col(z)))
+        val = act.act_left(col(rho, x), beta[y][z])
+        val = vec_sub(val, act.act_left(col(rho, y), beta[x][z]))
+        val = vec_add(val, act.act_right(beta[y][x], col(rho, z)))
+        val = vec_sub(val, act.act_right(beta[x][y], col(rho, z)))
         val = vec_sub(val, beta_lin_second(y, g.basis_product(x, z)))
         val = vec_add(val, beta_lin_second(x, g.basis_product(y, z)))
         br = vec_sub(g.basis_product(x, y), g.basis_product(y, x))
         val = vec_sub(val, beta_lin_first(br, z))
         if not is_zero_vector(e.mu.apply(val)):
             raise InternalAssertionFailed("cocycle values not killed by mu")
-        coords = solve_particular(e.i, val)
+        coords = solve_particular(e.i, sparse_row(val))
         if coords is None:
             raise InternalAssertionFailed("cocycle values not in the image of i")
         values_m.append(val)
         values_v.append(coords)
-    theta = Cochain(3, d, e.v_dim, tuple(values_v))
+    theta = Cochain.from_coordinates(3, d, e.v_dim, [c for value in values_v for c in value])
     if not coboundary(e.v_rep, theta).is_zero():
         raise InternalAssertionFailed("realized 3-cochain is not closed")
     if h3 is None:
