@@ -57,9 +57,6 @@ class LabeledRootedTree:
         object.__setattr__(self, "children", kids)
         object.__setattr__(self, "degree", 1 + sum(c.degree for c in kids))
 
-    def max_label(self) -> int:
-        return max([self.label] + [c.max_label() for c in self.children])
-
 
 def tree(label: int, *children: LabeledRootedTree) -> LabeledRootedTree:
     return LabeledRootedTree(label, tuple(children))
@@ -231,14 +228,6 @@ class TreePoly:
     def of_tree(cls, t: LabeledRootedTree, max_degree: int) -> "TreePoly":
         return cls.make(max_degree, [(t, Fraction(1))])
 
-    def add(self, other: "TreePoly") -> "TreePoly":
-        self._check_compatible(other)
-        return TreePoly.make(
-            self.max_degree,
-            list(self.terms) + list(other.terms),
-            self.truncated or other.truncated,
-        )
-
     def sub(self, other: "TreePoly") -> "TreePoly":
         self._check_compatible(other)
         return TreePoly.make(
@@ -246,9 +235,6 @@ class TreePoly:
             list(self.terms) + [(t, -c) for t, c in other.terms],
             self.truncated or other.truncated,
         )
-
-    def scale(self, c: Fraction) -> "TreePoly":
-        return TreePoly.make(self.max_degree, [(t, c * k) for t, k in self.terms], self.truncated)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -342,11 +328,159 @@ def evaluate(
     return TreeEvaluator(algebra, assign).eval_poly(p)
 
 
-def _integer_family(vectors: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
-    """One common denominator D for a family of vectors, and each vector
-    times D, in integers."""
-    den, rows = integer_rows([tuple(enumerate(vec)) for vec in vectors])
-    return den, [[x for _, x in row] for row in rows]
+def _tensor_rows(t: Tensor3) -> tuple[int, dict[tuple[int, int], IntRow]]:
+    """One denominator for t, and its nonzero rows times it, in integers."""
+    den, rows = integer_rows(itertools.chain(*t.rows))
+    return den, {divmod(ij, t.shape[1]): row for ij, row in enumerate(rows) if row}
+
+
+def _bilinear(
+    rows: Mapping[tuple[int, int], IntRow], p: Sequence[int], q: Sequence[int], n: int, mult: int
+) -> list[int]:
+    """mult times the bilinear map with integer rows on the integer
+    vectors (p, q), as a list of length n."""
+    out = [0] * n
+    for x, px in enumerate(p):
+        if px:
+            for u, qu in enumerate(q):
+                if qu and (x, u) in rows:
+                    c = mult * px * qu
+                    for w, t in rows[x, u]:
+                        out[w] += c * t
+    return out
+
+
+@dataclass(frozen=True)
+class _FreePlan:
+    """The side of check_cocycle_pullback that does not depend on the
+    algebra, for one (num_labels, max_degree).
+
+    `trees` are the basis trees ordered by (degree, canonical key),
+    `fits[r]` is the number of them of degree <= r, and `pairs` are the
+    index pairs (i, j) whose product x_i * x_j the check reads. `nodes`
+    are every tree the evaluation reaches, each after the nodes it reads.
+    `program[k]` evaluates nodes[k]: a leaf label, or (first, rest,
+    corrections) for TreeEvaluator's recursion
+    E(t) = E(first) * E(rest) - sum of c * E(nodes[s]) over the (s, c) of
+    corrections. `singles` and `products` give each basis tree and each
+    pair product as integer multiplicities (s, c) over the nodes."""
+
+    trees: tuple[LabeledRootedTree, ...]
+    degrees: tuple[int, ...]
+    fits: tuple[int, ...]
+    pairs: tuple[tuple[int, int], ...]
+    nodes: tuple[LabeledRootedTree, ...]
+    program: tuple[int | tuple[int, int, IntRow], ...]
+    singles: tuple[IntRow, ...]
+    products: tuple[IntRow, ...]
+
+
+@lru_cache(maxsize=None)
+def _free_plan(num_labels: int, max_degree: int) -> _FreePlan:
+    """The plan for check_cocycle_pullback, built once per process from
+    enumerate_trees, graft_product and TreePoly."""
+    trees: list[LabeledRootedTree] = []
+    # a quadruple needs three more degree-1 partners, so trees beyond
+    # degree max_degree - 3 can never appear
+    for d in range(1, max(max_degree - 3, 1) + 1):
+        trees.extend(enumerate_trees(num_labels, d))
+    degrees = tuple(t.degree for t in trees)
+    # trees come sorted by degree, so those of degree <= r are a prefix
+    fits = tuple(bisect_right(degrees, r) for r in range(max_degree + 1))
+    free_degree = max_degree + 1  # room for single products inside d(theta)
+    polys = [TreePoly.of_tree(t, free_degree) for t in trees]
+    pairs = tuple(
+        (i, j) for i, d in enumerate(degrees) for j in range(bisect_right(degrees, max_degree - 2 - d))
+    )
+
+    nodes: list[LabeledRootedTree] = []
+    program: list[int | tuple[int, int, IntRow]] = []
+    index: dict[LabeledRootedTree, int] = {}
+
+    def node(t: LabeledRootedTree) -> int:
+        if t not in index:
+            if t.children:
+                first = t.children[0]
+                rest = LabeledRootedTree(t.label, t.children[1:])
+                grafts = graft_product(
+                    TreePoly.of_tree(first, t.degree), TreePoly.of_tree(rest, t.degree)
+                )
+                corrections = tuple((node(s), int(c)) for s, c in grafts.terms if s != t)
+                step: int | tuple[int, int, IntRow] = (node(first), node(rest), corrections)
+            else:
+                step = t.label
+            index[t] = len(nodes)
+            nodes.append(t)
+            program.append(step)
+        return index[t]
+
+    singles = tuple(((node(t), 1),) for t in trees)
+    products = tuple(
+        tuple((node(s), int(c)) for s, c in graft_product(polys[i], polys[j]).terms) for i, j in pairs
+    )
+    return _FreePlan(
+        tuple(trees), degrees, fits, pairs, tuple(nodes), tuple(program), singles, products
+    )
+
+
+def _label_images(assign: Mapping[int, Sequence[Fraction]], dim: int) -> list[tuple[Fraction, ...]]:
+    """The images of labels 0 to the largest assigned label, raising the
+    ShapeErrors TreeEvaluator would: a wrong dimension first, then the
+    lowest label with no image."""
+    images = {label: tuple(v) for label, v in assign.items()}
+    for label, v in images.items():
+        if len(v) != dim:
+            raise ShapeError(f"image of label {label} has wrong dimension")
+    if not images:
+        raise ShapeError("no image assigned to any label")
+    out = []
+    for label in range(max(images) + 1):
+        if label not in images:
+            raise ShapeError(f"no image assigned to label {label}")
+        out.append(images[label])
+    return out
+
+
+def _node_values(
+    plan: _FreePlan, algebra: PreLieAlgebra, images: Sequence[Sequence[Fraction]]
+) -> tuple[list[list[int]], list[int]]:
+    """(values, scales): the plan's program run in integers. The label
+    images are scaled by their common denominator D_e and the product by
+    its denominator D_a, so a node of degree k has the integer value
+    values[k] = scales[k] * E(nodes[k]), with scales[k] = D_e^k * D_a^(k-1)."""
+    e_den, leaves = integer_rows(tuple(enumerate(v)) for v in images)
+    a_den, rows = _tensor_rows(algebra.product)
+    values: list[list[int]] = []
+    for step in plan.program:
+        if isinstance(step, int):
+            values.append([x for _, x in leaves[step]])
+            continue
+        first, rest, corrections = step
+        out = _bilinear(rows, values[first], values[rest], algebra.dim, 1)
+        for s, c in corrections:
+            for b, x in enumerate(values[s]):
+                out[b] -= c * x
+        values.append(out)
+    scales = [e_den**t.degree * a_den ** (t.degree - 1) for t in plan.nodes]
+    return values, scales
+
+
+def _free_family(
+    values: Sequence[Sequence[int]], scales: Sequence[int], family: Sequence[IntRow], n: int
+) -> tuple[int, list[list[int]]]:
+    """One denominator D for the vectors sum of c * E(node s) over the
+    (s, c) of each row of family, and each vector times D, in integers;
+    values and scales are _node_values's."""
+    den = lcm(*(scales[s] for row in family for s, _ in row))
+    out = []
+    for row in family:
+        vec = [0] * n
+        for s, c in row:
+            c *= den // scales[s]
+            for b, x in enumerate(values[s]):
+                vec[b] += c * x
+        out.append(vec)
+    return den, out
 
 
 # The nine terms of (d theta)(x1, x2, x3, x4) as (kind, sign, argument
@@ -382,45 +516,36 @@ def check_cocycle_pullback(
 
     with th(y1, y2, y3) = theta(E y1, E y2, E y3), . the module actions
     of `rep` and * the grafting product, so both the free side and the
-    evaluation are exercised. Before the loop the basis trees and every
-    product of two that fits are evaluated once, theta's nonzero values
-    are read once, and each family (tree images, product images,
-    theta, left and right action) is scaled by one common denominator.
-    Every term kind then has a known integer scale; terms are cached by
-    tuples of tree indices and each quadruple is summed in integers.
-    Indices in a Violation refer to positions in the concatenated list
-    of basis trees ordered by (degree, canonical key); its lhs is the
-    coboundary value there and its rhs zero.
+    evaluation are exercised. The free side, which does not depend on the
+    algebra, is planned once per (labels, degree) by grafting (_free_plan):
+    the basis trees, every product of two that fits, and a straight-line
+    program for E over every tree they reach. Each call runs that program
+    in integers on the label images, reads theta's nonzero values once,
+    and scales each family (tree images, product images, theta, left and
+    right action) by one common denominator. Every term kind then has a
+    known integer scale; terms are cached by tuples of tree indices and
+    each quadruple is summed in integers. Indices in a Violation refer to
+    positions in the concatenated list of basis trees ordered by (degree,
+    canonical key); its lhs is the coboundary value there and its rhs zero.
     """
     if theta.arity != 3:
         raise ShapeError("need a 3-cochain")
     a = rep.algebra
     if theta.algebra_dim != a.dim or theta.carrier_dim != rep.carrier_dim:
         raise ShapeError("cochain does not match the representation")
-    num_labels = max(assign.keys()) + 1
-    evaluator = TreeEvaluator(a, assign)
-    trees: list[LabeledRootedTree] = []
-    # a quadruple needs three more degree-1 partners, so trees beyond
-    # degree max_degree - 3 can never appear
-    for d in range(1, max(max_degree - 3, 1) + 1):
-        trees.extend(enumerate_trees(num_labels, d))
-    degrees = [t.degree for t in trees]
-    # trees come sorted by degree, so those of degree <= r are a prefix
-    fits = [bisect_right(degrees, r) for r in range(max_degree + 1)]
+    images = _label_images(assign, a.dim)
+    free = _free_plan(len(images), max_degree)
+    degrees, fits = free.degrees, free.fits
 
     def fit(r: int) -> int:
         return fits[r] if r > 0 else 0
 
-    free_degree = max_degree + 1  # room for single products inside d(theta)
-    polys = [TreePoly.of_tree(t, free_degree) for t in trees]
     # evaluation is linear and a homomorphism, so every tree and every
     # product two partners short of the cutoff is evaluated once
-    e_den, singles = _integer_family([evaluator.eval_poly(p) for p in polys])
-    pairs = [(i, j) for i in range(len(trees)) for j in range(fit(max_degree - 2 - degrees[i]))]
-    p_den, products = _integer_family(
-        [evaluator.eval_poly(graft_product(polys[i], polys[j])) for i, j in pairs]
-    )
-    product_of = dict(zip(pairs, products))
+    values, scales = _node_values(free, a, images)
+    e_den, singles = _free_family(values, scales, free.singles, a.dim)
+    p_den, products = _free_family(values, scales, free.products, a.dim)
+    product_of = dict(zip(free.pairs, products))
 
     v = rep.carrier_dim
     # theta's nonzero values as integer Rows, at (x, y) -> [(z, value)];
@@ -432,13 +557,8 @@ def check_cocycle_pullback(
         theta_rows.setdefault((x, y), []).append((z, value))
         theta_rows.setdefault((y, x), []).append((z, tuple((b, -t) for b, t in value)))
 
-    def tensor_rows(t: Tensor3) -> tuple[int, dict[tuple[int, int], IntRow]]:
-        """One denominator for t, and its nonzero rows times it, in integers."""
-        den, rows = integer_rows(itertools.chain(*t.rows))
-        return den, {divmod(ij, t.shape[1]): row for ij, row in enumerate(rows) if row}
-
-    l_den, left_rows = tensor_rows(rep.left)
-    r_den, right_rows = tensor_rows(rep.right)
+    l_den, left_rows = _tensor_rows(rep.left)
+    r_den, right_rows = _tensor_rows(rep.right)
 
     # Each integer value is the true value times the product of the
     # denominators of its factors: theta on three tree images carries
@@ -467,18 +587,6 @@ def check_cocycle_pullback(
                                     out[b] += c * t
         return out
 
-    def act(rows: dict, p: list[int], q: list[int], mult: int) -> list[int]:
-        """mult times the bilinear map with integer rows on (p, q)."""
-        out = [0] * v
-        for x, px in enumerate(p):
-            if px:
-                for u, qu in enumerate(q):
-                    if qu and (x, u) in rows:
-                        c = mult * px * qu
-                        for w, t in rows[x, u]:
-                            out[w] += c * t
-        return out
-
     pulled: dict[tuple[int, int, int], list[int]] = {}
 
     def theta_of_trees(i: int, j: int, k: int) -> list[int]:
@@ -489,11 +597,11 @@ def check_cocycle_pullback(
 
     def left_term(i: int, j: int, k: int, l: int) -> list[int]:
         # x_i . th(x_j, x_k, x_l)
-        return act(left_rows, singles[i], theta_of_trees(j, k, l), m_left)
+        return _bilinear(left_rows, singles[i], theta_of_trees(j, k, l), v, m_left)
 
     def right_term(i: int, j: int, k: int, l: int) -> list[int]:
         # th(x_i, x_j, x_k) . x_l - th(x_i, x_j, x_k * x_l)
-        out = act(right_rows, theta_of_trees(i, j, k), singles[l], m_right)
+        out = _bilinear(right_rows, theta_of_trees(i, j, k), singles[l], v, m_right)
         for b, c in enumerate(pull(singles[i], singles[j], product_of[k, l])):
             out[b] -= m_graft * c
         return out
@@ -520,7 +628,7 @@ def check_cocycle_pullback(
     if not plan:
         return None
 
-    n = len(trees)
+    n = len(free.trees)
     for i1 in range(n):
         r1 = max_degree - degrees[i1]
         for i2 in range(fit(r1 - 2)):
@@ -544,4 +652,3 @@ def check_cocycle_pullback(
                             zero_vector(v),
                         )
     return None
-

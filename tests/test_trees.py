@@ -3,6 +3,7 @@ independent counting oracle, the defining identity without truncation,
 the evaluation homomorphism, and the cocycle pullback check.
 """
 
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -27,6 +28,9 @@ from preliecoh.trees import (
     parse_tree,
     tree,
     tree_counts_oracle,
+    _free_family,
+    _free_plan,
+    _node_values,
 )
 
 from test_cochain import scaled
@@ -58,6 +62,8 @@ def check_cocycle_pullback_oracle(theta, rep, assign, max_degree):
     a = rep.algebra
     if theta.algebra_dim != a.dim or theta.carrier_dim != rep.carrier_dim:
         raise ShapeError("cochain does not match the representation")
+    if not assign:
+        raise ShapeError("no image assigned to any label")
     num_labels = max(assign.keys()) + 1
     evaluator = TreeEvaluator(a, assign)
     trees = []
@@ -410,8 +416,64 @@ def test_pullback_equals_oracle_on_errors():
         (Cochain.zero(3, 1, 2), rep, assign, "does not match"),
         (theta, rep, {0: assign[0], 2: assign[1]}, "no image assigned to label 1"),
         (theta, rep, {0: assign[0], 1: (F(1),)}, "wrong dimension"),
+        (theta, rep, {}, "no image assigned to any label"),
     ]
     for check in (check_cocycle_pullback, check_cocycle_pullback_oracle):
         for theta_, rep_, assign_, message in cases:
             with pytest.raises(ShapeError, match=message):
                 check(theta_, rep_, assign_, 5)
+
+
+def test_free_plan_values_equal_the_fraction_evaluator():
+    # every node of the integer program, every basis tree and every pair
+    # product, divided by its scale, is TreeEvaluator's Fraction value
+    rng = random.Random(36)
+    half_unit = sparse_algebra(3, {(0, j, j): F(1, 2) for j in range(3)})
+    n3 = sparse_algebra(3, {(0, 1, 2): F(1, 2)})
+    algebras = list({rep.algebra: None for _, rep in representation_pairs()}) + [half_unit, n3]
+    for algebra in algebras:
+        d = algebra.dim
+        for labels in (1, 2, 3):
+            basis = {i: algebra.basis_vector(i % d) for i in range(labels)}
+            for assign in (basis, rational_assign(rng, d, labels)):
+                ev = TreeEvaluator(algebra, assign)
+                images = [assign[i] for i in range(labels)]
+                for degree in (4, 5, 6):
+                    plan = _free_plan(labels, degree)
+                    values, scales = _node_values(plan, algebra, images)
+                    for t, value, scale in zip(plan.nodes, values, scales):
+                        want = ev.eval_poly(poly(t, t.degree))
+                        assert tuple(F(x, scale) for x in value) == want, format_tree(t)
+                    den, singles = _free_family(values, scales, plan.singles, d)
+                    for t, value in zip(plan.trees, singles):
+                        assert tuple(F(x, den) for x in value) == ev.eval_tree(t)
+                    den, products = _free_family(values, scales, plan.products, d)
+                    for (i, j), value in zip(plan.pairs, products):
+                        s, t = plan.trees[i], plan.trees[j]
+                        want = ev.eval_poly(graft_product(poly(s, degree), poly(t, degree)))
+                        assert tuple(F(x, den) for x in value) == want
+
+
+def test_free_side_is_planned_once_per_degree_bound(monkeypatch):
+    calls = collections.Counter()
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr("preliecoh.trees.graft_product", counted(graft_product))
+    monkeypatch.setattr("preliecoh.trees.enumerate_trees", counted(enumerate_trees))
+    _free_plan.cache_clear()
+    rng = random.Random(37)
+    first = Representation.regular(LMULT2)
+    check_cocycle_pullback(random_cochain(rng, first), first, rational_assign(rng, 2), 6)
+    assert calls["graft_product"] > 0 and calls["enumerate_trees"] > 0
+    calls.clear()
+    # another algebra, cochain and assignment with the same labels and degree
+    second = Representation.trivial(AFFINE2, 2)
+    basis = {i: AFFINE2.basis_vector(i) for i in range(2)}
+    check_cocycle_pullback(random_cochain(rng, second), second, basis, 6)
+    assert not calls
