@@ -8,10 +8,13 @@ associator is symmetric in its first two arguments:
 
 The commutator [x,y] = x*y - y*x then satisfies Jacobi, giving the
 sub-adjacent Lie algebra. All spaces here are finite-dimensional over Q
-and structures are basis tensors, each stored once as its nonzeros per
-index pair (Tensor3). The checkers describe each axiom as terms that
-read those nonzeros and report the first failing basis tuple in
-lexicographic order (0-based indices), with both sides.
+and structures are basis tensors. A Tensor3 is stored once as its
+nonzero index pairs, ((i, j), Row of t[i][j]) sorted by (i, j), as in the
+triplet form of Davis (Direct Methods for Sparse Linear Systems, SIAM
+2006, ch. 2), so its size follows the nonzeros; only this module reads
+that storage. The checkers describe each axiom as terms that read those
+nonzeros and report the first failing basis tuple in lexicographic
+order (0-based indices), with both sides.
 
 Every checker here and in the crossed-module and functor modules runs
 on one integer engine, _first_failure. It scales every tensor an
@@ -19,23 +22,26 @@ identity reads once by the common denominator D of all their entries,
 so both sides of every identity carry the factor D^2 and are compared
 in integers; the witness divides them by D^2. It visits only the tuples
 at which some coefficient row is nonzero: at every other tuple both
-sides are 0. A linear map f enters an identity through the Rows of its
-columns f e_w, applied to a coefficient row, or through compose, which
+sides are 0. A linear map f enters an identity through its columns f e_w
+(_columns), applied to a coefficient row, or through compose, which
 feeds f into an argument of a tensor or applies it to the tensor's
-values. The crossed-module side sums its own terms (theta of t_map) with
-the same integer scaling, _integer_terms.
+values. integer_pairs is the one integer form of a tensor; the checkers,
+t_map, the coboundary matrices and the tree pullback all read it.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatch, NotAnIdeal, ShapeError
 from .linalg import (
+    ONE,
     ZERO,
+    IntRow,
     MatrixQ,
     Row,
     SubspaceBasis,
@@ -52,44 +58,42 @@ from .linalg import (
 @dataclass(frozen=True)
 class Tensor3:
     """A structure tensor t[i][j][k] of shape (d1, d2, d3), stored once as
-    its nonzeros per index pair: rows[i][j] is the Row of t[i][j]. The
-    layout is canonical, so equal tensors compare and hash equal."""
+    its nonzero index pairs: pairs holds ((i, j), the Row of t[i][j]) for
+    each nonzero row, sorted by (i, j). The layout is canonical, so equal
+    tensors compare and hash equal, and its size follows the nonzeros."""
 
     shape: tuple[int, int, int]
-    rows: tuple[tuple[Row, ...], ...]
+    pairs: tuple[tuple[tuple[int, int], Row], ...]
+
+    def row(self, i: int, j: int) -> Row:
+        """The Row of t[i][j]; () when it is zero."""
+        at = bisect_left(self.pairs, ((i, j),))
+        if at < len(self.pairs) and self.pairs[at][0] == (i, j):
+            return self.pairs[at][1]
+        return ()
 
     def vector(self, i: int, j: int) -> Vector:
         """t[i][j] as a dense vector of length d3."""
-        return dense_vector(self.rows[i][j], self.shape[2])
+        return dense_vector(self.row(i, j), self.shape[2])
 
     def entries(self) -> Iterator[tuple[int, int, int, Fraction]]:
         """(i, j, k, value) of every nonzero, in lexicographic order."""
-        for i, plane in enumerate(self.rows):
-            for j, row in enumerate(plane):
-                for k, c in row:
-                    yield i, j, k, c
+        for (i, j), row in self.pairs:
+            for k, c in row:
+                yield i, j, k, c
 
     def is_zero(self) -> bool:
-        return not any(map(any, self.rows))
+        return not self.pairs
 
     def __sub__(self, other: "Tensor3") -> "Tensor3":
         if other.shape != self.shape:
             raise ShapeError(f"cannot subtract a {other.shape} tensor from a {self.shape} one")
-        cells = {(i, j, k): c for i, j, k, c in self.entries()}
-        for i, j, k, c in other.entries():
-            cells[i, j, k] = cells.get((i, j, k), ZERO) - c
-        return sparse_tensor(*self.shape, cells)
+        return minus_transposed(self, _transpose(other))
 
 
 def _from_cells(d1: int, d2: int, d3: int, cells: dict[tuple[int, int], list]) -> Tensor3:
     """The tensor whose row (i, j) holds the nonzero pairs cells[i, j]."""
-    return Tensor3(
-        (d1, d2, d3),
-        tuple(
-            tuple(tuple(sorted(cells[i, j])) if (i, j) in cells else () for j in range(d2))
-            for i in range(d1)
-        ),
-    )
+    return Tensor3((d1, d2, d3), tuple((ij, tuple(sorted(row))) for ij, row in sorted(cells.items())))
 
 
 def sparse_tensor(d1: int, d2: int, d3: int, entries: dict) -> Tensor3:
@@ -128,7 +132,7 @@ def tensor3(entries: Tensor3 | Sequence[Sequence[Sequence[object]]], d1: int, d2
 
 
 def zero_tensor3(d1: int, d2: int, d3: int) -> Tensor3:
-    return sparse_tensor(d1, d2, d3, {})
+    return Tensor3((d1, d2, d3), ())
 
 
 def minus_transposed(t: Tensor3, s: Tensor3) -> Tensor3:
@@ -146,14 +150,11 @@ def minus_transposed(t: Tensor3, s: Tensor3) -> Tensor3:
 def bilinear(t: Tensor3, x: Vector, y: Vector) -> Vector:
     """Evaluate the bilinear map with structure tensor t on (x, y)."""
     out = [ZERO] * t.shape[2]
-    for i, xi in enumerate(x):
-        if xi:
-            plane = t.rows[i]
-            for j, yj in enumerate(y):
-                if yj and plane[j]:
-                    c = xi * yj
-                    for k, v in plane[j]:
-                        out[k] += c * v
+    for (i, j), row in t.pairs:
+        if x[i] and y[j]:
+            c = x[i] * y[j]
+            for k, v in row:
+                out[k] += c * v
     return tuple(out)
 
 
@@ -162,34 +163,49 @@ def compose(
 ) -> Tensor3:
     """The tensor of h(t(f e_i, g e_j)): the map f fed into the first
     argument of t, g into the second and h applied to the value, each the
-    identity when None. It is built from the nonzeros of the columns of
-    f, g and h."""
+    identity when None. It is built from the nonzero pairs of t and the
+    nonzeros of f, g and h: t[a][b] reaches (i, j) through the entries
+    f[a][i] and g[b][j] of row a of f and row b of g."""
     f, g, h = (MatrixQ.identity(d) if m is None else m for m, d in zip((f, g, h), t.shape))
     if (f.rows, g.rows, h.cols) != t.shape:
         raise ShapeError(
             f"cannot feed {f.rows}- and {g.rows}-dimensional values into a {t.shape} tensor"
             f" and map its values from dimension {h.cols}"
         )
-    g_cols, h_cols = g.transpose().nonzeros, h.transpose().nonzeros
+    h_cols = h.transpose().nonzeros
     cells: dict[tuple[int, int, int], Fraction] = {}
-    for i, f_col in enumerate(f.transpose().nonzeros):
-        for j, g_col in enumerate(g_cols):
-            for (a, x), (b, y) in itertools.product(f_col, g_col):
-                for k, z in t.rows[a][b]:
-                    xyz = x * y * z
-                    for r, w in h_cols[k]:
-                        cells[i, j, r] = cells.get((i, j, r), ZERO) + xyz * w
+    for (a, b), row in t.pairs:
+        for (i, x), (j, y) in itertools.product(f.nonzeros[a], g.nonzeros[b]):
+            xy = x * y
+            for k, z in row:
+                xyz = xy * z
+                for r, w in h_cols[k]:
+                    cells[i, j, r] = cells.get((i, j, r), ZERO) + xyz * w
     return sparse_tensor(f.cols, g.cols, h.rows, cells)
 
 
-# The rows of a structure tensor, planes[i][j] = the Row of t[i][j]:
-# Tensor3.rows or a transpose of it.
-Planes = Sequence[Sequence[Row]]
+# A tensor scaled to integers: its nonzero index pairs (i, j), each with
+# its Row times the scale, as an IntRow.
+IntTensor = dict[tuple[int, int], IntRow]
+
+
+def integer_pairs(*tensors: Tensor3) -> tuple[int, list[IntTensor]]:
+    """(D, scaled): D is the common denominator of every entry of the
+    tensors, and scaled[t] maps each nonzero index pair of tensors[t] to
+    its row times D, in integers. Every integer engine reads a tensor in
+    this form, with .get((i, j), ()) for a pair that may be zero."""
+    den, rows = integer_rows(row for t in tensors for _, row in t.pairs)
+    it = iter(rows)
+    return den, [{ij: next(it) for ij, _ in t.pairs} for t in tensors]
+
+
 # One term of a basis identity read at an index tuple idx: (sign, coeffs,
 # (a, b), rows, c) stands for
 #     sign * sum_w coeffs[idx[a]][idx[b]][w] * rows[idx[c]][w],
-# or for sign * sum_w coeffs[idx[a]][idx[b]][w] * rows[w] when c is None.
-Term = tuple[int, Planes, tuple[int, int], Planes | Sequence[Row], int | None]
+# or for sign * sum_w coeffs[idx[a]][idx[b]][w] * rows[0][w] when c is
+# None; rows is then a map's columns (_columns). Both are Tensor3s, and
+# IntTensors once the engine has scaled them.
+Term = tuple[int, Tensor3, tuple[int, int], Tensor3, int | None]
 # A basis identity: its name, the terms of its two sides and, optionally,
 # the positions of the index tuple its witness reports, in order.
 Identity = tuple[str, Sequence[Term], Sequence[Term]] | tuple[str, Sequence[Term], Sequence[Term], tuple[int, ...]]
@@ -198,34 +214,41 @@ Identity = tuple[str, Sequence[Term], Sequence[Term]] | tuple[str, Sequence[Term
 Family = tuple[tuple[int, ...], Sequence[Identity]]
 
 
-def _transpose(rows: Sequence[Sequence[Row]]) -> list[tuple[Row, ...]]:
-    """out[j][i] = rows[i][j]."""
-    return list(zip(*rows))
+def _transpose(t: Tensor3) -> Tensor3:
+    """out[j][i] = t[i][j]."""
+    d1, d2, d3 = t.shape
+    return Tensor3((d2, d1, d3), tuple(sorted(((j, i), row) for (i, j), row in t.pairs)))
 
 
-def _units(d: int) -> tuple[Row, ...]:
-    """The Row of each standard basis vector e_w of Q^d: the rows that
-    read a coefficient row as the vector it is."""
-    return MatrixQ.identity(d).nonzeros
+def _columns(f: MatrixQ) -> Tensor3:
+    """The columns f e_w of a matrix as the rows (0, w) of a tensor: the
+    rows a term with c None reads, applying f to a coefficient row."""
+    return Tensor3((1, f.cols, f.rows), tuple(((0, w), col) for w, col in enumerate(f.transpose().nonzeros) if col))
+
+
+def _units(t: Tensor3) -> Tensor3:
+    """The columns e_w of the identity of Q^d3 at each w where t has a
+    nonzero: the rows that read a coefficient row of t as the vector it is."""
+    d = t.shape[2]
+    return Tensor3((1, d, d), tuple(((0, w), ((w, ONE),)) for w in sorted({k for _, row in t.pairs for k, _ in row})))
 
 
 def _image_identity(axiom: str, f: MatrixQ | None, t: Tensor3, s: Tensor3, ab=(0, 1), *order: tuple) -> Identity:
     """f(t[i][j]) = s[i][j] at (i, j) = (idx[a], idx[b]), f the identity
     when None; order is the witness order, as in Identity."""
-    f_cols = _units(t.shape[2]) if f is None else f.transpose().nonzeros
-    return (axiom, [(1, t.rows, ab, f_cols, None)], [(1, s.rows, ab, _units(s.shape[2]), None)], *order)
+    f_cols = _units(t) if f is None else _columns(f)
+    return (axiom, [(1, t, ab, f_cols, None)], [(1, s, ab, _units(s), None)], *order)
 
 
 def _accumulate(out: dict[int, int], terms: Iterable[Term], idx: tuple[int, ...]) -> None:
     """Add the integer terms at idx into out, by output index."""
     for sign, coeffs, (a, b), rows, c in terms:
-        coeff_row = coeffs[idx[a]][idx[b]]
+        coeff_row = coeffs.get((idx[a], idx[b]))
         if coeff_row:
-            if c is not None:
-                rows = rows[idx[c]]
+            i = 0 if c is None else idx[c]
             for w, x in coeff_row:
                 x *= sign
-                for k, y in rows[w]:
+                for k, y in rows.get((i, w), ()):
                     out[k] = out.get(k, 0) + x * y
 
 
@@ -235,32 +258,20 @@ def _candidates(shape: tuple[int, ...], terms: Iterable[Term]) -> list[tuple[int
     is 0."""
     found: set[tuple[int, ...]] = set()
     for coeffs, (a, b) in {(id(t[1]), t[2]): (t[1], t[2]) for t in terms}.values():
-        for x, plane in enumerate(coeffs):
-            for y, row in enumerate(plane):
-                if row:
-                    ranges = [(x,) if p == a else (y,) if p == b else range(n) for p, n in enumerate(shape)]
-                    found.update(itertools.product(*ranges))
+        for x, y in coeffs:
+            ranges = [(x,) if p == a else (y,) if p == b else range(n) for p, n in enumerate(shape)]
+            found.update(itertools.product(*ranges))
     return sorted(found)
 
 
 def _integer_terms(terms: Sequence[Term]) -> tuple[int, list[Term]]:
     """(den, scaled): den is the common denominator of every entry of the
     tensors the terms read, and scaled holds the terms with each of those
-    tensors scaled once by den, in integers. A term reads two tensors, so
-    a sum of scaled terms is den^2 times the sum of the terms."""
-    # every tensor read, by id, as planes or (c is None) as a sequence of rows
-    sources: dict[int, tuple[Planes, bool]] = {}
-    for _, coeffs, _, rows, c in terms:
-        sources[id(coeffs)] = (coeffs, True)
-        sources[id(rows)] = (rows, c is not None)
-    den, scaled = integer_rows(row for t, planes in sources.values() for row in (itertools.chain(*t) if planes else t))
-    # hand the scaled rows back to their tensors, in the order they were read
-    it = iter(scaled)
-
-    def take(rows: Sequence) -> tuple:
-        return tuple(itertools.islice(it, len(rows)))
-
-    ints = {key: tuple(map(take, t)) if planes else take(t) for key, (t, planes) in sources.items()}
+    tensors scaled once by den, as IntTensors. A term reads two tensors,
+    so a sum of scaled terms is den^2 times the sum of the terms."""
+    tensors = {id(t): t for _, coeffs, _, rows, _ in terms for t in (coeffs, rows)}
+    den, scaled = integer_pairs(*tensors.values())
+    ints = dict(zip(tensors, scaled))
     return den, [(s, ints[id(co)], ab, ints[id(rows)], c) for s, co, ab, rows, c in terms]
 
 
@@ -368,7 +379,7 @@ def check_prelie(a: PreLieAlgebra) -> Violation | None:
     """Left-symmetry of the associator on every basis triple, from the
     nonzero structure constants: (e_i e_j) e_k = sum_m P[i][j][m] P[m][k]
     and e_i (e_j e_k) = sum_m P[j][k][m] P[i][m]."""
-    p = a.product.rows
+    p = a.product
     p_t = _transpose(p)
     left_symmetry = (
         "left-symmetry",
@@ -385,9 +396,9 @@ def check_lie(l: LieAlgebra) -> Violation | None:
     """Antisymmetry on every basis pair, then the Jacobi identity on
     every basis triple, from the nonzero structure constants:
     [[e_i, e_j], e_k] = sum_m B[i][j][m] B[m][k]."""
-    b = l.bracket.rows
+    b = l.bracket
     b_t = _transpose(b)
-    unit = _units(l.dim)
+    unit = _units(b)
     # [e_i, e_j]  =  -[e_j, e_i]
     antisymmetry = ("antisymmetry", [(1, b, (0, 1), unit, None)], [(-1, b, (1, 0), unit, None)])
     # [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]  =  0
@@ -449,9 +460,9 @@ def check_representation(rep: Representation) -> Violation | None:
     """Left action is a Lie module over the commutator algebra; the mixed
     identity ties the two actions to the pre-Lie product."""
     d, v = rep.algebra.dim, rep.carrier_dim
-    p = rep.algebra.product.rows
-    bracket = subadjacent_lie(rep.algebra).bracket.rows
-    left, right = rep.left.rows, rep.right.rows
+    p = rep.algebra.product
+    bracket = subadjacent_lie(rep.algebra).bracket
+    left, right = rep.left, rep.right
     left_t, right_t = _transpose(left), _transpose(right)
     # at (i, j, u): [e_i, e_j] . v_u  =  e_i . (e_j . v_u) - e_j . (e_i . v_u)
     lie_module = (
@@ -505,8 +516,8 @@ def check_action(act: ActionData) -> Violation | None:
     if bad is not None:
         return bad
     n, m = act.acting.dim, act.module.dim
-    q = act.module.product.rows
-    left, right = act.left.rows, act.right.rows
+    q = act.module.product
+    left, right = act.left, act.right
     q_t, right_t = _transpose(q), _transpose(right)
     # at (x, u, v): (e_x . m_u) m_v - e_x . (m_u m_v)  =  (m_u . e_x) m_v - m_u (e_x . m_v)
     left_compat = (
@@ -565,7 +576,7 @@ def _ideal(a: PreLieAlgebra, sub: SubspaceBasis) -> tuple[MatrixQ, MatrixQ, Viol
     for i, u in itertools.product(range(a.dim), range(incl.cols)):
         sides = (("ideal-left", left, left_in, (i, u)), ("ideal-right", right, right_in, (u, i)))
         for axiom, t, in_span, (p, q) in sides:
-            if t.rows[p][q] != in_span.rows[p][q]:
+            if t.row(p, q) != in_span.row(p, q):
                 return incl, section, Violation(axiom, (p, q), t.vector(p, q), zero_vector(a.dim))
     return incl, section, None
 

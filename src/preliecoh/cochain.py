@@ -43,7 +43,6 @@ from .errors import ArityMismatch, DimensionMismatch, NotACocycle, ShapeError
 from .linalg import (
     ONE,
     ZERO,
-    IntRow,
     MatrixQ,
     QuotientMap,
     Row,
@@ -53,7 +52,6 @@ from .linalg import (
     dense_vector,
     greedy_independent,
     in_kernel,
-    integer_rows,
     rank_kernel_image,
     rank_of,
     solve_particular,
@@ -63,7 +61,9 @@ from .linalg import (
     vec_sub,
     zero_vector,
 )
-from .algebra import LieAlgebra, Representation, Tensor3, bilinear, sparse_tensor, subadjacent_lie, tensor3
+from .algebra import (
+    IntTensor, LieAlgebra, Representation, Tensor3, bilinear, integer_pairs, sparse_tensor, subadjacent_lie, tensor3
+)
 
 
 def increasing_tuples(dim: int, length: int) -> list[tuple[int, ...]]:
@@ -283,18 +283,6 @@ def coboundary(rep: Representation, f: Cochain) -> Cochain:
     return Cochain.from_coordinates(n + 1, a.dim, rep.carrier_dim, coords)
 
 
-# A Tensor3's rows times an integer: planes[i][j] is the IntRow of (i, j).
-IntPlanes = tuple[tuple[IntRow, ...], ...]
-
-
-def _integer_tensors(*tensors: Tensor3) -> tuple[int, list[IntPlanes]]:
-    """(D, scaled): D is the common denominator of every entry of the
-    tensors, and scaled[t][i][j] is row (i, j) of tensors[t] times D."""
-    den, rows = integer_rows(row for t in tensors for plane in t.rows for row in plane)
-    it = iter(rows)
-    return den, [tuple(tuple(itertools.islice(it, len(plane))) for plane in t.rows) for t in tensors]
-
-
 def _assemble(rows: int, cols: int, den: int, terms: Iterable[tuple[int, int, int]]) -> MatrixQ:
     """The rows x cols matrix whose entry (r, c) is the sum of every x in
     the (r, c, x) triples of `terms`, over den.
@@ -316,12 +304,12 @@ def _assemble(rows: int, cols: int, den: int, terms: Iterable[tuple[int, int, in
 
 
 def _prelie_terms(
-    n: int, d: int, v: int, prod: IntPlanes, left: IntPlanes, right: IntPlanes
+    n: int, d: int, v: int, prod: IntTensor, left: IntTensor, right: IntTensor
 ) -> Iterator[tuple[int, int, int]]:
     """Row rule of d: C^n -> C^{n+1}, term by term as in `coboundary`,
-    on integer-scaled structure rows: prod[x][y] (x * y), left[x][b]
-    (x . v_b) and right[b][y] (v_b . y); the commutator [x, y] is read
-    off prod.
+    on integer-scaled structure rows: prod at (x, y) (x * y), left at
+    (x, b) (x . v_b) and right at (b, y) (v_b . y); the commutator [x, y]
+    is read off prod.
 
     Output position (prefix, last) with prefix = (x_1..x_n) increasing
     and x_{n+1} = last; dropping x_i leaves an increasing head, so only
@@ -329,13 +317,13 @@ def _prelie_terms(
     not depend on last is found once per prefix.
     """
     # (b', b, c) for each term c v_b' of x . v_b, and of v_b . y
-    lefts = [[(bp, b, c) for b in range(v) for bp, c in left[x][b]] for x in range(d)]
-    rights = [[(bp, b, c) for b in range(v) for bp, c in right[b][y]] for y in range(d)]
+    lefts = [[(bp, b, c) for b in range(v) for bp, c in left.get((x, b), ())] for x in range(d)]
+    rights = [[(bp, b, c) for b in range(v) for bp, c in right.get((b, y), ())] for y in range(d)]
     # [x, y] = x * y - y * x for x < y
     bracket: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for x, y in itertools.combinations(range(d), 2):
-        terms = dict(prod[x][y])
-        for k, c in prod[y][x]:
+        terms = dict(prod.get((x, y), ()))
+        for k, c in prod.get((y, x), ()):
             terms[k] = terms.get(k, 0) - c
         bracket[x, y] = [(k, c) for k, c in terms.items() if c]
     for out, prefix in enumerate(itertools.combinations(range(d), n)):
@@ -365,7 +353,7 @@ def _prelie_terms(
                 for bp, b, c in rights[last]:
                     yield row + bp, col + b, s * c
                 # -f(head, x_i * x_{n+1})
-                for k, c in prod[xi][last]:
+                for k, c in prod.get((xi, last), ()):
                     col = (base + k) * v
                     for b in range(v):
                         yield row + b, col + b, -s * c
@@ -385,7 +373,7 @@ def coboundary_matrix(rep: Representation, n: int) -> MatrixQ:
     d, v = a.dim, rep.carrier_dim
     rows = len(CochainBasis(n + 1, d)) * v
     cols = len(CochainBasis(n, d)) * v
-    den, tensors = _integer_tensors(a.product, rep.left, rep.right)
+    den, tensors = integer_pairs(a.product, rep.left, rep.right)
     return _assemble(rows, cols, den, _prelie_terms(n, d, v, *tensors))
 
 
@@ -436,7 +424,6 @@ class CohomologySpace:
     representatives: tuple[Cochain, ...]
     quotient: QuotientMap
     reduced_reps: MatrixQ
-    boundary_matrix: MatrixQ
 
     def class_coordinates(self, z: Cochain) -> Vector:
         """Coordinates of [z] against the representatives.
@@ -467,12 +454,7 @@ def cohomology(rep: Representation | CochainComplex, n: int) -> CohomologySpace:
     v_dim = cx.rep.carrier_dim
     _, kernel, _ = cx.eliminated(n)
     space_dim = len(CochainBasis(n, a_dim)) * v_dim
-    if n == 1:
-        image = SubspaceBasis(space_dim, ())
-        boundary = MatrixQ.zero(space_dim, 0)
-    else:
-        boundary = cx.d(n - 1)
-        _, _, image = cx.eliminated(n - 1)
+    image = SubspaceBasis(space_dim, ()) if n == 1 else cx.eliminated(n - 1)[2]
     quot = QuotientMap.build(space_dim, image)
     candidates = [quot.reduce_row(row) for row in kernel.rows]
     kept = greedy_independent(candidates)
@@ -483,7 +465,6 @@ def cohomology(rep: Representation | CochainComplex, n: int) -> CohomologySpace:
         representatives=tuple(Cochain(n, a_dim, v_dim, kernel.rows[i]) for i in kept),
         quotient=quot,
         reduced_reps=MatrixQ(len(kept), quot.dim, reduced).transpose(),
-        boundary_matrix=boundary,
     )
 
 
@@ -631,13 +612,13 @@ def lie_coboundary(mod: LieModule, f: LieCochain) -> LieCochain:
     return LieCochain(k + 1, lie.dim, mod.dim, tuple(values))
 
 
-def _lie_terms(k: int, d: int, m: int, action: IntPlanes, bracket: IntPlanes) -> Iterator[tuple[int, int, int]]:
+def _lie_terms(k: int, d: int, m: int, action: IntTensor, bracket: IntTensor) -> Iterator[tuple[int, int, int]]:
     """Row rule of the Chevalley-Eilenberg d: C^k -> C^{k+1} on
-    integer-scaled structure rows, action[x][w] (x . w) and bracket[x][y]
-    ([x, y]); written apart from `_prelie_terms` so the two complexes
+    integer-scaled structure rows, action at (x, w) (x . w) and bracket
+    at (x, y) ([x, y]); written apart from `_prelie_terms` so the two complexes
     stay independent."""
     # (w', w, c) for each term c w' of x . w
-    actions = [[(wp, w, c) for w in range(m) for wp, c in action[x][w]] for x in range(d)]
+    actions = [[(wp, w, c) for w in range(m) for wp, c in action.get((x, w), ())] for x in range(d)]
     for out, args in enumerate(itertools.combinations(range(d), k + 1)):
         row = out * m
         # x_i . f(...no x_i...)
@@ -650,7 +631,7 @@ def _lie_terms(k: int, d: int, m: int, action: IntPlanes, bracket: IntPlanes) ->
         for i, j in itertools.combinations(range(k + 1), 2):
             s = 1 if (i + j) % 2 == 0 else -1
             rest = args[:i] + args[i + 1 : j] + args[j + 1 :]
-            for t, c in bracket[args[i]][args[j]]:
+            for t, c in bracket.get((args[i], args[j]), ()):
                 key, sign = sort_with_sign((t,) + rest)
                 if sign == 0:
                     continue
@@ -663,7 +644,7 @@ def lie_coboundary_matrix(mod: LieModule, k: int) -> MatrixQ:
     """Matrix of the CE differential, assembled in integers like
     `coboundary_matrix`; `lie_coboundary` is its reference."""
     d, m = mod.algebra.dim, mod.dim
-    den, tensors = _integer_tensors(mod.action, mod.algebra.bracket)
+    den, tensors = integer_pairs(mod.action, mod.algebra.bracket)
     return _assemble(comb(d, k + 1) * m, comb(d, k) * m, den, _lie_terms(k, d, m, *tensors))
 
 

@@ -34,6 +34,7 @@ from .algebra import (
     PreLieAlgebra,
     Tensor3,
     Violation,
+    _columns,
     _first_failure,
     _image_identity,
     _transpose,
@@ -76,7 +77,7 @@ def check_lie_crossed_module(x: LieCrossedModule) -> Violation | None:
             return bad
     m, n = x.m, x.n
     morphism = _image_identity("lie-morphism", x.mu, m.bracket, compose(n.bracket, x.mu, x.mu))
-    act, bm, bn = x.action.rows, m.bracket.rows, n.bracket.rows
+    act, bm, bn = x.action, m.bracket, n.bracket
     act_t, bm_t = _transpose(act), _transpose(bm)
     # at (i, j, u): [e_i, e_j] |> m_u  =  e_i |> (e_j |> m_u) - e_j |> (e_i |> m_u)
     lie_action = (
@@ -130,11 +131,11 @@ class RotaBaxterLieCrossedModule:
 
 def check_rota_baxter(lie: LieAlgebra, t: MatrixQ) -> Violation | None:
     """[Tx,Ty] = T([Tx,y] + [x,Ty]) on every basis pair."""
-    b, d, t_cols = lie.bracket, lie.dim, t.transpose().nonzeros
+    b, d, t_cols, tbt = lie.bracket, lie.dim, _columns(t), compose(lie.bracket, t, t)
     rota_baxter = (
         "rota-baxter",
-        [(1, compose(b, t, t).rows, (0, 1), _units(d), None)],
-        [(1, compose(b, f=t).rows, (0, 1), t_cols, None), (1, compose(b, g=t).rows, (0, 1), t_cols, None)],
+        [(1, tbt, (0, 1), _units(tbt), None)],
+        [(1, compose(b, f=t), (0, 1), t_cols, None), (1, compose(b, g=t), (0, 1), t_cols, None)],
     )
     return _first_failure([((d, d), [rota_baxter])], d)
 
@@ -171,7 +172,7 @@ def check_dendriform(a: DendriformAlgebra) -> Violation | None:
     """(x<y)<z = x<(y<z + y>z); (x>y)<z = x>(y<z);
     x>(y>z) = (x<y + x>y)>z, on every basis triple, the three in that
     order at each triple, from the nonzero structure constants."""
-    s, p = a.succ.rows, a.prec.rows
+    s, p = a.succ, a.prec
     s_t, p_t = _transpose(s), _transpose(p)
     # at (i, j, k), with e_i < e_j = sum_w p[i][j][w] e_w
     checks = [

@@ -443,18 +443,20 @@ def right_inverse_on_image(m: MatrixQ) -> MatrixQ:
     On im(m) this is a genuine right inverse: columns of m at pivot
     positions map back to the matching standard basis vectors of the
     source; the deterministic complement of im(m) (standard basis
-    vectors at non-pivot coordinates of the image) maps to zero.
+    vectors at non-pivot coordinates of the image) maps to zero. With P
+    the pivot columns of m and R the pivot rows of m[:, P], the square
+    m[R, P] is invertible, and s = e_P inv(m[R, P]) on the coordinates R,
+    zero on the others.
     """
     col_pivots = [c for c, _ in _rref(m.nonzeros)]
     columns = m.transpose().nonzeros
-    image = tuple(columns[p] for p in col_pivots)
-    row_pivots = {c for c, _ in _rref(image)}
-    complement = [j for j in range(m.rows) if j not in row_pivots]
-    # b has the image columns and then the unit vectors at the complement
-    # as its columns; c maps them to the unit vectors at the pivots and to 0
-    b = MatrixQ(m.rows, m.rows, image + tuple(((j, ONE),) for j in complement)).transpose()
-    c = MatrixQ(m.rows, m.cols, tuple(((p, ONE),) for p in col_pivots) + ((),) * len(complement))
-    return c.transpose() @ invert(b)
+    row_pivots = [c for c, _ in _rref(columns[p] for p in col_pivots)]
+    at = {p: a for a, p in enumerate(col_pivots)}
+    square = tuple(tuple((at[c], x) for c, x in m.nonzeros[r] if c in at) for r in row_pivots)
+    inverse = invert(MatrixQ(len(at), len(at), square)).nonzeros
+    # row c of s is, for c in P, row at[c] of the inverse read at the coordinates R
+    rows = (tuple((row_pivots[b], x) for b, x in inverse[at[c]]) if c in at else () for c in range(m.cols))
+    return MatrixQ(m.cols, m.rows, tuple(rows))
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import NeedsHigherTruncation, ShapeError, TruncationMismatch
-from .algebra import PreLieAlgebra, Representation, Tensor3, Violation
+from .algebra import IntTensor, PreLieAlgebra, Representation, Violation, integer_pairs
 from .cochain import Cochain
 from .linalg import IntRow, Vector, integer_rows, vec_add, vec_scale, vec_sub, zero_vector
 
@@ -328,24 +328,16 @@ def evaluate(
     return TreeEvaluator(algebra, assign).eval_poly(p)
 
 
-def _tensor_rows(t: Tensor3) -> tuple[int, dict[tuple[int, int], IntRow]]:
-    """One denominator for t, and its nonzero rows times it, in integers."""
-    den, rows = integer_rows(itertools.chain(*t.rows))
-    return den, {divmod(ij, t.shape[1]): row for ij, row in enumerate(rows) if row}
-
-
-def _bilinear(
-    rows: Mapping[tuple[int, int], IntRow], p: Sequence[int], q: Sequence[int], n: int, mult: int
-) -> list[int]:
-    """mult times the bilinear map with integer rows on the integer
+def _bilinear(rows: IntTensor, p: Sequence[int], q: Sequence[int], n: int, mult: int) -> list[int]:
+    """mult times the bilinear map of an integer tensor on the integer
     vectors (p, q), as a list of length n."""
     out = [0] * n
     for x, px in enumerate(p):
         if px:
             for u, qu in enumerate(q):
-                if qu and (x, u) in rows:
+                if qu:
                     c = mult * px * qu
-                    for w, t in rows[x, u]:
+                    for w, t in rows.get((x, u), ()):
                         out[w] += c * t
     return out
 
@@ -449,7 +441,7 @@ def _node_values(
     its denominator D_a, so a node of degree k has the integer value
     values[k] = scales[k] * E(nodes[k]), with scales[k] = D_e^k * D_a^(k-1)."""
     e_den, leaves = integer_rows(tuple(enumerate(v)) for v in images)
-    a_den, rows = _tensor_rows(algebra.product)
+    a_den, (rows,) = integer_pairs(algebra.product)
     values: list[list[int]] = []
     for step in plan.program:
         if isinstance(step, int):
@@ -557,8 +549,8 @@ def check_cocycle_pullback(
         theta_rows.setdefault((x, y), []).append((z, value))
         theta_rows.setdefault((y, x), []).append((z, tuple((b, -t) for b, t in value)))
 
-    l_den, left_rows = _tensor_rows(rep.left)
-    r_den, right_rows = _tensor_rows(rep.right)
+    l_den, (left_rows,) = integer_pairs(rep.left)
+    r_den, (right_rows,) = integer_pairs(rep.right)
 
     # Each integer value is the true value times the product of the
     # denominators of its factors: theta on three tree images carries

@@ -411,17 +411,17 @@ def t_map(
     beta = compose(alpha, h=sigma)
     if compose(beta, h=e.mu.matrix) != alpha:
         raise InternalAssertionFailed("curvature not in the image of mu")
-    b, act = beta.rows, e.action
-    left = compose(act.left, rho).rows  # rho(e_x) . m_w at (x, w)
-    right_t = _transpose(compose(act.right, g=rho).rows)  # m_w . rho(e_z) at (z, w)
+    b, act = beta, e.action
+    left = compose(act.left, rho)  # rho(e_x) . m_w at (x, w)
+    right_t = _transpose(compose(act.right, g=rho))  # m_w . rho(e_z) at (z, w)
     theta_terms = [
         (1, b, (1, 2), left, 0),  # rho(x) . beta(y, z)
         (-1, b, (0, 2), left, 1),  # - rho(y) . beta(x, z)
         (1, b, (1, 0), right_t, 2),  # beta(y, x) . rho(z)
         (-1, b, (0, 1), right_t, 2),  # - beta(x, y) . rho(z)
-        (-1, g.product.rows, (0, 2), b, 1),  # - beta(y, x z)
-        (1, g.product.rows, (1, 2), b, 0),  # beta(x, y z)
-        (-1, subadjacent_lie(g).bracket.rows, (0, 1), _transpose(b), 2),  # - beta([x, y], z)
+        (-1, g.product, (0, 2), b, 1),  # - beta(y, x z)
+        (1, g.product, (1, 2), b, 0),  # beta(x, y z)
+        (-1, subadjacent_lie(g).bracket, (0, 1), _transpose(b), 2),  # - beta([x, y], z)
     ]
     den, terms = _integer_terms(theta_terms)
     values = []

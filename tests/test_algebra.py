@@ -496,7 +496,7 @@ def test_tensor3_keeps_shape_checks_and_input_types():
     assert dense(t) == (((F(1), F(1, 2)),), ((F(2), F(-1, 3)),))
     assert all(type(x) is F for _, _, _, x in t.entries())
     assert tensor3(t, 2, 1, 2) is t
-    assert tensor3((((F(1), F(0)),),), 1, 1, 2).rows == ((((0, F(1)),),),)
+    assert tensor3((((F(1), F(0)),),), 1, 1, 2).pairs == (((0, 0), ((0, F(1)),)),)
     assert dense(tensor3([[(F(1), 2)]], 1, 1, 2)) == (((F(1), F(2)),),)
     assert dense(tensor3([[[]]], 1, 1, 0)) == (((),),)
     for bad, dims in [
@@ -523,7 +523,8 @@ def test_tensor_equality_is_canonical():
     read = document_from_obj(doc).payload.product
     assert nested == entries == read
     assert hash(nested) == hash(entries) == hash(read)
-    assert nested.rows == entries.rows == read.rows == (((), ((1, F(-1, 2)),)), ((), ()))
+    assert nested.pairs == entries.pairs == read.pairs == (((0, 1), ((1, F(-1, 2)),)),)
+    assert read.row(0, 1) == ((1, F(-1, 2)),) and read.row(1, 0) == read.row(0, 0) == ()
     assert list(read.entries()) == [(0, 1, 1, F(-1, 2))]
     assert zero_tensor3(2, 2, 2) == tensor3([[[0, 0]] * 2] * 2, 2, 2, 2)
     assert zero_tensor3(2, 2, 2).is_zero() and not read.is_zero()
@@ -575,9 +576,9 @@ def fraction_first_failure(families, n):
     def side(terms, idx):
         out = [F(0)] * n
         for sign, coeffs, (a, b), rows, c in terms:
-            src = rows if c is None else rows[idx[c]]
-            for w, x in coeffs[idx[a]][idx[b]]:
-                for k, y in src[w]:
+            i = 0 if c is None else idx[c]
+            for w, x in coeffs.row(idx[a], idx[b]):
+                for k, y in rows.row(i, w):
                     out[k] += sign * x * y
         return tuple(out)
 

@@ -190,12 +190,16 @@ def test_validate_large_zero_product(tmp_path: Path) -> None:
     # 45 bytes that describe 40^3 zero structure constants; the checkers
     # visit only nonzero ones (the dense checks took about 15 s and, for
     # the dim-24 bracket, 1.8 s), and skip index tuples whose coefficient
-    # rows are all empty (a zero dim-200 product took 11-15 s before)
+    # rows are all empty (a zero dim-200 product took 11-15 s before).
+    # A tensor stores its nonzero index pairs only, so dim 100000 reads
+    # and checks as fast (one row slot per pair ended in MemoryError)
     doc = tmp_path / "doc.json"
     for text in (
         '{"kind": "prelie", "dim": 40, "product": []}',
         '{"kind": "lie", "dim": 24, "bracket": []}',
         '{"kind": "prelie", "dim": 200, "product": []}',
+        '{"kind": "prelie", "dim": 100000, "product": []}',
+        '{"kind": "lie", "dim": 100000, "bracket": []}',
     ):
         doc.write_text(text)
         code, out, err = run_cli("validate", str(doc))

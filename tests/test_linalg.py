@@ -296,6 +296,37 @@ def test_right_inverse_property(m):
     assert m @ s @ m == m
 
 
+def right_inverse_oracle(m):
+    """right_inverse_on_image as first written, kept as its oracle: the
+    image columns m[:, P] and the unit vectors at the coordinates off
+    their pivot rows are the columns of an invertible m.rows x m.rows
+    matrix b, and s = c^T inv(b) for the c that maps them to the unit
+    vectors at P and to 0."""
+    col_pivots = [c for c, _ in _rref(m.nonzeros)]
+    columns = m.transpose().nonzeros
+    image = tuple(columns[p] for p in col_pivots)
+    row_pivots = {c for c, _ in _rref(image)}
+    complement = [j for j in range(m.rows) if j not in row_pivots]
+    b = MatrixQ(m.rows, m.rows, image + tuple(((j, F(1)),) for j in complement)).transpose()
+    c = MatrixQ(m.rows, m.cols, tuple(((p, F(1)),) for p in col_pivots) + ((),) * len(complement))
+    return c.transpose() @ invert(b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 6), st.integers(1, 6), st.data())
+def test_right_inverse_equals_oracle(r, k, c, data):
+    # an r x k times a k x c product, half the entries zero: rank at most k
+    entries = st.one_of(st.just(F(0)), fracs)
+
+    def drawn(nrows, ncols):
+        rows = data.draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+        return MatrixQ.from_rows(rows, ncols)
+
+    m = drawn(r, k) @ drawn(k, c)
+    assert right_inverse_on_image(m) == right_inverse_oracle(m)
+    assert right_inverse_on_image(m.transpose()) == right_inverse_oracle(m.transpose())
+
+
 @settings(max_examples=60, deadline=None)
 @given(matrices(), st.data())
 def test_solve_consistency(m, data):
