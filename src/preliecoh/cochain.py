@@ -378,8 +378,8 @@ def coboundary_matrix(rep: Representation, n: int) -> MatrixQ:
 
 
 class CochainComplex:
-    """C^*(g, V) for one representation, building and eliminating each
-    d_n at most once.
+    """C^*(g, V) for one representation, building, ranking and
+    eliminating each d_n at most once.
 
     Make one per command or call and hand it to `cohomology` and
     `are_cohomologous` (and an h3 computed from it to `t_map`) so they
@@ -390,6 +390,7 @@ class CochainComplex:
         self.rep = rep
         self._d: dict[int, MatrixQ] = {}
         self._eliminated: dict[int, tuple[int, SubspaceBasis, SubspaceBasis]] = {}
+        self._rank: dict[int, int] = {0: 0}
 
     @classmethod
     def of(cls, source: Representation | CochainComplex) -> CochainComplex:
@@ -406,6 +407,14 @@ class CochainComplex:
         if n not in self._eliminated:
             self._eliminated[n] = rank_kernel_image(self.d(n))
         return self._eliminated[n]
+
+    def rank(self, n: int) -> int:
+        """rank d_n, and 0 for n = 0 (the complex starts at degree 1): read
+        off `eliminated(n)` when that is cached, else found by a forward
+        pass alone."""
+        if n not in self._rank:
+            self._rank[n] = self._eliminated[n][0] if n in self._eliminated else rank_of(self.d(n))
+        return self._rank[n]
 
 
 @dataclass(frozen=True)
@@ -466,6 +475,20 @@ def cohomology(rep: Representation | CochainComplex, n: int) -> CohomologySpace:
         quotient=quot,
         reduced_reps=MatrixQ(len(kept), quot.dim, reduced).transpose(),
     )
+
+
+def cohomology_dimension(rep: Representation | CochainComplex, n: int) -> int:
+    """dim H^n = dim C^n - rank d_n - rank d_{n-1}, as im d_{n-1} lies in
+    ker d_n; equals cohomology(rep, n).dimension without building a
+    kernel, a quotient or representatives.
+
+    Pass a CochainComplex to reuse matrices and ranks it already holds.
+    """
+    if n < 1:
+        raise ShapeError("cohomology defined for arity >= 1")
+    cx = CochainComplex.of(rep)
+    space_dim = len(CochainBasis(n, cx.rep.algebra.dim)) * cx.rep.carrier_dim
+    return space_dim - cx.rank(n) - cx.rank(n - 1)
 
 
 def are_cohomologous(rep: Representation | CochainComplex, f1: Cochain, f2: Cochain) -> Cochain | None:

@@ -343,20 +343,96 @@ def test_cohomology_phi_builds_and_ranks_each_lie_matrix_once(monkeypatch) -> No
     build, rank = cochain.lie_coboundary_matrix, cochain.rank_of
 
     def counting_build(mod, k):
-        built.append(k)
-        return build(mod, k)
+        m = build(mod, k)
+        built.append((k, m))
+        return m
 
     def counting_rank(m):
-        ranked.append((m.rows, m.cols))
+        ranked.append(m)
         return rank(m)
 
     monkeypatch.setattr(cochain, "lie_coboundary_matrix", counting_build)
     monkeypatch.setattr(cochain, "rank_of", counting_rank)
     code, _, _ = run_cli("cohomology", fx("rep_lmult2_regular"), "--n", "3", "--phi")
     assert code == 0
-    assert sorted(built) == [0, 1, 2]
-    assert len(ranked) == len(set(ranked)) == 3
+    assert sorted(k for k, _ in built) == [0, 1, 2]
+    # the pre-Lie d_n have the shapes of these matrices, so match by identity
+    assert [sum(r is m for r in ranked) for _, m in built] == [1, 1, 1]
 
+
+def test_cohomology_dims_come_from_ranks_alone(monkeypatch) -> None:
+    import preliecoh.cochain as cochain
+    import preliecoh.linalg as linalg
+
+    kernel_work, built, ranked, spaces = [], [], [], []
+
+    def counting(name, fn):
+        def counted(*args):
+            kernel_work.append(name)
+            return fn(*args)
+
+        return counted
+
+    build, rank, space = cochain.coboundary_matrix, cochain.rank_of, cli.cohomology
+
+    def counting_build(rep, n):
+        m = build(rep, n)
+        built.append((n, m))
+        return m
+
+    def counting_rank(m):
+        ranked.append(m)
+        return rank(m)
+
+    def counting_space(cx, n):
+        spaces.append(n)
+        return space(cx, n)
+
+    monkeypatch.setattr(cochain, "rank_kernel_image", counting("rank_kernel_image", cochain.rank_kernel_image))
+    monkeypatch.setattr(cochain, "greedy_independent", counting("greedy_independent", cochain.greedy_independent))
+    monkeypatch.setattr(
+        linalg.QuotientMap, "build", staticmethod(counting("QuotientMap.build", linalg.QuotientMap.build))
+    )
+    monkeypatch.setattr(cochain, "coboundary_matrix", counting_build)
+    monkeypatch.setattr(cochain, "rank_of", counting_rank)
+    monkeypatch.setattr(cli, "cohomology", counting_space)
+    code, out, _ = run_cli("cohomology", fx("rep_lmult2_regular"), "--n", "3")
+    assert code == 0 and "H^3: dim" in out
+    assert kernel_work == [] and spaces == []
+    assert sorted(n for n, _ in built) == [1, 2, 3]
+    assert [sum(r is m for r in ranked) for _, m in built] == [1, 1, 1]
+    assert len(ranked) == 3
+
+    code, with_reps, _ = run_cli("cohomology", fx("rep_lmult2_regular"), "--n", "3", "--representatives")
+    assert code == 0 and "representative 1:" in with_reps
+    assert spaces == [1, 2, 3]
+    assert {"rank_kernel_image", "QuotientMap.build", "greedy_independent"} <= set(kernel_work)
+    assert [line for line in with_reps.splitlines() if line.startswith("H^")] == out.splitlines()[2:]
+
+
+def test_out_of_memory_is_a_one_line_input_error(monkeypatch) -> None:
+    import preliecoh.cochain as cochain
+
+    def exhausted(rep, n):
+        raise MemoryError
+
+    monkeypatch.setattr(cochain, "coboundary_matrix", exhausted)
+    code, out, err = run_cli("cohomology", fx("rep_lmult2_regular"), "--n", "3")
+    assert code == 1 and out == ""
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
+
+
+def test_cli_import_freezes_the_loaded_modules() -> None:
+    # a fresh interpreter: the package's functions are in the collector's
+    # permanent generation, so full collections skip them
+    child = (
+        "import gc, sys, preliecoh.cli as cli; "
+        "sys.exit(0 if gc.get_freeze_count() and all(o is not cli.main for o in gc.get_objects()) else 1)"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=60)
+    assert (run.returncode, run.stderr) == (0, ""), run.stderr[-2000:]
 
 def test_cohomology_rejects_nonpositive_n() -> None:
     code, _, err = run_cli("cohomology", fx("rep_lmult2_trivial1"), "--n", "0")

@@ -29,6 +29,7 @@ from preliecoh.cochain import (
     coboundary,
     coboundary_matrix,
     cohomology,
+    cohomology_dimension,
     hom_module,
     increasing_tuples,
     lie_coboundary,
@@ -754,3 +755,36 @@ def test_cochain_complex_eliminates_each_differential_once(monkeypatch):
         cohomology(cx, n)
     assert eliminated == [(cx.d(n).rows, cx.d(n).cols) for n in (1, 2, 3)]
 
+
+# abelian and left-unit algebras of dims 2-5 with their trivial 1-dim and
+# regular representations, and every catalog representation
+RANK_CASES = representation_pairs() + [
+    (f"{family}{d}/{kind}", make(algebra(d)))
+    for family, algebra in (("ab", PreLieAlgebra.zero_product), ("lu", left_unit))
+    for d in (2, 3, 4, 5)
+    for kind, make in (("trivial", lambda a: Representation.trivial(a, 1)), ("regular", Representation.regular))
+]
+
+
+@pytest.mark.parametrize("rep", [rep for _, rep in RANK_CASES], ids=[name for name, _ in RANK_CASES])
+def test_cohomology_dimension_from_ranks_matches_cohomology(rep, monkeypatch):
+    import preliecoh.cochain as cochain
+
+    degrees = (1, 2, 3, 4)
+    ranks_first = CochainComplex(rep)
+    dims = [cohomology_dimension(ranks_first, n) for n in degrees]
+    assert dims == [cohomology(ranks_first, n).dimension for n in degrees]
+    spaces_first = CochainComplex(rep)
+    assert [cohomology(spaces_first, n).dimension for n in degrees] == dims
+
+    def no_rank_of(m):
+        raise AssertionError("rank of an eliminated d_n computed again")
+
+    # every rank is read off the cached eliminations
+    monkeypatch.setattr(cochain, "rank_of", no_rank_of)
+    assert [cohomology_dimension(spaces_first, n) for n in degrees] == dims
+
+
+def test_cohomology_dimension_rejects_degree_zero():
+    with pytest.raises(ShapeError):
+        cohomology_dimension(Representation.regular(LMULT2), 0)
