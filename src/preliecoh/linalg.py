@@ -15,20 +15,22 @@ lcm of its denominators and kept sparse as {column: int}. A row r is
 cleared against a pivot row p at column c by r <- a r - b p with a/b =
 p[c]/r[c] in lowest terms, after which r is divided by the gcd of its
 entries (its content). The forward pass and the back substitution both
-work this way, and fractions are formed only as the Row entries of the
-reduced rows, entry / pivot. The back substitution goes by pattern, as in
-Gilbert and Peierls (SIAM J. Sci. Stat. Comput. 9, 1988) and Davis,
-Direct Methods for Sparse Linear Systems (SIAM 2006, ch. 3): each row is
-cleared only at the later pivot columns it holds, not against every
-later pivot row.
+work this way; the back substitution goes by pattern, as in Gilbert and
+Peierls (SIAM J. Sci. Stat. Comput. 9, 1988) and Davis, Direct Methods
+for Sparse Linear Systems (SIAM 2006, ch. 3): each row is cleared only at
+the later pivot columns it holds. The reduced rows stay integers, with
+content 1 and a positive pivot entry, which is the row's denominator, so
+equal matrices give equal echelons. Every reader works on that one form,
+and fractions are formed only for what is returned: kernel rows,
+solutions, inverses and quotient coordinates.
 
 Subspaces stay sparse too. A SubspaceBasis stores one Row per basis
 vector: kernel rows are read off the reduced rows and image rows are
 columns of the matrix, and its dense `vectors` are a view for callers.
-QuotientMap.reduce_row, greedy_independent, in_kernel and
-solve_particular take Rows; reduce_row and in_kernel scale them to
-integers like the elimination, and form fractions only for the
-coordinates they return.
+A QuotientMap keeps the reduced rows of its subspace over one common
+denominator. QuotientMap.reduce_row, greedy_independent, in_kernel and
+solve_particular take Rows and scale them to integers like the
+elimination.
 """
 
 from __future__ import annotations
@@ -219,17 +221,11 @@ def integer_rows(rows: Iterable[Row]) -> tuple[int, list[IntRow]]:
     return den, [tuple([(j, x.numerator * (den // x.denominator)) for j, x in row]) if row else () for row in rows]
 
 
-def _scaled(row: Row) -> tuple[int, dict[int, int]]:
+def _integer_row(row: Row) -> tuple[int, dict[int, int]]:
     """(den, r): den is the lcm of the row's denominators and r is the row
     times den, as {column: integer}."""
     den = lcm(*(x.denominator for _, x in row))
     return den, {j: x.numerator * (den // x.denominator) for j, x in row}
-
-
-def _integer_rows(rows: Iterable[Row]) -> list[dict[int, int]]:
-    """The nonzero rows, each scaled by the lcm of its denominators and
-    stored as {column: integer}."""
-    return [_scaled(row)[1] for row in rows if row]
 
 
 def _check_row(row: Row, n: int, what: str) -> None:
@@ -242,10 +238,10 @@ def in_kernel(m: MatrixQ, rows: Iterable[Row]) -> bool:
     """Whether m v = 0 for the vector v of every Row. Each row of m and
     each v is scaled to integers, which does not change whether a product
     vanishes."""
-    scaled = _integer_rows(m.nonzeros)
+    scaled = [_integer_row(r)[1] for r in m.nonzeros if r]
     for row in rows:
         _check_row(row, m.cols, "matrix columns")
-        w = _scaled(row)[1]
+        w = _integer_row(row)[1]
         if any(sum(x * w[j] for j, x in r.items() if j in w) for r in scaled):
             return False
     return True
@@ -272,17 +268,21 @@ def _clear(r: dict[int, int], p: dict[int, int], c: int) -> None:
                 r[j] //= content
 
 
-def _echelon(rows: list[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
-    """Forward pass: (pivot column, row) pairs in increasing column order.
+def _echelon(rows: Iterable[Row]) -> list[tuple[int, dict[int, int]]]:
+    """Forward pass: the nonzero rows scaled to integers and reduced to
+    (pivot column, row) pairs in increasing column order. The back
+    substitution changes no pivot, so these are the pivots of the rref.
 
     Columns are visited left to right; among the rows leading at a column,
     the one with fewest entries (then smallest pivot) clears the others.
     The leading columns wait in a heap, so finding the next one does not
-    scan all of them. The rows are consumed.
+    scan all of them.
     """
     leading: dict[int, list[dict[int, int]]] = {}
-    for r in rows:
-        leading.setdefault(min(r), []).append(r)
+    for row in rows:
+        if row:
+            r = _integer_row(row)[1]
+            leading.setdefault(min(r), []).append(r)
     columns = list(leading)
     heapify(columns)
     echelon = []
@@ -303,15 +303,16 @@ def _echelon(rows: list[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
     return echelon
 
 
-def _rref(rows: Iterable[Row]) -> list[tuple[int, Row]]:
-    """The reduced row echelon form of the rows: (pivot column, reduced
-    row) pairs in increasing pivot order, zero rows dropped.
+def _rref(rows: Iterable[Row]) -> list[tuple[int, dict[int, int]]]:
+    """The reduced row echelon form of the rows, in integers: (pivot
+    column, {column: integer}) pairs in increasing pivot order, zero rows
+    dropped. Each row has content 1, a positive pivot entry and no entry
+    at the other pivots; divided by its pivot entry it is the reduced row.
 
-    The reduced row echelon form is unique, so the result does not depend
-    on how pivots are chosen. The work is done in integers (see the module
-    docstring); fractions appear only in the returned rows.
+    The reduced row echelon form is unique, and so is this scaling of it,
+    so the result does not depend on how pivots are chosen.
     """
-    echelon = _echelon(_integer_rows(rows))
+    echelon = _echelon(rows)
     at = dict(echelon)
     # back substitution, bottom up, by pattern: row t is cleared only at
     # the pivot columns it holds. The rows below t are already reduced, so
@@ -319,7 +320,12 @@ def _rref(rows: Iterable[Row]) -> list[tuple[int, Row]]:
     for c, r in reversed(echelon):
         for j in sorted(j for j in r if j != c and j in at):
             _clear(r, at[j], j)
-    return [(c, tuple((j, Fraction(p[j], p[c])) for j in sorted(p))) for c, p in echelon]
+        # content 1 and a positive pivot; a row no clear reached keeps its scaling
+        content = gcd(*r.values()) if r[c] > 0 else -gcd(*r.values())
+        if content != 1:
+            for j in r:
+                r[j] //= content
+    return echelon
 
 
 @dataclass(frozen=True)
@@ -371,9 +377,11 @@ def rank_kernel_image(m: MatrixQ) -> tuple[int, SubspaceBasis, SubspaceBasis]:
     # comes in increasing order, so 1 at j ends the row
     at_pivots: dict[int, list[tuple[int, Fraction]]] = {}
     for p, row in echelon:
-        for j, x in row:
+        for j, x in row.items():
             if j != p:
-                at_pivots.setdefault(j, []).append((p, -x))
+                at_pivots.setdefault(j, []).append((p, Fraction(-x, row[p])))
+        # free each row once read: its clears may have left it a large table
+        row.clear()
     pivot_set = set(pivots)
     kernel = tuple(
         (*at_pivots.get(j, ()), (j, ONE)) for j in range(m.cols) if j not in pivot_set
@@ -393,19 +401,19 @@ def greedy_independent(rows: Iterable[Row]) -> list[int]:
     echelon: dict[int, dict[int, int]] = {}
     kept = []
     for i, row in enumerate(rows):
-        for r in _integer_rows([row]):  # none when the row is zero
-            while r:
-                c = min(r)
-                if c not in echelon:
-                    echelon[c] = r
-                    kept.append(i)
-                    break
-                _clear(r, echelon[c], c)
+        r = _integer_row(row)[1]
+        while r:
+            c = min(r)
+            if c not in echelon:
+                echelon[c] = r
+                kept.append(i)
+                break
+            _clear(r, echelon[c], c)
     return kept
 
 
 def rank_of(m: MatrixQ) -> int:
-    return len(_echelon(_integer_rows(m.nonzeros)))
+    return len(_echelon(m.nonzeros))
 
 
 def solve_particular(m: MatrixQ, b: Row) -> Vector | None:
@@ -414,15 +422,13 @@ def solve_particular(m: MatrixQ, b: Row) -> Vector | None:
     _check_row(b, m.rows, "matrix rows")
     n = m.cols
     rhs = dict(b)
-    # b is the extra column n, so it is the last entry of a reduced row
     echelon = _rref(row + ((n, rhs[i]),) if i in rhs else row for i, row in enumerate(m.nonzeros))
     if echelon and echelon[-1][0] == n:
         return None
     x = [ZERO] * n
     for p, row in echelon:
-        j, y = row[-1]
-        if j == n:
-            x[p] = y
+        if n in row:
+            x[p] = Fraction(row[n], row[p])
     return tuple(x)
 
 
@@ -434,7 +440,8 @@ def invert(m: MatrixQ) -> MatrixQ:
     echelon = _rref(row + ((n + i, ONE),) for i, row in enumerate(m.nonzeros))
     if [c for c, _ in echelon] != list(range(n)):
         raise BadBasis("matrix is singular")
-    return MatrixQ(n, n, tuple(tuple((j - n, x) for j, x in row if j >= n) for _, row in echelon))
+    rows = (sorted((j - n, Fraction(x, row[c])) for j, x in row.items() if j >= n) for c, row in echelon)
+    return MatrixQ(n, n, tuple(map(tuple, rows)))
 
 
 def right_inverse_on_image(m: MatrixQ) -> MatrixQ:
@@ -446,11 +453,11 @@ def right_inverse_on_image(m: MatrixQ) -> MatrixQ:
     vectors at non-pivot coordinates of the image) maps to zero. With P
     the pivot columns of m and R the pivot rows of m[:, P], the square
     m[R, P] is invertible, and s = e_P inv(m[R, P]) on the coordinates R,
-    zero on the others.
+    zero on the others. Both pivot sets come from the forward pass.
     """
-    col_pivots = [c for c, _ in _rref(m.nonzeros)]
+    col_pivots = [c for c, _ in _echelon(m.nonzeros)]
     columns = m.transpose().nonzeros
-    row_pivots = [c for c, _ in _rref(columns[p] for p in col_pivots)]
+    row_pivots = [c for c, _ in _echelon(columns[p] for p in col_pivots)]
     at = {p: a for a, p in enumerate(col_pivots)}
     square = tuple(tuple((at[c], x) for c, x in m.nonzeros[r] if c in at) for r in row_pivots)
     inverse = invert(MatrixQ(len(at), len(at), square)).nonzeros
@@ -464,33 +471,22 @@ class QuotientMap:
     """Coordinates on Q^ambient_dim / span(sub), via non-pivot coordinates.
 
     reduce_row() rewrites a Row modulo the subspace so that all pivot
-    coordinates of the reduced row echelon basis of the subspace (the
-    Rows of sub_rref) vanish, then reads off the remaining (non-pivot)
-    coordinates. Each row of sub_rref has zeros at the other pivots, so
-    coordinate j of the result is v_j - sum_p v_p sub_rref[p][j];
-    reduce_row() computes it in integers, from the rows scaled once by
-    their common denominator, reading only the nonzeros of v and the rows
-    of its nonzero pivot coordinates, and forms fractions only for the
-    returned coordinates. reduce() is the same map on dense vectors.
+    coordinates of the reduced row echelon basis of the subspace vanish,
+    then reads off the remaining (non-pivot) coordinates. Each reduced row
+    rref_p has zeros at the other pivots, so coordinate j of the result is
+    v_j - sum_p v_p rref_p[j]. The reduced rows are kept in integers,
+    scaled by their common denominator den: pivot_rows[p] holds den rref_p
+    off its pivot, as (column, integer) pairs. reduce_row() reads only the
+    nonzeros of v and the rows of its nonzero pivot coordinates, and forms
+    fractions only for the returned coordinates. reduce() is the same map
+    on dense vectors; column p of reduce_matrix() is -rref_p off p.
     """
 
     ambient_dim: int
-    sub_rref: tuple[Row, ...]
     pivots: tuple[int, ...]
     complement: tuple[int, ...]
-    # den, the common denominator of sub_rref; per pivot p the non-pivot
-    # entries of its row times den, as (column, integer) pairs; and the
-    # position of each complement column in the result
-    _den: int = field(init=False, repr=False, compare=False)
-    _pivot_rows: dict[int, tuple[tuple[int, int], ...]] = field(init=False, repr=False, compare=False)
-    _position: dict[int, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        den, scaled = integer_rows(self.sub_rref)
-        pivot_rows = {p: tuple((j, x) for j, x in row if j != p) for p, row in zip(self.pivots, scaled)}
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_pivot_rows", pivot_rows)
-        object.__setattr__(self, "_position", {j: t for t, j in enumerate(self.complement)})
+    den: int
+    pivot_rows: dict[int, IntRow] = field(hash=False)
 
     @classmethod
     def build(cls, ambient_dim: int, sub: SubspaceBasis) -> "QuotientMap":
@@ -502,7 +498,10 @@ class QuotientMap:
         pivots = tuple(c for c, _ in echelon)
         pivot_set = set(pivots)
         complement = tuple(j for j in range(ambient_dim) if j not in pivot_set)
-        return cls(ambient_dim, tuple(row for _, row in echelon), pivots, complement)
+        # each pivot entry is its row's denominator
+        den = lcm(*(r[c] for c, r in echelon))
+        pivot_rows = {c: tuple(sorted((j, x * (den // r[c])) for j, x in r.items() if j != c)) for c, r in echelon}
+        return cls(ambient_dim, pivots, complement, den, pivot_rows)
 
     @property
     def dim(self) -> int:
@@ -513,17 +512,17 @@ class QuotientMap:
         Row over the complement positions."""
         _check_row(row, self.ambient_dim, "ambient dimension")
         # row = w / den_v, so the result is (den w_j - sum_p w_p row_p[j]) / (den_v den)
-        den_v, w = _scaled(row)
+        den_v, w = _integer_row(row)
         acc: dict[int, int] = {}
         for j, x in w.items():
-            pivot_row = self._pivot_rows.get(j)
+            pivot_row = self.pivot_rows.get(j)
             if pivot_row is None:
-                acc[j] = acc.get(j, 0) + x * self._den
+                acc[j] = acc.get(j, 0) + x * self.den
             else:
                 for k, y in pivot_row:
                     acc[k] = acc.get(k, 0) - x * y
-        den = den_v * self._den
-        return tuple(sorted((self._position[j], Fraction(x, den)) for j, x in acc.items() if x))
+        den = den_v * self.den
+        return tuple(sorted((bisect_left(self.complement, j), Fraction(x, den)) for j, x in acc.items() if x))
 
     def reduce(self, v: Sequence[Fraction]) -> Vector:
         if len(v) != self.ambient_dim:

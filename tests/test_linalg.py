@@ -7,7 +7,7 @@ match the code.
 
 import contextlib
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -302,10 +302,10 @@ def right_inverse_oracle(m):
     their pivot rows are the columns of an invertible m.rows x m.rows
     matrix b, and s = c^T inv(b) for the c that maps them to the unit
     vectors at P and to 0."""
-    col_pivots = [c for c, _ in _rref(m.nonzeros)]
+    col_pivots = dense_rref(row_list(m))
     columns = m.transpose().nonzeros
     image = tuple(columns[p] for p in col_pivots)
-    row_pivots = {c for c, _ in _rref(image)}
+    row_pivots = set(dense_rref([list(dense_vector(c, m.rows)) for c in image]))
     complement = [j for j in range(m.rows) if j not in row_pivots]
     b = MatrixQ(m.rows, m.rows, image + tuple(((j, F(1)),) for j in complement)).transpose()
     c = MatrixQ(m.rows, m.cols, tuple(((p, F(1)),) for p in col_pivots) + ((),) * len(complement))
@@ -385,14 +385,34 @@ def dense_rref(rows):
     return pivots
 
 
-def dense_rref_rows(rows):
-    """dense_rref behind the signature of linalg._rref: sparse rows in,
-    (pivot column, reduced sparse row) pairs out."""
+def dense_rref_fractions(rows):
+    """dense_rref on sparse rows: (pivot column, reduced Row) pairs."""
     rows = list(rows)
     ncols = 1 + max((j for row in rows for j, _ in row), default=-1)
     dense = [list(dense_vector(row, ncols)) for row in rows]
     pivots = dense_rref(dense)
     return [(c, sparse_row(dense[t])) for t, c in enumerate(pivots)]
+
+
+def dense_rref_rows(rows):
+    """dense_rref behind the signature of linalg._rref: sparse rows in,
+    (pivot column, {column: integer}) pairs out, each reduced row scaled
+    by the lcm of its denominators."""
+    return [(c, dict(integer_rows([row])[1][0])) for c, row in dense_rref_fractions(rows)]
+
+
+def fraction_view(echelon):
+    """The integer echelon of linalg._rref as (pivot column, reduced Row)
+    pairs: each row divided by its pivot entry."""
+    return [(c, tuple((j, F(r[j], r[c])) for j in sorted(r))) for c, r in echelon]
+
+
+def quotient_rref(q):
+    """The reduced rows of the subspace of the QuotientMap q, read off
+    (pivots, reduce_matrix()): the row of pivot p is 1 at p and minus
+    column p of reduce_matrix() at the complement positions."""
+    cols = q.reduce_matrix().transpose().nonzeros
+    return tuple(tuple(sorted([(p, F(1)), *((q.complement[t], -x) for t, x in cols[p])])) for p in q.pivots)
 
 
 def row_list(m):
@@ -446,6 +466,25 @@ def rational_rows(draw, max_dim=6):
 def test_rref_equals_dense_oracle(rows):
     sparse = [sparse_row(r) for r in rows]
     assert _rref(sparse) == dense_rref_rows(sparse)
+    assert fraction_view(_rref(sparse)) == dense_rref_fractions(sparse)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_rows(), st.data())
+def test_echelon_is_canonical(rows, data):
+    sparse = [sparse_row(r) for r in rows]
+    echelon = _rref(sparse)
+    pivots = [c for c, _ in echelon]
+    assert pivots == sorted(set(pivots))
+    for c, r in echelon:
+        assert all(type(x) is int and x for x in r.values())
+        assert min(r) == c and r[c] > 0 and gcd(*r.values()) == 1
+        assert not any(j in r for j in pivots if j != c)
+    # the same rows permuted and each rescaled by a nonzero rational
+    order = data.draw(st.permutations(range(len(rows))))
+    nonzero = st.builds(F, st.integers(-30, 30).filter(bool), st.sampled_from([1, 2, 3, 5, 7, 12]))
+    factors = data.draw(st.lists(nonzero, min_size=len(rows), max_size=len(rows)))
+    assert _rref(sparse_row([x * f for x in rows[i]]) for i, f in zip(order, factors)) == echelon
 
 
 def outcome(fn, *args):
@@ -473,7 +512,7 @@ def test_linalg_results_equal_oracle_built_results(rows, data):
             solve_particular(m, sparse_row(m.mul_vec(x0))),
             outcome(invert, m) if m.rows == m.cols else None,
             right_inverse_on_image(m),
-            (q.sub_rref, q.pivots, q.complement, q.reduce(u), q.reduce_matrix()),
+            (quotient_rref(q), q.pivots, q.complement, q.reduce(u), q.reduce_matrix()),
         )
 
     got = results()
@@ -538,7 +577,7 @@ def dense_rank_kernel_image(m):
     """rank_kernel_image as it was before subspaces were stored as Rows,
     kept as its oracle: (rank, kernel vectors, image vectors), every
     vector dense. Inside dense_engine() it runs on dense_rref."""
-    echelon = linalg._rref(m.nonzeros)
+    echelon = fraction_view(linalg._rref(m.nonzeros))
     pivots = [c for c, _ in echelon]
     at_pivots = {}
     for p, row in echelon:
@@ -565,7 +604,7 @@ class DenseQuotient:
     dense_rref."""
 
     def __init__(self, ambient_dim, vectors):
-        echelon = linalg._rref(map(sparse_row, vectors))
+        echelon = fraction_view(linalg._rref(map(sparse_row, vectors)))
         if len(echelon) != len(vectors):
             raise BadBasis("subspace vectors are linearly dependent")
         self.ambient_dim = ambient_dim
@@ -582,7 +621,7 @@ class DenseQuotient:
 
     def reduce(self, v):
         assert len(v) == self.ambient_dim
-        den_v, w = linalg._scaled(sparse_row(v))
+        den_v, w = linalg._integer_row(sparse_row(v))
         acc = {}
         for j, x in w.items():
             row = self.pivot_rows.get(j)
@@ -607,14 +646,14 @@ def dense_greedy_independent(vectors):
     echelon = {}
     kept = []
     for i, v in enumerate(vectors):
-        for r in linalg._integer_rows([sparse_row(v)]):
-            while r:
-                c = min(r)
-                if c not in echelon:
-                    echelon[c] = r
-                    kept.append(i)
-                    break
-                linalg._clear(r, echelon[c], c)
+        r = linalg._integer_row(sparse_row(v))[1]
+        while r:
+            c = min(r)
+            if c not in echelon:
+                echelon[c] = r
+                kept.append(i)
+                break
+            linalg._clear(r, echelon[c], c)
     return kept
 
 
@@ -631,7 +670,7 @@ def test_sparse_subspaces_equal_the_dense_oracles(rows, data):
     assert img == SubspaceBasis.from_vectors(m.rows, img.vectors)
     assert img.as_column_matrix() == from_cols(img.vectors, rows=m.rows)
     q = QuotientMap.build(m.rows, img)
-    assert (q.sub_rref, q.pivots, q.complement) == (dq.sub_rref, dq.pivots, dq.complement)
+    assert (quotient_rref(q), q.pivots, q.complement) == (dq.sub_rref, dq.pivots, dq.complement)
     assert q.reduce_matrix() == dq.reduce_matrix()
     drawn = [tuple(data.draw(st.lists(mixed_fracs, min_size=m.rows, max_size=m.rows))) for _ in range(2)]
     for u in [*drawn, *img.vectors, *row_list(m.transpose())]:
@@ -668,17 +707,17 @@ def test_subspace_rows_are_checked_against_the_ambient_dimension():
 # --- the integer quotient and closedness test against fraction oracles ------
 
 
-def fraction_reduce(q, v):
+def fraction_reduce(rref, complement, v):
     """QuotientMap.reduce as it was before the integer engine, kept as its
-    oracle: each pivot coordinate is cleared in fractions, one reduced row
-    at a time."""
+    oracle: each pivot coordinate is cleared in fractions, one (pivot,
+    reduced Row) pair of rref at a time."""
     w = list(v)
-    for p, row in zip(q.pivots, q.sub_rref):
+    for p, row in rref:
         coeff = w[p]
         if coeff != 0:
             for j, b in row:
                 w[j] -= coeff * b
-    return tuple(w[j] for j in q.complement)
+    return tuple(w[j] for j in complement)
 
 
 def fraction_in_kernel(m, vectors):
@@ -702,11 +741,14 @@ def test_integer_quotient_and_closedness_equal_fraction_oracles(rows, data):
     m = MatrixQ.from_rows(rows) if rows else MatrixQ.zero(0, cols)
     _, ker, img = rank_kernel_image(m)
     q = QuotientMap.build(m.rows, img)
+    rref = fraction_view(_rref(img.rows))
+    assert tuple(p for p, _ in rref) == q.pivots
+    assert type(q.den) is int and all(type(x) is int for row in q.pivot_rows.values() for _, x in row)
     vectors = [tuple(data.draw(st.lists(mixed_fracs, min_size=m.rows, max_size=m.rows))) for _ in range(3)]
     for u in [*vectors, *img.vectors]:
-        assert q.reduce(u) == fraction_reduce(q, u)
+        assert q.reduce(u) == fraction_reduce(rref, q.complement, u)
     units = [standard_basis_vector(m.rows, j) for j in range(m.rows)]
-    assert q.reduce_matrix() == from_cols([fraction_reduce(q, e) for e in units], rows=q.dim)
+    assert q.reduce_matrix() == from_cols([fraction_reduce(rref, q.complement, e) for e in units], rows=q.dim)
     # kernel vectors, their mixed-denominator multiples and arbitrary vectors
     scale = data.draw(mixed_fracs)
     tests = [*ker.vectors, *(tuple(scale * x for x in k) for k in ker.vectors)]
