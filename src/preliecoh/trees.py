@@ -475,21 +475,6 @@ def _free_family(
     return den, out
 
 
-# The nine terms of (d theta)(x1, x2, x3, x4) as (kind, sign, argument
-# positions); see the formula in check_cocycle_pullback.
-_PULLBACK_TERMS = (
-    ("left", 1, (0, 1, 2, 3)),
-    ("left", -1, (1, 0, 2, 3)),
-    ("left", 1, (2, 0, 1, 3)),
-    ("right", 1, (1, 2, 0, 3)),
-    ("right", -1, (0, 2, 1, 3)),
-    ("right", 1, (0, 1, 2, 3)),
-    ("bracket", -1, (0, 1, 2, 3)),
-    ("bracket", 1, (0, 2, 1, 3)),
-    ("bracket", -1, (1, 2, 0, 3)),
-)
-
-
 def check_cocycle_pullback(
     theta: Cochain,
     rep: Representation,
@@ -514,11 +499,20 @@ def check_cocycle_pullback(
     program for E over every tree they reach. Each call runs that program
     in integers on the label images, reads theta's nonzero values once,
     and scales each family (tree images, product images, theta, left and
-    right action) by one common denominator. Every term kind then has a
-    known integer scale; terms are cached by tuples of tree indices and
-    each quadruple is summed in integers. Indices in a Violation refer to
-    positions in the concatenated list of basis trees ordered by (degree,
-    canonical key); its lhs is the coboundary value there and its rhs zero.
+    right action) by one common denominator.
+
+    The coboundary of a 3-cochain is alternating in x1, x2, x3, so it
+    vanishes when two of them are equal, and a permutation of them only
+    changes its sign. The first violating quadruple in lexicographic order
+    therefore has i1 < i2 < i3, and only those quadruples are visited.
+    Theta is contracted in stages: once with each pair of tree images
+    into T[i, j] = theta(E x_i, E x_j, -), once with each commutator image
+    and a tree image, and, per triple, the terms linear in x4 are collected
+    into one V-column per coordinate of E(x4). Each x4 then costs that
+    column combination and three contractions of a T with a product image
+    from the plan. Indices in a Violation refer to positions in the
+    concatenated list of basis trees ordered by (degree, canonical key);
+    its lhs is the coboundary value there and its rhs zero.
     """
     if theta.arity != 3:
         raise ShapeError("need a 3-cochain")
@@ -539,7 +533,7 @@ def check_cocycle_pullback(
     p_den, products = _free_family(values, scales, free.products, a.dim)
     product_of = dict(zip(free.pairs, products))
 
-    v = rep.carrier_dim
+    g, v = a.dim, rep.carrier_dim
     # theta's nonzero values as integer Rows, at (x, y) -> [(z, value)];
     # theta is alternating in x, y, so (y, x) holds the negated values
     nonzero = list(theta.nonzero_values())
@@ -551,6 +545,9 @@ def check_cocycle_pullback(
 
     l_den, (left_rows,) = integer_pairs(rep.left)
     r_den, (right_rows,) = integer_pairs(rep.right)
+    # with theta zero, or no action and no nonzero product, every term is zero
+    if not theta_rows or not (left_rows or right_rows or any(map(any, products))):
+        return None
 
     # Each integer value is the true value times the product of the
     # denominators of its factors: theta on three tree images carries
@@ -564,82 +561,83 @@ def check_cocycle_pullback(
     den = lcm(scale_left, scale_right, scale_graft)
     m_left, m_right, m_graft = den // scale_left, den // scale_right, den // scale_graft
 
-    def pull(p: list[int], q: list[int], r: list[int]) -> list[int]:
-        """theta on integer vectors."""
-        out = [0] * v
+    def contract(p: Sequence[int], q: Sequence[int], out: list[list[int]], mult: int) -> None:
+        """out[z] += mult * theta(p, q, e_z) for each z, on integer vectors."""
         for x, px in enumerate(p):
             if px:
                 for y, qy in enumerate(q):
                     if qy:
+                        c = mult * px * qy
                         for z, value in theta_rows.get((x, y), ()):
-                            c = r[z]
-                            if c:
-                                c *= px * qy
-                                for b, t in value:
-                                    out[b] += c * t
-        return out
+                            col = out[z]
+                            for b, t in value:
+                                col[b] += c * t
 
-    pulled: dict[tuple[int, int, int], list[int]] = {}
+    def combine(columns: Sequence[Sequence[int]], w: Sequence[int], out: list[int], mult: int) -> None:
+        """out += mult * sum_z w[z] * columns[z]."""
+        for z, c in enumerate(w):
+            if c:
+                c *= mult
+                for b, t in enumerate(columns[z]):
+                    out[b] += c * t
 
-    def theta_of_trees(i: int, j: int, k: int) -> list[int]:
-        key = (i, j, k)
-        if key not in pulled:
-            pulled[key] = pull(singles[i], singles[j], singles[k])
-        return pulled[key]
+    def zeros() -> list[list[int]]:
+        return [[0] * v for _ in range(g)]
 
-    def left_term(i: int, j: int, k: int, l: int) -> list[int]:
-        # x_i . th(x_j, x_k, x_l)
-        return _bilinear(left_rows, singles[i], theta_of_trees(j, k, l), v, m_left)
+    # acts[i][w] = m_left * (x_i . e_w), one V-vector per w
+    acts = []
+    for s in singles:
+        act = [[0] * v for _ in range(v)]
+        for (x, w), row in left_rows.items():
+            if s[x]:
+                for b, t in row:
+                    act[w][b] += m_left * s[x] * t
+        acts.append(act)
 
-    def right_term(i: int, j: int, k: int, l: int) -> list[int]:
-        # th(x_i, x_j, x_k) . x_l - th(x_i, x_j, x_k * x_l)
-        out = _bilinear(right_rows, theta_of_trees(i, j, k), singles[l], v, m_right)
-        for b, c in enumerate(pull(singles[i], singles[j], product_of[k, l])):
-            out[b] -= m_graft * c
-        return out
+    # pairs[i, j] = (T[i, j], E[x_i, x_j]) for i < j, T[i, j][z] = theta(E x_i, E x_j, e_z)
+    pairs: dict[tuple[int, int], tuple[list[list[int]], list[int]]] = {}
 
-    def bracket_term(i: int, j: int, k: int, l: int) -> list[int]:
-        # th([x_i, x_j], x_k, x_l)
-        ij = pull(product_of[i, j], singles[k], singles[l])
-        ji = pull(product_of[j, i], singles[k], singles[l])
-        return [m_graft * (x - y) for x, y in zip(ij, ji)]
-
-    # a kind whose factors are all zero adds nothing to any quadruple
-    grafts = theta_rows and any(map(any, products))
-    kinds = {
-        "left": left_term if theta_rows and left_rows else None,
-        "right": right_term if grafts or theta_rows and right_rows else None,
-        "bracket": bracket_term if grafts else None,
-    }
-    caches: dict[str, dict[tuple[int, int, int, int], list[int]]] = {kind: {} for kind in kinds}
-    plan = [
-        (kinds[kind], caches[kind], sign, order)
-        for kind, sign, order in _PULLBACK_TERMS
-        if kinds[kind] is not None
-    ]
-    if not plan:
-        return None
+    def pair(i: int, j: int) -> tuple[list[list[int]], list[int]]:
+        if (i, j) not in pairs:
+            t = zeros()
+            contract(singles[i], singles[j], t, 1)
+            pairs[i, j] = (t, [x - y for x, y in zip(product_of[i, j], product_of[j, i])])
+        return pairs[i, j]
 
     n = len(free.trees)
     for i1 in range(n):
         r1 = max_degree - degrees[i1]
-        for i2 in range(fit(r1 - 2)):
+        for i2 in range(i1 + 1, fit(r1 - 2)):
             r2 = r1 - degrees[i2]
-            for i3 in range(fit(r2 - 1)):
+            for i3 in range(i2 + 1, fit(r2 - 1)):
+                triple = (i1, i2, i3)
+                (t12, c12), (t13, c13), (t23, c23) = pair(i1, i2), pair(i1, i3), pair(i2, i3)
+                # the terms with x_i removed, for i = 1, 2, 3, carry the signs
+                # +, -, +; the brackets [x1, x2], [x1, x3], [x2, x3] carry -, +, -
+                rests = ((t23, 1), (t13, -1), (t12, 1))
+                # columns[z]: the V-value of every term linear in E(x4) at e_z
+                columns = zeros()
+                slot = [0] * v  # th(..no x_i.., x_i), summed with signs
+                for i, (rest, sign) in zip(triple, rests):
+                    combine(rest, singles[i], slot, sign)
+                    for z in range(g):
+                        combine(acts[i], rest[z], columns[z], sign)
+                for w, c in enumerate(slot):
+                    if c:
+                        for u in range(g):
+                            for b, t in right_rows.get((w, u), ()):
+                                columns[u][b] += m_right * c * t
+                for bracket, k, sign in ((c12, i3, -1), (c13, i2, 1), (c23, i1, -1)):
+                    contract(bracket, singles[k], columns, sign * m_graft)
                 for i4 in range(fit(r2 - degrees[i3])):
-                    quad = (i1, i2, i3, i4)
                     total = [0] * v
-                    for term_of, cache, sign, order in plan:
-                        key = (quad[order[0]], quad[order[1]], quad[order[2]], quad[order[3]])
-                        term = cache.get(key)
-                        if term is None:
-                            term = cache[key] = term_of(*key)
-                        for b, c in enumerate(term):
-                            total[b] += sign * c
+                    combine(columns, singles[i4], total, 1)
+                    for i, (rest, sign) in zip(triple, rests):
+                        combine(rest, product_of[i, i4], total, -sign * m_graft)
                     if any(total):
                         return Violation(
                             "pullback-coboundary",
-                            quad,
+                            (i1, i2, i3, i4),
                             tuple(Fraction(c, den) for c in total),
                             zero_vector(v),
                         )

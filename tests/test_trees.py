@@ -4,6 +4,7 @@ the evaluation homomorphism, and the cocycle pullback check.
 """
 
 import collections
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -51,12 +52,24 @@ IDEM1 = sparse_algebra(1, {(0, 0, 0): 1})
 ABELIAN2 = PreLieAlgebra.zero_product(2)
 
 CATALOG = [ABELIAN2, IDEM1, LMULT2, AFFINE2]
+# the left unit scaled by 1/2 puts denominators into both actions
+HALF_UNIT = sparse_algebra(3, {(0, j, j): F(1, 2) for j in range(3)})
+# e1 * e2 = e3 / 2: E reaches e3 only through a degree-2 tree
+N3 = sparse_algebra(3, {(0, 1, 2): F(1, 2)})
+EXTRA_PAIRS = [
+    ("half-unit/regular", Representation.regular(HALF_UNIT)),
+    ("half-unit/trivial1", Representation.trivial(HALF_UNIT, 1)),
+    ("n3/regular", Representation.regular(N3)),
+    ("n3/trivial1", Representation.trivial(N3, 1)),
+]
 
 
-def check_cocycle_pullback_oracle(theta, rep, assign, max_degree):
-    """The Fraction reference for check_cocycle_pullback: every term is
-    evaluated with Cochain.evaluate and the module actions on rational
-    vectors, and pullbacks are cached by the tuple of argument vectors."""
+def pullback_totals_oracle(theta, rep, assign, max_degree):
+    """The Fraction reference for the coboundary of the pullback: yields
+    (quadruple, value) for every quadruple of basis trees within the
+    cutoff, in lexicographic order of indices. Every term is evaluated
+    with Cochain.evaluate and the module actions on rational vectors, and
+    pullbacks are cached by the tuple of argument vectors."""
     if theta.arity != 3:
         raise ShapeError("need a 3-cochain")
     a = rep.algebra
@@ -96,7 +109,6 @@ def check_cocycle_pullback_oracle(theta, rep, assign, max_degree):
         return theta_cache[key]
 
     for quad in indices:
-        i1, i2, i3, i4 = quad
         vecs = [singles[q] for q in quad]
         total = zero_vector(rep.carrier_dim)
         for i in (1, 2, 3):
@@ -121,10 +133,16 @@ def check_cocycle_pullback_oracle(theta, rep, assign, max_degree):
                 rest = [vecs[t] for t in range(4) if t not in (i - 1, j - 1)]
                 term = pullback(br, rest[0], rest[1])
                 total = vec_add(total, vec_scale(sign, term))
-        if total != zero_vector(rep.carrier_dim):
-            return Violation(
-                "pullback-coboundary", (i1, i2, i3, i4), total, zero_vector(rep.carrier_dim)
-            )
+        yield quad, total
+
+
+def check_cocycle_pullback_oracle(theta, rep, assign, max_degree):
+    """The Fraction reference for check_cocycle_pullback: the first
+    quadruple of pullback_totals_oracle with a nonzero value."""
+    zero = zero_vector(rep.carrier_dim)
+    for quad, total in pullback_totals_oracle(theta, rep, assign, max_degree):
+        if total != zero:
+            return Violation("pullback-coboundary", quad, total, zero)
     return None
 
 
@@ -477,3 +495,68 @@ def test_free_side_is_planned_once_per_degree_bound(monkeypatch):
     basis = {i: AFFINE2.basis_vector(i) for i in range(2)}
     check_cocycle_pullback(random_cochain(rng, second), second, basis, 6)
     assert not calls
+
+
+def pullback_cases():
+    """Seeded (theta, rep, assign, degree): two closed and two random
+    cochains on every catalog pair and on HALF_UNIT and N3, with 1-3
+    labels sent to basis vectors or to rational vectors, at degrees 3-5."""
+    rng = random.Random(38)
+    values = [F(0), F(1), F(-2), F(1, 2), F(-1, 3)]
+    for _, rep in representation_pairs() + EXTRA_PAIRS:
+        a, v = rep.algebra, rep.carrier_dim
+        twos = len(CochainBasis(2, a.dim)) * v
+        thetas = [
+            coboundary(rep, Cochain.from_coordinates(2, a.dim, v, [rng.choice(values) for _ in range(twos)]))
+            for _ in range(2)
+        ]
+        thetas += [random_cochain(rng, rep) for _ in range(2)]
+        for theta in thetas:
+            for labels in (1, 2, 3):
+                basis = {i: a.basis_vector(i % a.dim) for i in range(labels)}
+                for assign in (basis, rational_assign(rng, a.dim, labels)):
+                    for degree in (3, 4, 5):
+                        yield theta, rep, assign, degree
+
+
+# sha256 over the reprs of check_cocycle_pullback on pullback_cases, one
+# line each, recorded from the pullback that visited every quadruple
+PULLBACK_DIGEST = "97c5dbd16d44f7648c55691d69917e76e0b997a7938282be3fcf3f72a2f74d27"
+
+
+def test_pullback_results_equal_the_recorded_ones():
+    h = hashlib.sha256()
+    calls = violations = 0
+    for theta, rep, assign, degree in pullback_cases():
+        result = check_cocycle_pullback(theta, rep, assign, degree)
+        h.update(repr(result).encode() + b"\n")
+        calls += 1
+        violations += result is not None
+    assert (calls, violations) == (1656, 56)
+    assert h.hexdigest() == PULLBACK_DIGEST
+
+
+def test_pullback_coboundary_is_alternating_in_its_first_three_trees():
+    # check_cocycle_pullback visits only i1 < i2 < i3; this is the property
+    # that allows it, read off the oracle, which evaluates every quadruple
+    rng = random.Random(39)
+    pairs = [(name, rep) for name, rep in representation_pairs() if rep.algebra.dim == 3] + EXTRA_PAIRS
+    inversions = {p: sum(p[i] > p[j] for i, j in ((0, 1), (0, 2), (1, 2))) for p in itertools.permutations(range(3))}
+    signs = {p: (-1) ** k for p, k in inversions.items()}
+    checked = nonzero = 0
+    for name, rep in pairs:
+        theta = random_cochain(rng, rep)
+        if coboundary(rep, theta).is_zero():
+            continue  # every quadruple would read zero
+        basis = {i: rep.algebra.basis_vector(i) for i in range(3)}
+        for assign, degree in ((basis, 4), (rational_assign(rng, 3), 5)):
+            totals = dict(pullback_totals_oracle(theta, rep, assign, degree))
+            for quad, total in totals.items():
+                if len(set(quad[:3])) < 3:
+                    assert not any(total), (name, quad)
+                for p, sign in signs.items():
+                    permuted = (quad[p[0]], quad[p[1]], quad[p[2]], quad[3])
+                    assert totals[permuted] == tuple(sign * x for x in total), (name, quad, p)
+                    checked += 1
+                    nonzero += any(total)
+    assert checked > 50000 and nonzero > 5000
