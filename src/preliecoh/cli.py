@@ -431,9 +431,6 @@ def build_parser() -> _Parser:
     common.add_argument(
         "--json", action="store_true", help="emit one machine-readable JSON object"
     )
-    common.add_argument(
-        "--seed", type=int, default=0, help="seed for randomized recomputations"
-    )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser(
@@ -469,6 +466,9 @@ def build_parser() -> _Parser:
         choices=("default", "random"),
         default="default",
         help="recompute with randomly perturbed sections and compare",
+    )
+    p.add_argument(
+        "--seed", type=int, default=0, help="seed for the random sections"
     )
     p.set_defaults(func=cmd_tmap)
 

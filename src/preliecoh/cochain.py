@@ -290,13 +290,16 @@ def _assemble(rows: int, cols: int, den: int, terms: Iterable[tuple[int, int, in
     The row rules below yield one integer triple per nonzero constant
     they visit, each scaled by the common denominator den, so zero
     entries cost nothing and the sums are exact in ints.
-    One Fraction is formed per distinct nonzero sum.
+    One Fraction is formed per distinct nonzero sum, and a dict only for
+    a row that some term reaches.
     """
-    acc: list[dict[int, int]] = [{} for _ in range(rows)]
+    acc: list[dict[int, int] | None] = [None] * rows
     for r, c, x in terms:
         row = acc[r]
+        if row is None:
+            row = acc[r] = {}
         row[c] = row.get(c, 0) + x
-    fraction = {x: Fraction(x, den) for x in set().union(*(row.values() for row in acc)) if x}
+    fraction = {x: Fraction(x, den) for x in set().union(*(row.values() for row in acc if row)) if x}
     return MatrixQ(rows, cols, tuple(
         tuple([(c, fraction[x]) for c, x in sorted(row.items()) if x]) if row else ()
         for row in acc

@@ -198,7 +198,7 @@ class MatrixQ:
             self.rows,
             other.cols,
             tuple(
-                _summed((j, a * b) for k, a in row for j, b in other.nonzeros[k])
+                _summed((j, a * b) for k, a in row for j, b in other.nonzeros[k]) if row else ()
                 for row in self.nonzeros
             ),
         )

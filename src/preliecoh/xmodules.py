@@ -32,21 +32,23 @@ Everything here runs on the tensor engines of the algebra module. alpha,
 beta and the actions through rho are tensors built by compose; theta is
 seven engine terms summed in integers at every basis triple. Reading
 values in coordinates against a basis (theta through i, the induced
-actions through i or an ideal's generators) factors the basis once: a
-right inverse s of it on its image gives every coordinate, and a value
-w lies in the span exactly when i(s(w)) = w.
+actions through i or an ideal's generators) uses a right inverse s of
+it on its image, factored once per map of an extension: s gives every
+coordinate, and w lies in the span exactly when i(s(w)) = w.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import (
     InternalAssertionFailed,
     InvalidExtension,
     NotACocycle,
+    NotAnIdeal,
     OutputCheckFailed,
     ShapeError,
 )
@@ -59,6 +61,7 @@ from .algebra import (
     Violation,
     _accumulate,
     _first_failure,
+    _ideal,
     _image_identity,
     _integer_terms,
     _transpose,
@@ -66,7 +69,6 @@ from .algebra import (
     check_morphism,
     check_prelie,
     compose,
-    ideal_subalgebra,
     sparse_tensor,
     subadjacent_lie,
 )
@@ -141,14 +143,13 @@ def identity_xmod(n: PreLieAlgebra) -> CrossedModule:
 
 
 def _induced_action(
-    left: Tensor3, right: Tensor3, f: MatrixQ | None, onto: MatrixQ, error: Exception
+    left: Tensor3, right: Tensor3, f: MatrixQ | None, onto: MatrixQ, section: MatrixQ, error: Exception
 ) -> tuple[Tensor3, Tensor3]:
     """The actions left(f e_x, onto e_u) and right(onto e_u, f e_x), f the
     identity when None, in coordinates against the columns of `onto`;
-    raises `error` if a value leaves their span. onto is factored once: a
-    right inverse s of it on its image reads every coordinate, and a value
-    w lies in the span exactly when onto (s w) = w."""
-    section = right_inverse_on_image(onto)
+    raises `error` if a value leaves their span. section is a right
+    inverse of onto on its image: it reads every coordinate, and a value
+    w lies in the span exactly when onto (section w) = w."""
 
     def coordinates(t: Tensor3, a: MatrixQ | None, b: MatrixQ | None) -> Tensor3:
         values = compose(t, a, b)
@@ -162,9 +163,12 @@ def _induced_action(
 
 def ideal_inclusion_xmod(n: PreLieAlgebra, sub: SubspaceBasis) -> CrossedModule:
     """A two-sided ideal with its inclusion; raises NotAnIdeal."""
-    ideal, incl = ideal_subalgebra(n, sub)
+    incl, section, bad = _ideal(n, sub)
+    if bad is not None:
+        raise NotAnIdeal(str(bad))
+    ideal = PreLieAlgebra(sub.dim, compose(n.product, incl, incl, section))
     left, right = _induced_action(
-        n.product, n.product, None, incl, InternalAssertionFailed("ideal action left the subspace")
+        n.product, n.product, None, incl, section, InternalAssertionFailed("ideal action left the subspace")
     )
     return CrossedModule(AlgebraMorphism(ideal, n, incl), ActionData(n, ideal, left, right))
 
@@ -225,16 +229,21 @@ class CrossedModuleExtension:
     def crossed_module(self) -> CrossedModule:
         return CrossedModule(self.mu, self.action)
 
+    # the deterministic right inverses, each map factored on first use
+    @cached_property
+    def pi_section(self) -> MatrixQ:
+        rho = right_inverse_on_image(self.pi.matrix)
+        if self.pi.matrix @ rho != MatrixQ.identity(self.g_algebra.dim):
+            raise InvalidExtension("pi is not surjective")
+        return rho
 
-def default_pi_section(e: CrossedModuleExtension) -> MatrixQ:
-    rho = right_inverse_on_image(e.pi.matrix)
-    if e.pi.matrix @ rho != MatrixQ.identity(e.g_algebra.dim):
-        raise InvalidExtension("pi is not surjective")
-    return rho
+    @cached_property
+    def mu_section(self) -> MatrixQ:
+        return right_inverse_on_image(self.mu.matrix)
 
-
-def default_mu_section(e: CrossedModuleExtension) -> MatrixQ:
-    return right_inverse_on_image(e.mu.matrix)
+    @cached_property
+    def i_section(self) -> MatrixQ:
+        return right_inverse_on_image(self.i)
 
 
 def induced_representation(e: CrossedModuleExtension, section: MatrixQ | None = None) -> Representation:
@@ -243,14 +252,15 @@ def induced_representation(e: CrossedModuleExtension, section: MatrixQ | None = 
     Centrality of im(i) makes the result independent of the section;
     callers may pass any linear right inverse of pi to see that.
     """
-    g = e.g_algebra
-    rho = default_pi_section(e) if section is None else section
-    if e.pi.matrix @ rho != MatrixQ.identity(g.dim):
+    if section is None:
+        section = e.pi_section
+    elif e.pi.matrix @ section != MatrixQ.identity(e.g_algebra.dim):
         raise InvalidExtension("section is not a right inverse of pi")
     left, right = _induced_action(
-        e.action.left, e.action.right, rho, e.i, InvalidExtension("induced action escapes the image of i")
+        e.action.left, e.action.right, section, e.i, e.i_section,
+        InvalidExtension("induced action escapes the image of i"),
     )
-    return Representation(g, e.v_dim, left, right)
+    return Representation(e.g_algebra, e.v_dim, left, right)
 
 
 def check_extension(e: CrossedModuleExtension) -> Violation | None:
@@ -307,9 +317,11 @@ def canonical_extension(x: CrossedModule) -> CrossedModuleExtension:
     lift = MatrixQ.from_entries(n.dim, quot.dim, {(j, a): 1 for a, j in enumerate(quot.complement)})
     g = PreLieAlgebra(quot.dim, compose(n.product, lift, lift, reduce))
     pi = AlgebraMorphism(n, g, reduce)
+    # factored here, so that check_extension below re-derives the action independently
     rho = right_inverse_on_image(pi.matrix)
     left, right = _induced_action(
-        x.action.left, x.action.right, rho, i, InternalAssertionFailed("induced action escaped ker mu")
+        x.action.left, x.action.right, rho, i, right_inverse_on_image(i),
+        InternalAssertionFailed("induced action escaped ker mu"),
     )
     v_rep = Representation(g, kernel.dim, left, right)
     ext = CrossedModuleExtension(v_rep, i, x.mu, pi, x.action)
@@ -350,17 +362,9 @@ def double_extension(v_rep: Representation) -> CrossedModuleExtension:
     d, v = g.dim, v_rep.carrier_dim
     n = semidirect_product(v_rep)
     m = PreLieAlgebra.zero_product(2 * v)
-    mu_mat = MatrixQ.from_rows(
-        [[Fraction(1) if (r == d + c and c < v) else Fraction(0) for c in range(2 * v)] for r in range(d + v)]
-    )
-    mu = AlgebraMorphism(m, n, mu_mat)
-    i_mat = MatrixQ.from_rows(
-        [[Fraction(1) if r == v + c else Fraction(0) for c in range(v)] for r in range(2 * v)]
-    )
-    pi_mat = MatrixQ.from_rows(
-        [[Fraction(1) if r == c else Fraction(0) for c in range(d + v)] for r in range(d)]
-    )
-    pi = AlgebraMorphism(n, g, pi_mat)
+    mu = AlgebraMorphism(m, n, MatrixQ.from_entries(d + v, 2 * v, {(d + c, c): 1 for c in range(v)}))
+    i_mat = MatrixQ.from_entries(2 * v, v, {(v + c, c): 1 for c in range(v)})
+    pi = AlgebraMorphism(n, g, MatrixQ.from_entries(d, d + v, {(r, r): 1 for r in range(d)}))
     # n = g(+)V acts on m = V(+)V through its g part, copy by copy
     copies = range(0, 2 * v, v)
     left = {(a, s + u, s + k): c for a, u, k, c in v_rep.left.entries() for s in copies}
@@ -400,11 +404,13 @@ def t_map(
     default to the deterministic right inverses."""
     g = e.g_algebra
     n = e.n_algebra
-    rho = default_pi_section(e) if rho is None else rho
-    if e.pi.matrix @ rho != MatrixQ.identity(g.dim):
+    if rho is None:
+        rho = e.pi_section
+    elif e.pi.matrix @ rho != MatrixQ.identity(g.dim):
         raise InvalidExtension("rho is not a right inverse of pi")
-    sigma = default_mu_section(e) if sigma is None else sigma
-    if e.mu.matrix @ (sigma @ e.mu.matrix) != e.mu.matrix:
+    if sigma is None:
+        sigma = e.mu_section
+    elif e.mu.matrix @ (sigma @ e.mu.matrix) != e.mu.matrix:
         raise InvalidExtension("sigma is not a right inverse of mu on its image")
     # the curvature alpha(x, y) = rho(x) rho(y) - rho(x y) and beta = sigma(alpha)
     alpha = compose(n.product, rho, rho) - compose(g.product, h=rho)
@@ -432,8 +438,8 @@ def t_map(
     theta_m = MatrixQ(len(values), e.m_algebra.dim, tuple(values))
     if not (theta_m @ e.mu.matrix.transpose()).is_zero():
         raise InternalAssertionFailed("cocycle values not killed by mu")
-    # coordinates against the columns of i, from one right inverse of i
-    theta_v = theta_m @ right_inverse_on_image(e.i).transpose()
+    # coordinates against the columns of i, from its right inverse
+    theta_v = theta_m @ e.i_section.transpose()
     if theta_v @ e.i.transpose() != theta_m:
         raise InternalAssertionFailed("cocycle values not in the image of i")
     v = e.v_dim
@@ -450,27 +456,25 @@ def t_map(
 
 def random_pi_section(e: CrossedModuleExtension, rng: random.Random) -> MatrixQ:
     """rho + mu . h for a random linear h: g -> m; still a section."""
-    rho = default_pi_section(e)
     h = MatrixQ.from_rows(
         [
             [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(e.g_algebra.dim)]
             for _ in range(e.m_algebra.dim)
         ]
     )
-    return rho + (e.mu.matrix @ h)
+    return e.pi_section + (e.mu.matrix @ h)
 
 
 def random_mu_section(e: CrossedModuleExtension, rng: random.Random) -> MatrixQ:
     """sigma + i . c for a random linear c: n -> V; still inverts mu on
     its image up to ker mu, which is all the cocycle map needs."""
-    sigma = default_mu_section(e)
     c = MatrixQ.from_rows(
         [
             [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(e.n_algebra.dim)]
             for _ in range(e.v_dim)
         ]
     )
-    return sigma + (e.i @ c)
+    return e.mu_section + (e.i @ c)
 
 
 @dataclass(frozen=True)

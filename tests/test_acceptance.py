@@ -63,7 +63,6 @@ from preliecoh.xmodules import (
     check_crossed_module,
     check_equivalence_witness,
     check_extension,
-    default_pi_section,
     ideal_inclusion_xmod,
     identity_xmod,
     induced_representation,
@@ -158,7 +157,7 @@ def test_criterion_06_class_is_independent_of_sections():
 def _shifted_pi_section(e) -> MatrixQ:
     """A second deterministic section: add a kernel vector to one column."""
     kernel = rank_kernel_image(e.pi.matrix)[1]
-    rho = default_pi_section(e)
+    rho = e.pi_section
     cols = [col(rho, j) for j in range(e.g_algebra.dim)]
     if kernel.dim:
         cols[0] = vec_add(cols[0], kernel.vectors[0])

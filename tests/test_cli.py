@@ -476,6 +476,12 @@ def test_no_subcommand_is_a_usage_error() -> None:
     assert code == 1 and err.startswith("error:")
 
 
+def test_seed_is_a_tmap_option_only() -> None:
+    code, out, err = run_cli("validate", fx("lmult2"), "--seed", "3")
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 # two different subcommands and usage errors of each, run back to back
 SHARED_PARSER_RUNS = (
     ("tmap", fx("ext_dbl")),

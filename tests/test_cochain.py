@@ -625,6 +625,19 @@ def test_assembling_lu7_d3_stores_only_nonzeros():
     assert peak < 2_000_000, peak
 
 
+def test_assembling_a_zero_d3_allocates_nothing_per_empty_row():
+    # a dict per row of the accumulator costs about 120 bytes a row
+    rep = Representation.trivial(PreLieAlgebra.zero_product(12), 1)
+    tracemalloc.start()
+    try:
+        m = coboundary_matrix(rep, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert m.rows == 2640 and m.is_zero()
+    assert peak < 40 * m.rows, peak
+
+
 def rank_rule_representatives(rep, n, quot):
     """Representative choice by a full rank_of of the growing trial matrix
     for every kernel vector: the rule the incremental selection replaced."""

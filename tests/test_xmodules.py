@@ -63,8 +63,6 @@ from preliecoh.xmodules import (
     check_crossed_module,
     check_equivalence_witness,
     check_extension,
-    default_mu_section,
-    default_pi_section,
     double_extension,
     ideal_inclusion_xmod,
     identity_xmod,
@@ -129,6 +127,33 @@ def test_ideal_inclusion_crossed_module():
     assert x.m_algebra.dim == 1
     with pytest.raises(NotAnIdeal):
         ideal_inclusion_xmod(LMULT2, SubspaceBasis.from_vectors(2, (vector([1, 0]),)))
+
+
+def test_each_map_is_factored_once(monkeypatch, capsys):
+    """An extension factors pi, mu and i once however many steps read
+    their sections, and an ideal inclusion reuses the right inverse its
+    ideal test computed."""
+    from preliecoh import algebra, cli
+    from preliecoh.catalog import fixture_path
+
+    factored = []
+    for module in (algebra, xmodules):
+        original = module.right_inverse_on_image
+        monkeypatch.setattr(module, "right_inverse_on_image", lambda m, f=original: factored.append(m) or f(m))
+    argv = ["tmap", str(fixture_path("ext_dbl_regular")), "--sections", "random", "--seed", "7"]
+    assert cli.main(argv) == 0
+    assert "classes agree: PASS" in capsys.readouterr().out
+    assert len(factored) == len(set(factored)) == 3
+    factored.clear()
+    ideal_inclusion_xmod(LMULT2, SubspaceBasis.from_vectors(2, (vector([0, 1]),)))
+    assert len(factored) == 1
+
+
+def test_default_sections_refuse_a_pi_that_is_not_onto():
+    e = fixture_documents()["ext_bad_pi"].payload
+    for read in (lambda: e.pi_section, lambda: t_map(e), lambda: induced_representation(e)):
+        with pytest.raises(InvalidExtension, match="^pi is not surjective$"):
+            read()
 
 
 def test_kernel_crossed_module():
@@ -594,7 +619,7 @@ def ideal_inclusion_xmod_dense(n, sub):
 
 def induced_representation_dense(e, section=None):
     g = e.g_algebra
-    rho = default_pi_section(e) if section is None else section
+    rho = e.pi_section if section is None else section
     if e.pi.matrix @ rho != MatrixQ.identity(g.dim):
         raise InvalidExtension("section is not a right inverse of pi")
     left, right = induced_action_dense(
@@ -642,10 +667,10 @@ def canonical_extension_dense(x):
 def t_map_dense(e, rho=None, sigma=None, h3=None):
     g = e.g_algebra
     n = e.n_algebra
-    rho = default_pi_section(e) if rho is None else rho
+    rho = e.pi_section if rho is None else rho
     if e.pi.matrix @ rho != MatrixQ.identity(g.dim):
         raise InvalidExtension("rho is not a right inverse of pi")
-    sigma = default_mu_section(e) if sigma is None else sigma
+    sigma = e.mu_section if sigma is None else sigma
     if e.mu.matrix @ (sigma @ e.mu.matrix) != e.mu.matrix:
         raise InvalidExtension("sigma is not a right inverse of mu on its image")
     d = g.dim
