@@ -37,21 +37,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DimensionMismatch, NotAnIdeal, ShapeError
+from .errors import DimensionMismatch, ShapeError
 from .linalg import (
     ONE,
     ZERO,
     IntRow,
     MatrixQ,
     Row,
-    SubspaceBasis,
     Vector,
     as_fraction,
     dense_vector,
     integer_rows,
-    right_inverse_on_image,
     standard_basis_vector,
-    zero_vector,
 )
 
 
@@ -558,39 +555,3 @@ def check_morphism(f: AlgebraMorphism) -> Violation | None:
     d, m = f.source.dim, f.matrix
     morphism = _image_identity("morphism", m, f.source.product, compose(f.target.product, m, m))
     return _first_failure([((d, d), [morphism])], f.target.dim)
-
-
-def _ideal(a: PreLieAlgebra, sub: SubspaceBasis) -> tuple[MatrixQ, MatrixQ, Violation | None]:
-    """(incl, section, bad): the generators as columns, a right inverse of
-    incl on its image, and the first (basis vector, generator) pair whose
-    product with the generator on either side leaves their span, or None.
-    A value w lies in the span exactly when incl (section w) = w."""
-    if sub.ambient_dim != a.dim:
-        raise DimensionMismatch("subspace lives in a different space than the algebra")
-    incl = sub.as_column_matrix()
-    section = right_inverse_on_image(incl)
-    back = incl @ section
-    left = compose(a.product, g=incl)  # e_i * r_t at (i, t)
-    right = compose(a.product, incl)  # r_t * e_i at (t, i)
-    left_in, right_in = compose(left, h=back), compose(right, h=back)
-    for i, u in itertools.product(range(a.dim), range(incl.cols)):
-        sides = (("ideal-left", left, left_in, (i, u)), ("ideal-right", right, right_in, (u, i)))
-        for axiom, t, in_span, (p, q) in sides:
-            if t.row(p, q) != in_span.row(p, q):
-                return incl, section, Violation(axiom, (p, q), t.vector(p, q), zero_vector(a.dim))
-    return incl, section, None
-
-
-def check_two_sided_ideal(a: PreLieAlgebra, sub: SubspaceBasis) -> Violation | None:
-    """A*R and R*A both land in span(R) for every (basis vector, generator)."""
-    return _ideal(a, sub)[2]
-
-
-def ideal_subalgebra(a: PreLieAlgebra, sub: SubspaceBasis) -> tuple[PreLieAlgebra, MatrixQ]:
-    """The ideal span(sub) as an algebra in its own basis, plus the
-    inclusion matrix (columns are the generators). Raises NotAnIdeal."""
-    incl, section, bad = _ideal(a, sub)
-    if bad is not None:
-        raise NotAnIdeal(str(bad))
-    # the products of generators lie in the span, so section reads their coordinates
-    return PreLieAlgebra(sub.dim, compose(a.product, incl, incl, section)), incl

@@ -25,7 +25,7 @@ import random
 import sys
 from fractions import Fraction
 
-from .algebra import PreLieAlgebra, Representation, check_prelie, check_representation
+from .algebra import PreLieAlgebra
 from .cochain import (
     Cochain,
     CochainComplex,
@@ -38,6 +38,7 @@ from .cochain import (
 )
 from .documents import (
     DocumentModel,
+    Payload,
     _cochain_entries,
     dumps_pretty,
     parse_document,
@@ -62,7 +63,6 @@ from .functors import (
 from .linalg import in_kernel, is_zero_vector
 from .trees import TreePoly, enumerate_trees, format_tree, graft_product, parse_tree
 from .xmodules import (
-    check_extension,
     random_mu_section,
     random_pi_section,
     t_map,
@@ -132,14 +132,12 @@ def _load(path: str, *kinds: str) -> DocumentModel:
     return doc
 
 
-def _checked_representation(doc: DocumentModel) -> Representation:
-    rep = doc.payload
-    bad = check_prelie(rep.algebra)
-    if bad is None:
-        bad = check_representation(rep)
+def _verified(doc: DocumentModel) -> Payload:
+    """The document's payload; raises InvalidInput with its first violation."""
+    bad = verify_document(doc)
     if bad is not None:
         raise InvalidInput(str(bad))
-    return rep
+    return doc.payload
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -182,7 +180,7 @@ def cmd_validate(args) -> int:
 def cmd_cohomology(args) -> int:
     if args.n < 1:
         raise _UsageError("--n must be at least 1")
-    rep = _checked_representation(_load(args.file, "representation"))
+    rep = _verified(_load(args.file, "representation"))
     names = _basis_names(rep.algebra)
     lines = [
         f"algebra dim: {rep.algebra.dim}",
@@ -237,10 +235,7 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_tmap(args) -> int:
-    e = _load(args.file, "extension").payload
-    bad = check_extension(e)
-    if bad is not None:
-        raise InvalidInput(str(bad))
+    e = _verified(_load(args.file, "extension"))
     cx = CochainComplex(e.v_rep)
     result = t_map(e, h3=cohomology(cx, 3))
     names = _basis_names(e.g_algebra)
@@ -370,7 +365,7 @@ def cmd_trees(args) -> int:
 
 
 def cmd_cohomologous(args) -> int:
-    rep = _checked_representation(_load(args.rep, "representation"))
+    rep = _verified(_load(args.rep, "representation"))
     f1 = _load(args.first, "cochain").payload
     f2 = _load(args.second, "cochain").payload
     for f in (f1, f2):

@@ -22,9 +22,9 @@ are implemented independently and compared in the tests.
 
 The matrices of both differentials are assembled in integers from the
 nonzero structure constants, scaled once per matrix by their common
-denominator; `coboundary` and `lie_coboundary`, the term-by-term
-formulas in Fraction arithmetic, are their references. Closedness and
-classes are decided on the matrices alone.
+denominator; `coboundary`, the term-by-term formula in Fraction
+arithmetic, is the reference of the pre-Lie one. Closedness and classes
+are decided on the matrices alone.
 
 A Cochain is stored as the Row of its nonzero coordinates, so its cost
 follows its nonzeros, not the size of C^n.
@@ -608,36 +608,6 @@ class LieCochain:
         return v if sign == 1 else vec_scale(Fraction(-1), v)
 
 
-def lie_coboundary(mod: LieModule, f: LieCochain) -> LieCochain:
-    """Chevalley-Eilenberg differential d: C^k -> C^{k+1}, term by term
-    in Fraction arithmetic; a term whose f value is zero is skipped."""
-    lie = mod.algebra
-    if f.algebra_dim != lie.dim or f.module_dim != mod.dim:
-        raise DimensionMismatch("cochain does not match the module")
-    k = f.arity
-    values = []
-    for args in increasing_tuples(lie.dim, k + 1):
-        total = zero_vector(mod.dim)
-        for i in range(1, k + 2):
-            sign = ONE if i % 2 == 1 else -ONE
-            val = f.value_at(args[: i - 1] + args[i:])
-            if any(val):
-                term = mod.act(lie.basis_vector(args[i - 1]), val)
-                total = vec_add(total, vec_scale(sign, term))
-        for i in range(1, k + 2):
-            for j in range(i + 1, k + 2):
-                sign = ONE if (i + j) % 2 == 0 else -ONE
-                br = lie.basis_bracket(args[i - 1], args[j - 1])
-                rest = tuple(args[t] for t in range(k + 1) if t not in (i - 1, j - 1))
-                for t, c in enumerate(br):
-                    if c != 0:
-                        val = f.value_at((t,) + rest)
-                        if any(val):
-                            total = vec_add(total, vec_scale(sign * c, val))
-        values.append(total)
-    return LieCochain(k + 1, lie.dim, mod.dim, tuple(values))
-
-
 def _lie_terms(k: int, d: int, m: int, action: IntTensor, bracket: IntTensor) -> Iterator[tuple[int, int, int]]:
     """Row rule of the Chevalley-Eilenberg d: C^k -> C^{k+1} on
     integer-scaled structure rows, action at (x, w) (x . w) and bracket
@@ -668,7 +638,7 @@ def _lie_terms(k: int, d: int, m: int, action: IntTensor, bracket: IntTensor) ->
 
 def lie_coboundary_matrix(mod: LieModule, k: int) -> MatrixQ:
     """Matrix of the CE differential, assembled in integers like
-    `coboundary_matrix`; `lie_coboundary` is its reference."""
+    `coboundary_matrix`."""
     d, m = mod.algebra.dim, mod.dim
     den, tensors = integer_pairs(mod.action, mod.algebra.bracket)
     return _assemble(comb(d, k + 1) * m, comb(d, k) * m, den, _lie_terms(k, d, m, *tensors))

@@ -437,10 +437,15 @@ def serialize_document(model: DocumentModel) -> str:
     return dumps_pretty(document_to_obj(model))
 
 
+def check_prelie_representation(rep: Representation) -> Violation | None:
+    """The algebra's pre-Lie identity, then the representation axioms."""
+    return check_prelie(rep.algebra) or check_representation(rep)
+
+
 _VERIFIERS = {
     "prelie": check_prelie,
     "lie": check_lie,
-    "representation": check_representation,
+    "representation": check_prelie_representation,
     "crossed_module": check_crossed_module,
     "extension": check_extension,
     "rblie_xmod": check_rb_lie_xmod,

@@ -39,12 +39,14 @@ coordinate, and w lies in the span exactly when i(s(w)) = w.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
 from .errors import (
+    DimensionMismatch,
     InternalAssertionFailed,
     InvalidExtension,
     NotACocycle,
@@ -61,7 +63,6 @@ from .algebra import (
     Violation,
     _accumulate,
     _first_failure,
-    _ideal,
     _image_identity,
     _integer_terms,
     _transpose,
@@ -81,6 +82,7 @@ from .linalg import (
     rank_kernel_image,
     rank_of,
     right_inverse_on_image,
+    zero_vector,
 )
 
 
@@ -162,14 +164,26 @@ def _induced_action(
 
 
 def ideal_inclusion_xmod(n: PreLieAlgebra, sub: SubspaceBasis) -> CrossedModule:
-    """A two-sided ideal with its inclusion; raises NotAnIdeal."""
-    incl, section, bad = _ideal(n, sub)
-    if bad is not None:
-        raise NotAnIdeal(str(bad))
-    ideal = PreLieAlgebra(sub.dim, compose(n.product, incl, incl, section))
-    left, right = _induced_action(
-        n.product, n.product, None, incl, section, InternalAssertionFailed("ideal action left the subspace")
-    )
+    """A two-sided ideal with its inclusion, n acting on it by its own
+    product. Raises NotAnIdeal at the first (basis vector, generator)
+    pair whose product on either side leaves the span of the generators.
+    section, a right inverse of the inclusion on its image, reads the
+    coordinates of every product, and a value w lies in the span exactly
+    when incl (section w) = w."""
+    if sub.ambient_dim != n.dim:
+        raise DimensionMismatch("subspace lives in a different space than the algebra")
+    incl = sub.as_column_matrix()
+    section = right_inverse_on_image(incl)
+    values = compose(n.product, g=incl), compose(n.product, incl)  # e_i * r_t at (i, t), r_t * e_i at (t, i)
+    left, right = (compose(t, h=section) for t in values)
+    left_in, right_in = compose(left, h=incl), compose(right, h=incl)
+    for i, u in itertools.product(range(n.dim), range(incl.cols)):
+        sides = (("ideal-left", values[0], left_in, (i, u)), ("ideal-right", values[1], right_in, (u, i)))
+        for axiom, t, in_span, (p, q) in sides:
+            if t.row(p, q) != in_span.row(p, q):
+                raise NotAnIdeal(str(Violation(axiom, (p, q), t.vector(p, q), zero_vector(n.dim))))
+    # r_u * r_t is the left action of incl e_u on r_t
+    ideal = PreLieAlgebra(sub.dim, compose(left, f=incl))
     return CrossedModule(AlgebraMorphism(ideal, n, incl), ActionData(n, ideal, left, right))
 
 

@@ -18,15 +18,12 @@ from preliecoh.algebra import (
     AlgebraMorphism,
     PreLieAlgebra,
     Representation,
-    SubspaceBasis,
     Violation,
     check_action,
     check_lie,
     check_morphism,
     check_prelie,
     check_representation,
-    check_two_sided_ideal,
-    ideal_subalgebra,
     subadjacent_lie,
     zero_tensor3,
 )
@@ -37,7 +34,8 @@ from preliecoh.catalog import ALGEBRAS, BAD_ALGEBRA, fixture_documents, represen
 from preliecoh.documents import document_from_obj, verify_document
 from preliecoh.functors import DendriformAlgebra, LieCrossedModule, check_dendriform, check_lie_crossed_module
 from preliecoh.errors import NotAnIdeal, ShapeError
-from preliecoh.linalg import MatrixQ, rank_kernel_image, solve_particular, sparse_row, standard_basis_vector, vec_add, vec_sub, vector, zero_vector
+from preliecoh.linalg import MatrixQ, SubspaceBasis, rank_kernel_image, solve_particular, sparse_row, standard_basis_vector, vec_add, vec_sub, vector, zero_vector
+from preliecoh.xmodules import ideal_inclusion_xmod
 
 from test_linalg import col
 
@@ -307,10 +305,16 @@ def test_morphism_identity_and_negative():
     assert bad.axiom == "morphism"
 
 
+def ideal_subalgebra(a, sub):
+    """The ideal span(sub) as an algebra in its own basis, plus the
+    inclusion matrix, read off its inclusion crossed module."""
+    x = ideal_inclusion_xmod(a, sub)
+    return x.m_algebra, x.mu.matrix
+
+
 def test_ideal_check_and_restriction():
     a = lmult2()
     sub = SubspaceBasis.from_vectors(2, (vector([0, 1]),))
-    assert check_two_sided_ideal(a, sub) is None
     ideal, incl = ideal_subalgebra(a, sub)
     assert ideal.dim == 1
     assert ideal.product.is_zero()
@@ -320,10 +324,11 @@ def test_ideal_check_and_restriction():
 def test_not_an_ideal():
     a = lmult2()
     sub = SubspaceBasis.from_vectors(2, (vector([1, 0]),))  # e1*e2=e2 escapes span(e1)
-    bad = check_two_sided_ideal(a, sub)
+    bad = check_two_sided_ideal_dense(a, sub)
     assert bad is not None
-    with pytest.raises(NotAnIdeal):
+    with pytest.raises(NotAnIdeal) as exc:
         ideal_subalgebra(a, sub)
+    assert str(exc.value) == str(bad)
 
 
 # --- randomized properties --------------------------------------------------
@@ -738,7 +743,7 @@ def test_morphism_checker_equals_dense_oracle(base, data):
 
 
 # --- ideals against the solving oracles ----------------------------------------
-# check_two_sided_ideal and ideal_subalgebra as first written: one
+# The ideal test and the ideal's product as first written: one
 # elimination per product of a basis vector with a generator.
 
 
@@ -780,8 +785,11 @@ def ideal_outcome(make, a, sub):
 
 
 def assert_ideal_matches_oracle(a, sub):
-    assert check_two_sided_ideal(a, sub) == check_two_sided_ideal_dense(a, sub)
-    assert ideal_outcome(ideal_subalgebra, a, sub) == ideal_outcome(ideal_subalgebra_dense, a, sub)
+    """The algebra and inclusion, or the NotAnIdeal message, which
+    carries the ideal test's first witness; returns the outcome."""
+    got = ideal_outcome(ideal_subalgebra, a, sub)
+    assert got == ideal_outcome(ideal_subalgebra_dense, a, sub)
+    return got
 
 
 def catalog_subspaces():
@@ -800,11 +808,8 @@ def catalog_subspaces():
 
 
 def test_ideals_equal_solving_oracle_on_catalog():
-    pairs = catalog_subspaces()
-    for a, sub in pairs:
-        assert_ideal_matches_oracle(a, sub)
-    found = [check_two_sided_ideal(a, sub) for a, sub in pairs]
-    assert any(bad is None for bad in found) and any(bad is not None for bad in found)
+    found = [isinstance(assert_ideal_matches_oracle(a, sub), str) for a, sub in catalog_subspaces()]
+    assert any(found) and not all(found)
 
 
 @settings(max_examples=150, deadline=None)

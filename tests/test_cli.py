@@ -22,9 +22,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from preliecoh import cli
-from preliecoh.catalog import fixture_path, fixture_specs, representation_pairs
+from preliecoh.algebra import Representation, check_prelie
+from preliecoh.catalog import BAD_ALGEBRA, fixture_path, fixture_specs, representation_pairs
 from preliecoh.cli import main
-from preliecoh.documents import DocumentModel, serialize_document
+from preliecoh.documents import DocumentModel, serialize_document, verify_document
 from preliecoh.xmodules import double_extension
 
 from test_cochain import nonclosed_unit
@@ -260,6 +261,28 @@ def test_wrong_document_kind_is_an_input_error() -> None:
 def test_invalid_representation_exits_two() -> None:
     code, _, err = run_cli("tmap", fx("ext_bad_pi"))
     assert code == 2 and "pi-surjective" in err
+
+
+def test_validate_checks_the_algebra_of_a_representation(tmp_path: Path) -> None:
+    """validate and cohomology give a representation over a non-pre-Lie
+    algebra the same verdict: the algebra's left-symmetry violation."""
+    doc = DocumentModel("representation", Representation.trivial(BAD_ALGEBRA, 1))
+    path = tmp_path / "bad_rep.json"
+    path.write_text(serialize_document(doc))
+    assert json.loads(path.read_text()) == {
+        "kind": "representation",
+        "format_version": "1",
+        "algebra": {"dim": 2, "product": [[1, 1, 2, "1"], [2, 1, 1, "1"]]},
+        "carrier_dim": 1,
+        "left": [],
+        "right": [],
+    }
+    assert verify_document(doc) == check_prelie(BAD_ALGEBRA) is not None
+    code, out, _ = run_cli("validate", str(path))
+    assert code == 2
+    code, _, err = run_cli("cohomology", str(path))
+    assert code == 2
+    assert out.splitlines()[-1] == "violation: " + err.removeprefix("error: ").rstrip("\n")
 
 
 def test_conversion_source_failure_exits_two() -> None:

@@ -25,6 +25,7 @@ from preliecoh.cochain import (
     CochainBasis,
     CochainComplex,
     LieCochain,
+    LieModule,
     are_cohomologous,
     coboundary,
     coboundary_matrix,
@@ -32,7 +33,6 @@ from preliecoh.cochain import (
     cohomology_dimension,
     hom_module,
     increasing_tuples,
-    lie_coboundary,
     lie_coboundary_matrix,
     lie_cohomology_dimension,
     phi_map,
@@ -41,6 +41,7 @@ from preliecoh.cochain import (
 )
 from preliecoh.errors import ArityMismatch, DimensionMismatch, NotACocycle, ShapeError
 from preliecoh.linalg import (
+    ONE,
     MatrixQ,
     _rref,
     invert,
@@ -404,6 +405,37 @@ def test_alternating_storage():
 
 
 # --- sparse assembly against the reference formulas ---------------------------
+
+
+# The reference formula of lie_coboundary_matrix.
+def lie_coboundary(mod: LieModule, f: LieCochain) -> LieCochain:
+    """Chevalley-Eilenberg differential d: C^k -> C^{k+1}, term by term
+    in Fraction arithmetic; a term whose f value is zero is skipped."""
+    lie = mod.algebra
+    if f.algebra_dim != lie.dim or f.module_dim != mod.dim:
+        raise DimensionMismatch("cochain does not match the module")
+    k = f.arity
+    values = []
+    for args in increasing_tuples(lie.dim, k + 1):
+        total = zero_vector(mod.dim)
+        for i in range(1, k + 2):
+            sign = ONE if i % 2 == 1 else -ONE
+            val = f.value_at(args[: i - 1] + args[i:])
+            if any(val):
+                term = mod.act(lie.basis_vector(args[i - 1]), val)
+                total = vec_add(total, vec_scale(sign, term))
+        for i in range(1, k + 2):
+            for j in range(i + 1, k + 2):
+                sign = ONE if (i + j) % 2 == 0 else -ONE
+                br = lie.basis_bracket(args[i - 1], args[j - 1])
+                rest = tuple(args[t] for t in range(k + 1) if t not in (i - 1, j - 1))
+                for t, c in enumerate(br):
+                    if c != 0:
+                        val = f.value_at((t,) + rest)
+                        if any(val):
+                            total = vec_add(total, vec_scale(sign * c, val))
+        values.append(total)
+    return LieCochain(k + 1, lie.dim, mod.dim, tuple(values))
 
 
 def left_unit(dim):

@@ -131,22 +131,24 @@ def test_ideal_inclusion_crossed_module():
 
 def test_each_map_is_factored_once(monkeypatch, capsys):
     """An extension factors pi, mu and i once however many steps read
-    their sections, and an ideal inclusion reuses the right inverse its
-    ideal test computed."""
+    their sections, and an ideal inclusion factors its inclusion once and
+    tests its span once: two products, their coordinates, the coordinates
+    mapped back, and the ideal's product are 7 compose calls."""
     from preliecoh import algebra, cli
     from preliecoh.catalog import fixture_path
 
-    factored = []
-    for module in (algebra, xmodules):
-        original = module.right_inverse_on_image
-        monkeypatch.setattr(module, "right_inverse_on_image", lambda m, f=original: factored.append(m) or f(m))
+    factored, composed = [], []
+    original = xmodules.right_inverse_on_image
+    monkeypatch.setattr(xmodules, "right_inverse_on_image", lambda m: factored.append(m) or original(m))
     argv = ["tmap", str(fixture_path("ext_dbl_regular")), "--sections", "random", "--seed", "7"]
     assert cli.main(argv) == 0
     assert "classes agree: PASS" in capsys.readouterr().out
     assert len(factored) == len(set(factored)) == 3
     factored.clear()
+    for module in (algebra, xmodules):
+        monkeypatch.setattr(module, "compose", lambda *a, _c=module.compose, **k: composed.append(a) or _c(*a, **k))
     ideal_inclusion_xmod(LMULT2, SubspaceBasis.from_vectors(2, (vector([0, 1]),)))
-    assert len(factored) == 1
+    assert (len(factored), len(composed)) == (1, 7)
 
 
 def test_default_sections_refuse_a_pi_that_is_not_onto():
