@@ -50,8 +50,8 @@ from .linalg import (
     Vector,
     _summed,
     dense_vector,
-    greedy_independent,
     in_kernel,
+    integer_rows,
     rank_kernel_image,
     rank_of,
     solve_particular,
@@ -422,42 +422,55 @@ class CochainComplex:
 
 @dataclass(frozen=True)
 class CohomologySpace:
-    """H^n(g, V) with chosen cocycle representatives.
+    """H^n(g, V) with chosen cocycle representatives, in kernel coordinates.
 
-    Representatives are kernel basis vectors of d_n picked greedily (in
-    the deterministic kernel order) so their images in the quotient by
-    im d_{n-1} are independent; the same quotient coordinates classify
-    arbitrary cocycles. The kernel, its reduced images and the
-    representatives are built from sparse Rows.
+    The kernel row k_j of d_n at a free column j holds 1 at j, 0 at the
+    other free columns F and entries only at pivot columns. So w -> w|_F
+    maps ker d_n onto Q^F, z is closed exactly when z = sum_{j in F} z[j]
+    k_j, and im d_{n-1} maps onto W, the span of the columns of d_{n-1}
+    read at F. `quotient` is Q^F / W with F in decreasing order, so its
+    complement holds the j with e_j outside W + span(e_j' : j' < j): the
+    kernel rows a left-to-right scan keeps independent modulo im d_{n-1}.
+    They are the representatives, and the reduction of z|_F gives [z].
     """
 
     arity: int
     dimension: int
     representatives: tuple[Cochain, ...]
+    kernel: SubspaceBasis
     quotient: QuotientMap
-    reduced_reps: MatrixQ
 
     def class_coordinates(self, z: Cochain) -> Vector:
-        """Coordinates of [z] against the representatives.
-
-        The representatives span ker d_n modulo im d_{n-1}, and im d_{n-1}
-        lies in ker d_n, so z reduces into their span exactly when d_n z =
-        0: NotACocycle is the closedness test.
-        """
+        """Coordinates of [z] against the representatives; NotACocycle
+        unless z is closed."""
         if z.arity != self.arity:
             raise ArityMismatch(f"expected arity {self.arity}, got {z.arity}")
-        if len(CochainBasis(z.arity, z.algebra_dim)) * z.carrier_dim != self.quotient.ambient_dim:
+        if len(CochainBasis(z.arity, z.algebra_dim)) * z.carrier_dim != self.kernel.ambient_dim:
             raise DimensionMismatch("cochain does not live in this cochain space")
-        coords = solve_particular(self.reduced_reps, self.quotient.reduce_row(z.row))
-        if coords is None:
+        # kernel row t ends with its free column, at value 1
+        index = {row[-1][0]: t for t, row in enumerate(self.kernel.rows)}
+        den, kernel = integer_rows(self.kernel.rows)
+        # z = sum_{j in F} z[j] k_j, both sides times den and z's denominator
+        _, (w,) = integer_rows((z.row,))
+        acc: dict[int, int] = {}
+        for j, x in w:
+            if j in index:
+                for k, y in kernel[index[j]]:
+                    acc[k] = acc.get(k, 0) + x * y
+        if {k: y for k, y in acc.items() if y} != {j: den * x for j, x in w if x}:
             raise NotACocycle("vector does not reduce into the span of the representatives")
-        return coords
+        # the quotient reads F in decreasing order, and so its complement
+        # lists the representatives last first
+        top = len(index) - 1
+        coords = self.quotient.reduce_row(tuple((top - index[j], x) for j, x in reversed(z.row) if j in index))
+        return dense_vector(coords, self.dimension)[::-1]
 
 
 def cohomology(rep: Representation | CochainComplex, n: int) -> CohomologySpace:
     """Kernel of d_n modulo image of d_{n-1}; for n = 1 just the kernel.
 
-    Pass a CochainComplex to reuse matrices it has already built.
+    Pass a CochainComplex to reuse matrices it has already built. d_{n-1}
+    is read, not eliminated: see CohomologySpace.
     """
     if n < 1:
         raise ShapeError("cohomology defined for arity >= 1")
@@ -465,18 +478,24 @@ def cohomology(rep: Representation | CochainComplex, n: int) -> CohomologySpace:
     a_dim = cx.rep.algebra.dim
     v_dim = cx.rep.carrier_dim
     _, kernel, _ = cx.eliminated(n)
-    space_dim = len(CochainBasis(n, a_dim)) * v_dim
-    image = SubspaceBasis(space_dim, ()) if n == 1 else cx.eliminated(n - 1)[2]
-    quot = QuotientMap.build(space_dim, image)
-    candidates = [quot.reduce_row(row) for row in kernel.rows]
-    kept = greedy_independent(candidates)
-    reduced = tuple(candidates[i] for i in kept)
+    top = kernel.dim - 1
+    # the columns of d_{n-1} at F, free column j at coordinate top - t for
+    # kernel row t; visiting F from the right appends in increasing order
+    columns: list[list[tuple[int, Fraction]]] = []
+    if n > 1:
+        d = cx.d(n - 1)
+        columns = [[] for _ in range(d.cols)]
+        for t in range(top, -1, -1):
+            for c, x in d.nonzeros[kernel.rows[t][-1][0]]:
+                columns[c].append((top - t, x))
+    quot = QuotientMap.build(kernel.dim, SubspaceBasis(kernel.dim, tuple(map(tuple, columns))), spanning=True)
+    kept = [top - r for r in reversed(quot.complement)]
     return CohomologySpace(
         arity=n,
         dimension=len(kept),
-        representatives=tuple(Cochain(n, a_dim, v_dim, kernel.rows[i]) for i in kept),
+        representatives=tuple(Cochain(n, a_dim, v_dim, kernel.rows[t]) for t in kept),
+        kernel=kernel,
         quotient=quot,
-        reduced_reps=MatrixQ(len(kept), quot.dim, reduced).transpose(),
     )
 
 

@@ -28,9 +28,8 @@ Subspaces stay sparse too. A SubspaceBasis stores one Row per basis
 vector: kernel rows are read off the reduced rows and image rows are
 columns of the matrix, and its dense `vectors` are a view for callers.
 A QuotientMap keeps the reduced rows of its subspace over one common
-denominator. QuotientMap.reduce_row, greedy_independent, in_kernel and
-solve_particular take Rows and scale them to integers like the
-elimination.
+denominator. QuotientMap.reduce_row, in_kernel and solve_particular take
+Rows and scale them to integers like the elimination.
 """
 
 from __future__ import annotations
@@ -391,27 +390,6 @@ def rank_kernel_image(m: MatrixQ) -> tuple[int, SubspaceBasis, SubspaceBasis]:
     return len(pivots), SubspaceBasis(m.cols, kernel), SubspaceBasis(m.rows, image)
 
 
-def greedy_independent(rows: Iterable[Row]) -> list[int]:
-    """Indices of the rows a left-to-right scan keeps when it keeps each
-    row independent of those kept before it.
-
-    Each row is reduced once against an echelon of the kept ones, so this
-    equals testing rank_of on the growing matrix without repeating it.
-    """
-    echelon: dict[int, dict[int, int]] = {}
-    kept = []
-    for i, row in enumerate(rows):
-        r = _integer_row(row)[1]
-        while r:
-            c = min(r)
-            if c not in echelon:
-                echelon[c] = r
-                kept.append(i)
-                break
-            _clear(r, echelon[c], c)
-    return kept
-
-
 def rank_of(m: MatrixQ) -> int:
     return len(_echelon(m.nonzeros))
 
@@ -489,11 +467,14 @@ class QuotientMap:
     pivot_rows: dict[int, IntRow] = field(hash=False)
 
     @classmethod
-    def build(cls, ambient_dim: int, sub: SubspaceBasis) -> "QuotientMap":
+    def build(cls, ambient_dim: int, sub: SubspaceBasis, spanning: bool = False) -> "QuotientMap":
+        """The quotient by span(sub). Its rows must be independent (else
+        BadBasis) unless `spanning` is set, when any spanning set will do,
+        such as all the columns of a matrix."""
         if sub.ambient_dim != ambient_dim:
             raise DimensionMismatch("subspace lives in a different ambient space")
         echelon = _rref(sub.rows)
-        if len(echelon) != sub.dim:
+        if not spanning and len(echelon) != sub.dim:
             raise BadBasis("subspace vectors are linearly dependent")
         pivots = tuple(c for c, _ in echelon)
         pivot_set = set(pivots)

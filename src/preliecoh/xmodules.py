@@ -80,7 +80,6 @@ from .linalg import (
     QuotientMap,
     Vector,
     rank_kernel_image,
-    rank_of,
     right_inverse_on_image,
     zero_vector,
 )
@@ -245,11 +244,14 @@ class CrossedModuleExtension:
 
     # the deterministic right inverses, each map factored on first use
     @cached_property
+    def _pi_right_inverse(self) -> MatrixQ:
+        return right_inverse_on_image(self.pi.matrix)
+
+    @cached_property
     def pi_section(self) -> MatrixQ:
-        rho = right_inverse_on_image(self.pi.matrix)
-        if self.pi.matrix @ rho != MatrixQ.identity(self.g_algebra.dim):
+        if _rank(self._pi_right_inverse) != self.g_algebra.dim:
             raise InvalidExtension("pi is not surjective")
-        return rho
+        return self._pi_right_inverse
 
     @cached_property
     def mu_section(self) -> MatrixQ:
@@ -258,6 +260,12 @@ class CrossedModuleExtension:
     @cached_property
     def i_section(self) -> MatrixQ:
         return right_inverse_on_image(self.i)
+
+
+def _rank(section: MatrixQ) -> int:
+    """The rank of the map a right_inverse_on_image section was factored
+    from: the section has one nonzero row per pivot column."""
+    return sum(1 for row in section.nonzeros if row)
 
 
 def induced_representation(e: CrossedModuleExtension, section: MatrixQ | None = None) -> Representation:
@@ -296,13 +304,14 @@ def check_extension(e: CrossedModuleExtension) -> Violation | None:
         e.g_algebra.dim,
         e.v_dim,
     )
-    if rank_of(e.i) != v_dim:
+    # ranks read off the factorizations that the sections (and t_map) reuse
+    if _rank(e.i_section) != v_dim:
         return Violation("i-injective", (), (), ())
-    if rank_of(e.pi.matrix) != g_dim:
+    if _rank(e._pi_right_inverse) != g_dim:
         return Violation("pi-surjective", (), (), ())
     if not (e.mu.matrix @ e.i).is_zero():
         return Violation("exactness-mu-i", (), (), ())
-    mu_rank = rank_of(e.mu.matrix)
+    mu_rank = _rank(e.mu_section)
     if mu_rank + v_dim != m_dim:
         return Violation("exactness-at-m", (), (), ())
     if not (e.pi.matrix @ e.mu.matrix).is_zero():

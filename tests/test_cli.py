@@ -359,6 +359,41 @@ def test_tmap_random_sections_builds_d3_once(monkeypatch) -> None:
     assert references == []
 
 
+def test_cohomologous_no_eliminates_each_differential_once(monkeypatch) -> None:
+    """In the no case, solve_particular eliminates d_1 and cohomology
+    eliminates d_2; the classification reads d_1 without eliminating it."""
+    import preliecoh.cochain as cochain
+    import preliecoh.linalg as linalg
+
+    built, passes, kernels = {}, [], []
+    build, echelon, kernel_image = cochain.coboundary_matrix, linalg._echelon, cochain.rank_kernel_image
+
+    def counting_build(rep, n):
+        built[n] = build(rep, n)
+        return built[n]
+
+    def counting_echelon(rows):
+        rows = list(rows)
+        passes.append(rows)
+        return echelon(rows)
+
+    monkeypatch.setattr(cochain, "coboundary_matrix", counting_build)
+    monkeypatch.setattr(linalg, "_echelon", counting_echelon)
+    monkeypatch.setattr(cochain, "rank_kernel_image", lambda m: kernels.append(m) or kernel_image(m))
+    expected_code, argv = GOLDEN_CASES["cohomologous_no"]
+    code, out, _ = run_cli(*argv)
+    assert code == expected_code
+    assert out.encode("utf-8") == (GOLDEN_DIR / "cohomologous_no.txt").read_bytes()
+    d1 = built[1]
+
+    def on_d1(rows):
+        # solve_particular augments some rows with the right-hand side, at column d1.cols
+        return [tuple((c, x) for c, x in row if c < d1.cols) for row in rows] == list(d1.nonzeros)
+
+    assert sum(map(on_d1, passes)) == 1
+    assert kernels == [built[2]]
+
+
 def test_cohomology_phi_builds_and_ranks_each_lie_matrix_once(monkeypatch) -> None:
     import preliecoh.cochain as cochain
 
@@ -390,9 +425,9 @@ def test_cohomology_dims_come_from_ranks_alone(monkeypatch) -> None:
     kernel_work, built, ranked, spaces = [], [], [], []
 
     def counting(name, fn):
-        def counted(*args):
+        def counted(*args, **kwargs):
             kernel_work.append(name)
-            return fn(*args)
+            return fn(*args, **kwargs)
 
         return counted
 
@@ -412,7 +447,6 @@ def test_cohomology_dims_come_from_ranks_alone(monkeypatch) -> None:
         return space(cx, n)
 
     monkeypatch.setattr(cochain, "rank_kernel_image", counting("rank_kernel_image", cochain.rank_kernel_image))
-    monkeypatch.setattr(cochain, "greedy_independent", counting("greedy_independent", cochain.greedy_independent))
     monkeypatch.setattr(
         linalg.QuotientMap, "build", staticmethod(counting("QuotientMap.build", linalg.QuotientMap.build))
     )
@@ -429,7 +463,7 @@ def test_cohomology_dims_come_from_ranks_alone(monkeypatch) -> None:
     code, with_reps, _ = run_cli("cohomology", fx("rep_lmult2_regular"), "--n", "3", "--representatives")
     assert code == 0 and "representative 1:" in with_reps
     assert spaces == [1, 2, 3]
-    assert {"rank_kernel_image", "QuotientMap.build", "greedy_independent"} <= set(kernel_work)
+    assert {"rank_kernel_image", "QuotientMap.build"} <= set(kernel_work)
     assert [line for line in with_reps.splitlines() if line.startswith("H^")] == out.splitlines()[2:]
 
 

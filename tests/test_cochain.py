@@ -43,6 +43,8 @@ from preliecoh.errors import ArityMismatch, DimensionMismatch, NotACocycle, Shap
 from preliecoh.linalg import (
     ONE,
     MatrixQ,
+    QuotientMap,
+    SubspaceBasis,
     _rref,
     invert,
     rank_kernel_image,
@@ -60,10 +62,10 @@ from preliecoh.xmodules import semidirect_product
 from test_linalg import (
     DenseQuotient,
     col,
-    dense_greedy_independent,
     dense_rank_kernel_image,
     dense_rref_rows,
     from_cols,
+    greedy_independent,
     quotient_rref,
 )
 
@@ -616,6 +618,62 @@ def test_catalog_differentials_equal_the_recorded_ones():
         assert differentials_digest(lie_coboundary_matrix(mod, k) for k in (0, 1, 2, 3)) == DIFFERENTIAL_DIGESTS[name], name
 
 
+def seeded_cocycle(cx, h, rng):
+    """A combination of h's representatives with seeded coefficients, plus
+    the coboundary of a seeded cochain, through the complex's d_{n-1}."""
+    rep, n = cx.rep, h.arity
+    d, v = rep.algebra.dim, rep.carrier_dim
+    z = Cochain.zero(n, d, v)
+    for r in h.representatives:
+        z = z.add(scaled(r, F(rng.randint(-3, 3), rng.randint(1, 3))))
+    if n > 1:
+        b = random_cochain(rep, n - 1, rng).to_coordinates()
+        z = z.add(Cochain(n, d, v, sparse_row(cx.d(n - 1).mul_vec(b))))
+    return z
+
+
+def cohomology_answers():
+    """One line per answer of cohomology on every catalog representation
+    (degrees 1-3) and on DENSE_REGULAR (degrees 1-2): the dimension and
+    representatives, the class coordinates of each representative and of
+    seeded combinations of them plus a coboundary, and the NotACocycle
+    text of one such combination plus a unit cochain that is not closed."""
+    rng = random.Random(24)
+    cases = [(name, rep, (1, 2, 3)) for name, rep in representation_pairs()]
+    cases.append(("dense4/regular", DENSE_REGULAR, (1, 2)))
+    for name, rep, degrees in cases:
+        cx = CochainComplex(rep)
+        d, v = rep.algebra.dim, rep.carrier_dim
+        for n in degrees:
+            h = cohomology(cx, n)
+            yield repr((name, n, h.dimension, h.representatives))
+            for r in h.representatives:
+                yield repr(h.class_coordinates(r))
+            for _ in range(3):
+                z = seeded_cocycle(cx, h, rng)
+                yield repr(h.class_coordinates(z))
+            unclosed = next((k for k, c in enumerate(cx.d(n).transpose().nonzeros) if c), None)
+            if unclosed is not None:
+                with pytest.raises(NotACocycle) as caught:
+                    h.class_coordinates(z.add(Cochain(n, d, v, ((unclosed, F(1, 2)),))))
+                yield str(caught.value)
+
+
+# sha256 over cohomology_answers, recorded from the cohomology that built a
+# quotient of all of C^n, reduced every kernel row and scanned them greedily
+COHOMOLOGY_DIGEST = "fd655840235fd4d03664254e651d7e178df857d59d1d9739e2eddf6ffa97685c"
+
+
+def test_cohomology_answers_equal_the_recorded_ones():
+    h = hashlib.sha256()
+    lines = 0
+    for line in cohomology_answers():
+        h.update(line.encode() + b"\n")
+        lines += 1
+    assert lines == 528
+    assert h.hexdigest() == COHOMOLOGY_DIGEST
+
+
 def test_cochain_complex_builds_each_differential_once(monkeypatch):
     import preliecoh.cochain as cochain
 
@@ -638,10 +696,12 @@ def test_cochain_complex_builds_each_differential_once(monkeypatch):
     # closedness is tested with the complex's d_2, not the reference formula
     assert references == []
     monkeypatch.setattr(cochain, "coboundary_matrix", original)
+    rng = random.Random(16)
     for n, h in zip((1, 2, 3), spaces):
         fresh = cohomology(rep, n)
         assert h.representatives == fresh.representatives
-        assert h.reduced_reps == fresh.reduced_reps
+        z = seeded_cocycle(cx, h, rng)
+        assert h.class_coordinates(z) == fresh.class_coordinates(z)
 
 
 def test_assembling_lu7_d3_stores_only_nonzeros():
@@ -670,9 +730,43 @@ def test_assembling_a_zero_d3_allocates_nothing_per_empty_row():
     assert peak < 40 * m.rows, peak
 
 
-def rank_rule_representatives(rep, n, quot):
+def cn_quotient(cx, n):
+    """The QuotientMap of all of C^n by im d_{n-1}."""
+    space_dim = cx.eliminated(n)[1].ambient_dim
+    return QuotientMap.build(space_dim, SubspaceBasis(space_dim, ()) if n == 1 else cx.eliminated(n - 1)[2])
+
+
+def cn_cohomology(cx, n):
+    """cohomology as it was before kernel coordinates: every kernel row of
+    d_n reduced by cn_quotient and scanned by greedy_independent, kept as
+    the oracle of the representatives and class coordinates. Returns (the
+    quotient, the representatives, the reduced representatives as
+    columns)."""
+    rep = cx.rep
+    kernel = cx.eliminated(n)[1]
+    quot = cn_quotient(cx, n)
+    candidates = [quot.reduce_row(row) for row in kernel.rows]
+    kept = greedy_independent(candidates)
+    reps = tuple(Cochain(n, rep.algebra.dim, rep.carrier_dim, kernel.rows[i]) for i in kept)
+    reduced = MatrixQ(len(kept), quot.dim, tuple(candidates[i] for i in kept)).transpose()
+    return quot, reps, reduced
+
+
+def cn_class_coordinates(quot, reduced, z):
+    """class_coordinates on the quotient of all of C^n: the reduction of z
+    solved against the reduced representatives."""
+    coords = solve_particular(reduced, quot.reduce_row(z.row))
+    if coords is None:
+        raise NotACocycle("vector does not reduce into the span of the representatives")
+    return coords
+
+
+def rank_rule_representatives(rep, n):
     """Representative choice by a full rank_of of the growing trial matrix
-    for every kernel vector: the rule the incremental selection replaced."""
+    for every kernel vector reduced into cn_quotient: the rule the
+    incremental selection replaced. Returns (the representatives as dense
+    vectors, the quotient, the reduced representatives as columns)."""
+    quot = cn_quotient(CochainComplex(rep), n)
     _, kernel, _ = rank_kernel_image(coboundary_matrix(rep, n))
     reps, reduced = [], []
     for v in kernel.vectors:
@@ -680,18 +774,59 @@ def rank_rule_representatives(rep, n, quot):
         if rank_of(from_cols(reduced + [cand], rows=quot.dim)) == len(reduced) + 1:
             reps.append(v)
             reduced.append(cand)
-    return reps, reduced
+    return reps, quot, from_cols(reduced, rows=quot.dim)
+
+
+ORACLE_CASES = CATALOG_PAIRS + [("dense4/regular", DENSE_REGULAR)]
+
+
+@functools.cache
+def oracle_spaces(index, n):
+    """cohomology of ORACLE_CASES[index] in degree n, and cn_cohomology."""
+    cx = CochainComplex(ORACLE_CASES[index][1])
+    return cohomology(cx, n), cn_cohomology(cx, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, len(ORACLE_CASES) - 1), st.integers(1, 3), st.data())
+def test_kernel_coordinates_equal_the_cn_quotient_oracle(index, n, data):
+    # a combination of the representatives plus a coboundary, plus a random
+    # sparse cochain half of the time: both paths give the same
+    # coordinates, or both raise the same NotACocycle
+    name, rep = ORACLE_CASES[index]
+    h, (quot, reps, reduced) = oracle_spaces(index, n)
+    assert h.representatives == reps, (name, n)
+    coefficients = data.draw(st.lists(st.fractions(-3, 3, max_denominator=3), min_size=h.dimension, max_size=h.dimension))
+    z = Cochain.zero(n, rep.algebra.dim, rep.carrier_dim)
+    for c, r in zip(coefficients, reps):
+        z = z.add(scaled(r, c))
+    if n > 1:
+        z = z.add(coboundary(rep, data.draw(sparse_cochains(rep, n - 1))))
+    noise = data.draw(st.one_of(st.none(), sparse_cochains(rep, n)))
+    if noise is not None:
+        z = z.add(noise)
+    try:
+        want = cn_class_coordinates(quot, reduced, z)
+    except NotACocycle as exc:
+        with pytest.raises(NotACocycle) as caught:
+            h.class_coordinates(z)
+        assert str(caught.value) == str(exc)
+    else:
+        assert h.class_coordinates(z) == want, (name, n)
 
 
 def test_incremental_selection_picks_the_rank_rule_representatives():
+    rng = random.Random(17)
     cases = [rep for _, rep in representation_pairs()]
     cases += [Representation.regular(left_unit(d)) for d in (2, 3, 4)]
     for rep in cases:
+        cx = CochainComplex(rep)
         for n in (1, 2, 3):
-            h = cohomology(rep, n)
-            reps, reduced = rank_rule_representatives(rep, n, h.quotient)
+            h = cohomology(cx, n)
+            reps, quot, reduced = rank_rule_representatives(rep, n)
             assert [r.to_coordinates() for r in h.representatives] == reps
-            assert h.reduced_reps == from_cols(reduced, rows=h.quotient.dim)
+            z = seeded_cocycle(cx, h, rng)
+            assert h.class_coordinates(z) == cn_class_coordinates(quot, reduced, z)
 
 
 def dense_cohomology(rep, n):
@@ -705,7 +840,7 @@ def dense_cohomology(rep, n):
     image = dense_rank_kernel_image(coboundary_matrix(rep, n - 1))[2] if n > 1 else ()
     quot = DenseQuotient(d.cols, image)
     candidates = [quot.reduce(v) for v in kernel]
-    kept = dense_greedy_independent(candidates)
+    kept = greedy_independent(map(sparse_row, candidates))
     reps = tuple(Cochain.from_coordinates(n, a_dim, v_dim, kernel[i]) for i in kept)
     reduced_reps = from_cols([candidates[i] for i in kept], rows=quot.dim)
     return kernel, image, quot, reps, reduced_reps
@@ -730,10 +865,10 @@ def test_sparse_cohomology_equals_the_dense_oracles_on_the_catalog():
             assert cx.eliminated(n)[1].vectors == kernel, (name, n)
             if n > 1:
                 assert cx.eliminated(n - 1)[2].vectors == image, (name, n)
-            q = h.quotient
+            q, cn_reps, cn_reduced = cn_cohomology(cx, n)
             assert (quotient_rref(q), q.pivots, q.complement) == (quot.sub_rref, quot.pivots, quot.complement), (name, n)
-            assert h.representatives == reps, (name, n)
-            assert h.reduced_reps == reduced_reps, (name, n)
+            assert h.representatives == cn_reps == reps, (name, n)
+            assert cn_reduced == reduced_reps, (name, n)
             # a random cocycle: a combination of the representatives plus a
             # coboundary
             z = Cochain.zero(n, rep.algebra.dim, rep.carrier_dim)
@@ -743,7 +878,7 @@ def test_sparse_cohomology_equals_the_dense_oracles_on_the_catalog():
                 z = z.add(coboundary(rep, random_cochain(rep, n - 1, rng)))
             for c in (*reps, z):
                 want = solve_particular(reduced_reps, sparse_row(quot.reduce(c.to_coordinates())))
-                assert h.class_coordinates(c) == want, (name, n)
+                assert h.class_coordinates(c) == cn_class_coordinates(q, cn_reduced, c) == want, (name, n)
 
 
 def test_representatives_built_from_rows_equal_the_coordinate_build():

@@ -25,7 +25,6 @@ from preliecoh.linalg import (
     SubspaceBasis,
     _rref,
     dense_vector,
-    greedy_independent,
     in_kernel,
     integer_rows,
     invert,
@@ -526,12 +525,18 @@ def test_linalg_results_equal_oracle_built_results(rows, data):
 @given(st.integers(1, 5).flatmap(lambda c: st.lists(
     st.lists(sparse_fracs, min_size=c, max_size=c), max_size=6)))
 def test_greedy_independent_equals_rank_rule(vectors):
+    assert greedy_independent(map(sparse_row, vectors)) == rank_rule_independent(vectors)
+
+
+def rank_rule_independent(vectors):
+    """Indices a left-to-right scan keeps by a full rank_of of the growing
+    matrix for every vector: the rule greedy_independent replaced."""
     kept = []
     for i, v in enumerate(vectors):
         trial = from_cols([vectors[j] for j in kept] + [v])
         if rank_of(trial) == len(kept) + 1:
             kept.append(i)
-    assert greedy_independent(map(sparse_row, vectors)) == kept
+    return kept
 
 
 # --- pattern back substitution ------------------------------------------------
@@ -641,12 +646,16 @@ class DenseQuotient:
         return from_cols(cols, rows=self.dim)
 
 
-def dense_greedy_independent(vectors):
-    """greedy_independent as it was on dense vectors, kept as its oracle."""
+def greedy_independent(rows):
+    """Indices of the rows a left-to-right scan keeps when it keeps each
+    row independent of those kept before it, each row reduced once against
+    an echelon of the kept ones. cohomology chose its representatives this
+    way before it classified in kernel coordinates; kept as the oracle of
+    that choice."""
     echelon = {}
     kept = []
-    for i, v in enumerate(vectors):
-        r = linalg._integer_row(sparse_row(v))[1]
+    for i, row in enumerate(rows):
+        r = linalg._integer_row(row)[1]
         while r:
             c = min(r)
             if c not in echelon:
@@ -680,7 +689,7 @@ def test_sparse_subspaces_equal_the_dense_oracles(rows, data):
     vectors = [*map(tuple, row_list(m)), *map(tuple, row_list(m.transpose())), *ker.vectors]
     for length in {len(v) for v in vectors}:
         same = [v for v in vectors if len(v) == length]
-        assert greedy_independent(map(sparse_row, same)) == dense_greedy_independent(same)
+        assert greedy_independent(map(sparse_row, same)) == rank_rule_independent(same)
 
 
 def test_kernel_of_a_wide_zero_matrix_stays_sparse():

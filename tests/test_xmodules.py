@@ -131,19 +131,25 @@ def test_ideal_inclusion_crossed_module():
 
 def test_each_map_is_factored_once(monkeypatch, capsys):
     """An extension factors pi, mu and i once however many steps read
-    their sections, and an ideal inclusion factors its inclusion once and
-    tests its span once: two products, their coordinates, the coordinates
-    mapped back, and the ideal's product are 7 compose calls."""
-    from preliecoh import algebra, cli
+    their sections, check_extension included, and an ideal inclusion
+    factors its inclusion once and tests its span once: two products,
+    their coordinates, the coordinates mapped back, and the ideal's
+    product are 7 compose calls."""
+    from preliecoh import algebra, cli, linalg
     from preliecoh.catalog import fixture_path
 
-    factored, composed = [], []
-    original = xmodules.right_inverse_on_image
+    factored, composed, passes = [], [], []
+    original, echelon = xmodules.right_inverse_on_image, linalg._echelon
     monkeypatch.setattr(xmodules, "right_inverse_on_image", lambda m: factored.append(m) or original(m))
+    monkeypatch.setattr(linalg, "_echelon", lambda rows: passes.append(1) or echelon(rows))
     argv = ["tmap", str(fixture_path("ext_dbl_regular")), "--sections", "random", "--seed", "7"]
     assert cli.main(argv) == 0
     assert "classes agree: PASS" in capsys.readouterr().out
     assert len(factored) == len(set(factored)) == 3
+    # 3 per section, 2 for the h3 kernel and quotient, and solve_particular's
+    # 1; it was 18 when check_extension ranked each map with rank_of and
+    # class_coordinates solved against the reduced representatives
+    assert len(passes) == 12
     factored.clear()
     for module in (algebra, xmodules):
         monkeypatch.setattr(module, "compose", lambda *a, _c=module.compose, **k: composed.append(a) or _c(*a, **k))
