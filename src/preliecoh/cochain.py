@@ -22,7 +22,8 @@ are implemented independently and compared in the tests.
 
 The matrices of both differentials are assembled in integers from the
 nonzero structure constants, scaled once per matrix by their common
-denominator; `coboundary`, the term-by-term formula in Fraction
+denominator, and kept as those integers (MatrixQ's integer view);
+`coboundary`, the term-by-term formula in Fraction
 arithmetic, is the reference of the pre-Lie one. Closedness and classes
 are decided on the matrices alone.
 
@@ -36,6 +37,7 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
@@ -43,6 +45,7 @@ from .errors import ArityMismatch, DimensionMismatch, NotACocycle, ShapeError
 from .linalg import (
     ONE,
     ZERO,
+    IntRow,
     MatrixQ,
     QuotientMap,
     Row,
@@ -289,9 +292,9 @@ def _assemble(rows: int, cols: int, den: int, terms: Iterable[tuple[int, int, in
 
     The row rules below yield one integer triple per nonzero constant
     they visit, each scaled by the common denominator den, so zero
-    entries cost nothing and the sums are exact in ints.
-    One Fraction is formed per distinct nonzero sum, and a dict only for
-    a row that some term reaches.
+    entries cost nothing and the sums are exact in ints. The matrix is
+    built from those sums as its integer view, with no Fraction, and a
+    dict is made only for a row that some term reaches.
     """
     acc: list[dict[int, int] | None] = [None] * rows
     for r, c, x in terms:
@@ -299,11 +302,9 @@ def _assemble(rows: int, cols: int, den: int, terms: Iterable[tuple[int, int, in
         if row is None:
             row = acc[r] = {}
         row[c] = row.get(c, 0) + x
-    fraction = {x: Fraction(x, den) for x in set().union(*(row.values() for row in acc if row)) if x}
-    return MatrixQ(rows, cols, tuple(
-        tuple([(c, fraction[x]) for c, x in sorted(row.items()) if x]) if row else ()
-        for row in acc
-    ))
+    return MatrixQ(rows, cols, integer=(den, tuple(
+        tuple([(c, x) for c, x in sorted(row.items()) if x]) if row else () for row in acc
+    )))
 
 
 def _prelie_terms(
@@ -440,6 +441,14 @@ class CohomologySpace:
     kernel: SubspaceBasis
     quotient: QuotientMap
 
+    @cached_property
+    def _scaled_kernel(self) -> tuple[dict[int, int], int, list[IntRow]]:
+        """(index, den, rows): kernel row t at its free column, and the
+        kernel rows times their common denominator den, in integers."""
+        # kernel row t ends with its free column, at value 1
+        index = {row[-1][0]: t for t, row in enumerate(self.kernel.rows)}
+        return (index, *integer_rows(self.kernel.rows))
+
     def class_coordinates(self, z: Cochain) -> Vector:
         """Coordinates of [z] against the representatives; NotACocycle
         unless z is closed."""
@@ -447,9 +456,7 @@ class CohomologySpace:
             raise ArityMismatch(f"expected arity {self.arity}, got {z.arity}")
         if len(CochainBasis(z.arity, z.algebra_dim)) * z.carrier_dim != self.kernel.ambient_dim:
             raise DimensionMismatch("cochain does not live in this cochain space")
-        # kernel row t ends with its free column, at value 1
-        index = {row[-1][0]: t for t, row in enumerate(self.kernel.rows)}
-        den, kernel = integer_rows(self.kernel.rows)
+        index, den, kernel = self._scaled_kernel
         # z = sum_{j in F} z[j] k_j, both sides times den and z's denominator
         _, (w,) = integer_rows((z.row,))
         acc: dict[int, int] = {}
@@ -480,14 +487,17 @@ def cohomology(rep: Representation | CochainComplex, n: int) -> CohomologySpace:
     _, kernel, _ = cx.eliminated(n)
     top = kernel.dim - 1
     # the columns of d_{n-1} at F, free column j at coordinate top - t for
-    # kernel row t; visiting F from the right appends in increasing order
+    # kernel row t; visiting F from the right appends in increasing order.
+    # They are read off the integer view, den times d_{n-1}, whose columns
+    # span the same W.
     columns: list[list[tuple[int, Fraction]]] = []
     if n > 1:
         d = cx.d(n - 1)
+        rows = d.integer[1]
         columns = [[] for _ in range(d.cols)]
         for t in range(top, -1, -1):
-            for c, x in d.nonzeros[kernel.rows[t][-1][0]]:
-                columns[c].append((top - t, x))
+            for c, x in rows[kernel.rows[t][-1][0]]:
+                columns[c].append((top - t, Fraction(x)))
     quot = QuotientMap.build(kernel.dim, SubspaceBasis(kernel.dim, tuple(map(tuple, columns))), spanning=True)
     kept = [top - r for r in reversed(quot.complement)]
     return CohomologySpace(

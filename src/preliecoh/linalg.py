@@ -6,40 +6,51 @@ pivot positions), right inverses and quotient coordinates are the same on
 every run and do not depend on how the elimination picks its pivots.
 Scalars are fractions.Fraction throughout; floats are refused.
 
-A matrix is stored once, as its nonzeros per row: each row is a Row, the
-sorted (column, value) pairs with a nonzero value. Every pass reads
-those pairs, so its cost follows the nonzeros rather than rows * cols.
+A matrix is stored as its nonzeros per row, in one of two views or
+both: Rows, the sorted (column, value) pairs with a nonzero value, or
+integer rows over one common denominator. A matrix summed in integers,
+as the coboundary matrices are, is built from its integer rows, and its
+Rows are formed only when something reads them. Every pass reads the
+pairs of one view, so its cost follows the nonzeros rather than
+rows * cols.
 
-The elimination is integer and fraction-free. Each Row is scaled by the
-lcm of its denominators and kept sparse as {column: int}. A row r is
-cleared against a pivot row p at column c by r <- a r - b p with a/b =
-p[c]/r[c] in lowest terms, after which r is divided by the gcd of its
-entries (its content). The forward pass and the back substitution both
-work this way; the back substitution goes by pattern, as in Gilbert and
-Peierls (SIAM J. Sci. Stat. Comput. 9, 1988) and Davis, Direct Methods
-for Sparse Linear Systems (SIAM 2006, ch. 3): each row is cleared only at
-the later pivot columns it holds. The reduced rows stay integers, with
-content 1 and a positive pivot entry, which is the row's denominator, so
-equal matrices give equal echelons. Every reader works on that one form,
-and fractions are formed only for what is returned: kernel rows,
-solutions, inverses and quotient coordinates.
+The elimination is integer and fraction-free, and its one entry is the
+forward pass over integer rows, kept sparse as {column: int}. rank_of
+reads the integer view of its matrix, formed once for a matrix built
+from Fractions; rank_kernel_image and solve_particular read it when the
+matrix holds it. Rows of Fractions otherwise enter scaled, each by the
+lcm of its denominators, as in QuotientMap.build and
+right_inverse_on_image. A row r is cleared against a pivot row p at
+column c by r <- a r - b p with a/b = p[c]/r[c] in lowest terms, after
+which r is divided by the gcd of its entries (its content). The
+forward pass and the back substitution both work this way; the back
+substitution goes by pattern, as in Gilbert and Peierls (SIAM J. Sci.
+Stat. Comput. 9, 1988) and Davis, Direct Methods for Sparse Linear
+Systems (SIAM 2006, ch. 3): each row is cleared only at the later pivot
+columns it holds. The reduced rows stay integers, with content 1 and a
+positive pivot entry, which is the row's denominator, so equal matrices
+give equal echelons. Every reader works on that one form, and fractions
+are formed only for what is returned: kernel rows, solutions, inverses
+and quotient coordinates.
 
 Subspaces stay sparse too. A SubspaceBasis stores one Row per basis
 vector: kernel rows are read off the reduced rows and image rows are
 columns of the matrix, and its dense `vectors` are a view for callers.
 A QuotientMap keeps the reduced rows of its subspace over one common
 denominator. QuotientMap.reduce_row, in_kernel and solve_particular take
-Rows and scale them to integers like the elimination.
+Rows and scale them to integers like the elimination; in_kernel reads
+the integer view of its matrix.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BadBasis, DimensionMismatch, ShapeError
 
@@ -114,29 +125,98 @@ def sparse_row(v: Iterable[Fraction]) -> Row:
     return tuple((j, x) for j, x in enumerate(v) if x is not ZERO and x)
 
 
-def _summed(terms: Iterable[tuple[int, Fraction]]) -> Row:
-    """The Row of the sum of the (column, value) terms."""
-    acc: dict[int, Fraction] = {}
+def _summed(terms: Iterable[tuple[int, object]]) -> tuple:
+    """The (column, value) pairs of the sum of the (column, value) terms,
+    sorted by column, zero sums dropped; Fractions and ints alike."""
+    acc: dict = {}
     for j, x in terms:
-        acc[j] = acc.get(j, ZERO) + x
+        acc[j] = acc[j] + x if j in acc else x
     return tuple(sorted((j, x) for j, x in acc.items() if x))
 
 
-@dataclass(frozen=True)
+def _transposed(rows: Sequence[tuple], cols: int) -> tuple:
+    """The rows of the transpose of the matrix with these rows and cols
+    columns."""
+    out: list[list] = [[] for _ in range(cols)]
+    for i, row in enumerate(rows):
+        for j, x in row:
+            out[j].append((i, x))
+    return tuple(map(tuple, out))
+
+
+def _product(a: Sequence[tuple], b: Sequence[tuple]) -> tuple:
+    """The rows of the product of the matrices with rows a and b."""
+    return tuple(_summed((j, x * y) for k, x in row for j, y in b[k]) if row else () for row in a)
+
+
 class MatrixQ:
-    """Rational matrix, immutable, stored once as its nonzeros per row:
-    nonzeros[i] is the Row of row i. Build one through the classmethods;
-    the layout is canonical, so equal matrices compare and hash equal."""
+    """Rational matrix, immutable, stored as its nonzeros per row in one
+    of two views, or both:
 
-    rows: int
-    cols: int
-    nonzeros: tuple[Row, ...]
+    - `nonzeros`: nonzeros[i] is the Row of row i;
+    - `integer`: (den, rows), where rows[i] is the IntRow of row i times
+      den, den > 0, so that the matrix is rows / den.
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    A matrix is built with one view, `MatrixQ(rows, cols, nonzeros)` or
+    `MatrixQ(rows, cols, integer=(den, rows))`, and the other is formed
+    from it when first read and kept. Eliminations and products read the
+    integer view, so a matrix summed in integers never forms a Fraction
+    unless its entries are read. Equality, hashing and repr are those of
+    (rows, cols, nonzeros), which are canonical, so equal matrices compare
+    and hash equal whichever view they were built with.
+    """
+
+    def __init__(self, rows: int, cols: int, nonzeros: tuple[Row, ...] | None = None, *,
+                 integer: tuple[int, tuple[IntRow, ...]] | None = None) -> None:
+        if rows < 0 or cols < 0:
             raise ShapeError("negative matrix dimension")
-        if len(self.nonzeros) != self.rows:
-            raise ShapeError(f"{self.rows}x{self.cols} matrix needs {self.rows} rows, got {len(self.nonzeros)}")
+        if (nonzeros is None) == (integer is None):
+            raise ShapeError("a matrix is built from exactly one of its nonzeros and its integer view")
+        if integer is not None and integer[0] <= 0:
+            raise ShapeError("matrix denominator must be positive")
+        held = nonzeros if integer is None else integer[1]
+        if len(held) != rows:
+            raise ShapeError(f"{rows}x{cols} matrix needs {rows} rows, got {len(held)}")
+        self.__dict__.update(rows=rows, cols=cols)
+        self.__dict__["nonzeros" if integer is None else "integer"] = nonzeros if integer is None else integer
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(rows={self.rows!r}, cols={self.cols!r}, nonzeros={self.nonzeros!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rows, self.cols, self.nonzeros) == (other.rows, other.cols, other.nonzeros)
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.nonzeros))
+
+    @cached_property
+    def nonzeros(self) -> tuple[Row, ...]:
+        """The Row of each row; formed from the integer view on first read,
+        with one Fraction per distinct entry."""
+        den, rows = self.integer
+        fraction = {x: Fraction(x, den) for x in {x for row in rows for _, x in row}}
+        return tuple(tuple([(c, fraction[x]) for c, x in row]) if row else () for row in rows)
+
+    @cached_property
+    def integer(self) -> tuple[int, tuple[IntRow, ...]]:
+        """(den, rows): rows[i] is row i times den in integers, den the
+        common denominator of the entries; formed from the Rows on first
+        read."""
+        den, rows = integer_rows(self.nonzeros)
+        return den, tuple(rows)
+
+    def _view(self, name: str) -> object:
+        """The view `name` ("nonzeros" or "integer") if it is formed, else
+        None; unlike reading the attribute, this never forms it."""
+        return self.__dict__.get(name)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[object]], cols: int | None = None) -> "MatrixQ":
@@ -179,11 +259,10 @@ class MatrixQ:
         return dense_vector(self.nonzeros[i], self.cols)
 
     def transpose(self) -> "MatrixQ":
-        cols: list[list[tuple[int, Fraction]]] = [[] for _ in range(self.cols)]
-        for i, row in enumerate(self.nonzeros):
-            for j, x in row:
-                cols[j].append((i, x))
-        return MatrixQ(self.cols, self.rows, tuple(map(tuple, cols)))
+        if self._view("nonzeros") is not None:
+            return MatrixQ(self.cols, self.rows, _transposed(self.nonzeros, self.cols))
+        den, rows = self.integer
+        return MatrixQ(self.cols, self.rows, integer=(den, _transposed(rows, self.cols)))
 
     def mul_vec(self, v: Sequence[Fraction]) -> Vector:
         if len(v) != self.cols:
@@ -191,16 +270,14 @@ class MatrixQ:
         return tuple(sum((x * v[j] for j, x in row), ZERO) for row in self.nonzeros)
 
     def __matmul__(self, other: "MatrixQ") -> "MatrixQ":
+        """The product, summed in Fractions when both factors hold them
+        and in integers otherwise."""
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        return MatrixQ(
-            self.rows,
-            other.cols,
-            tuple(
-                _summed((j, a * b) for k, a in row for j, b in other.nonzeros[k]) if row else ()
-                for row in self.nonzeros
-            ),
-        )
+        if self._view("nonzeros") is not None and other._view("nonzeros") is not None:
+            return MatrixQ(self.rows, other.cols, _product(self.nonzeros, other.nonzeros))
+        (da, a), (db, b) = self.integer, other.integer
+        return MatrixQ(self.rows, other.cols, integer=(da * db, _product(a, b)))
 
     def __add__(self, other: "MatrixQ") -> "MatrixQ":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -208,7 +285,8 @@ class MatrixQ:
         return MatrixQ(self.rows, self.cols, tuple(_summed(r + s) for r, s in zip(self.nonzeros, other.nonzeros)))
 
     def is_zero(self) -> bool:
-        return not any(self.nonzeros)
+        held = self._view("integer")
+        return not any(self.nonzeros if held is None else held[1])
 
 
 def integer_rows(rows: Iterable[Row]) -> tuple[int, list[IntRow]]:
@@ -234,14 +312,14 @@ def _check_row(row: Row, n: int, what: str) -> None:
 
 
 def in_kernel(m: MatrixQ, rows: Iterable[Row]) -> bool:
-    """Whether m v = 0 for the vector v of every Row. Each row of m and
-    each v is scaled to integers, which does not change whether a product
-    vanishes."""
-    scaled = [_integer_row(r)[1] for r in m.nonzeros if r]
+    """Whether m v = 0 for the vector v of every Row. The integer view of
+    m and each v scaled to integers are multiplied, which does not change
+    whether a product vanishes."""
+    scaled = [r for r in m.integer[1] if r]
     for row in rows:
         _check_row(row, m.cols, "matrix columns")
         w = _integer_row(row)[1]
-        if any(sum(x * w[j] for j, x in r.items() if j in w) for r in scaled):
+        if any(sum(x * w[j] for j, x in r if j in w) for r in scaled):
             return False
     return True
 
@@ -267,10 +345,12 @@ def _clear(r: dict[int, int], p: dict[int, int], c: int) -> None:
                 r[j] //= content
 
 
-def _echelon(rows: Iterable[Row]) -> list[tuple[int, dict[int, int]]]:
-    """Forward pass: the nonzero rows scaled to integers and reduced to
-    (pivot column, row) pairs in increasing column order. The back
-    substitution changes no pivot, so these are the pivots of the rref.
+def _echelon(rows: Iterable[IntRow]) -> list[tuple[int, dict[int, int]]]:
+    """Forward pass, the one entry of every elimination: the nonzero
+    integer rows reduced to (pivot column, {column: integer}) pairs in
+    increasing column order. The back substitution changes no pivot, so
+    these are the pivots of the rref. Rows of Fractions enter through
+    `_scaled`.
 
     Columns are visited left to right; among the rows leading at a column,
     the one with fewest entries (then smallest pivot) clears the others.
@@ -280,7 +360,7 @@ def _echelon(rows: Iterable[Row]) -> list[tuple[int, dict[int, int]]]:
     leading: dict[int, list[dict[int, int]]] = {}
     for row in rows:
         if row:
-            r = _integer_row(row)[1]
+            r = dict(row)
             leading.setdefault(min(r), []).append(r)
     columns = list(leading)
     heapify(columns)
@@ -302,16 +382,18 @@ def _echelon(rows: Iterable[Row]) -> list[tuple[int, dict[int, int]]]:
     return echelon
 
 
-def _rref(rows: Iterable[Row]) -> list[tuple[int, dict[int, int]]]:
-    """The reduced row echelon form of the rows, in integers: (pivot
-    column, {column: integer}) pairs in increasing pivot order, zero rows
-    dropped. Each row has content 1, a positive pivot entry and no entry
-    at the other pivots; divided by its pivot entry it is the reduced row.
+def _scaled(rows: Iterable[Row]) -> Iterator[dict[int, int]]:
+    """Each Row times the lcm of its denominators, as {column: integer}."""
+    return (_integer_row(row)[1] for row in rows)
 
-    The reduced row echelon form is unique, and so is this scaling of it,
-    so the result does not depend on how pivots are chosen.
+
+def _reduced(echelon: list[tuple[int, dict[int, int]]]) -> list[tuple[int, dict[int, int]]]:
+    """The echelon of `_echelon` brought to reduced row echelon form, in
+    place and in integers: each row gets content 1, a positive pivot entry
+    and no entry at the other pivots; divided by its pivot entry it is the
+    reduced row. The reduced row echelon form is unique, and so is this
+    scaling of it, so the result does not depend on how pivots are chosen.
     """
-    echelon = _echelon(rows)
     at = dict(echelon)
     # back substitution, bottom up, by pattern: row t is cleared only at
     # the pivot columns it holds. The rows below t are already reduced, so
@@ -325,6 +407,13 @@ def _rref(rows: Iterable[Row]) -> list[tuple[int, dict[int, int]]]:
             for j in r:
                 r[j] //= content
     return echelon
+
+
+def _rref(rows: Iterable[Row]) -> list[tuple[int, dict[int, int]]]:
+    """The reduced row echelon form of Rows of Fractions, in integers:
+    (pivot column, {column: integer}) pairs in increasing pivot order,
+    zero rows dropped, as `_reduced` scales them."""
+    return _reduced(_echelon(_scaled(rows)))
 
 
 @dataclass(frozen=True)
@@ -367,9 +456,15 @@ def rank_kernel_image(m: MatrixQ) -> tuple[int, SubspaceBasis, SubspaceBasis]:
 
     Kernel vectors are ordered by increasing free column, with the free
     coordinate set to 1. Image vectors are the original columns of m at
-    the pivot positions, in order.
+    the pivot positions, in order. The integer view of m is reduced when
+    m holds it, else its Rows, so neither view is formed for this.
     """
-    echelon = _rref(m.nonzeros)
+    held = m._view("integer")
+    if held is None:
+        rows, echelon = m.nonzeros, _rref(m.nonzeros)
+    else:
+        den, rows = held
+        echelon = _reduced(_echelon(rows))
     pivots = [c for c, _ in echelon]
     # the kernel row of free column j holds -x at pivot p for each entry x
     # of column j in the reduced row of p; every such p is below j and
@@ -385,28 +480,46 @@ def rank_kernel_image(m: MatrixQ) -> tuple[int, SubspaceBasis, SubspaceBasis]:
     kernel = tuple(
         (*at_pivots.get(j, ()), (j, ONE)) for j in range(m.cols) if j not in pivot_set
     )
-    columns = m.transpose().nonzeros
-    image = tuple(columns[p] for p in pivots)
+    # the image rows are the columns of m at the pivots; an integer entry
+    # becomes one Fraction per distinct value, as in MatrixQ.nonzeros
+    fraction: dict[int, Fraction] = {}
+    columns: dict[int, list[tuple[int, Fraction]]] = {p: [] for p in pivots}
+    for i, row in enumerate(rows):
+        for j, x in row:
+            if j in columns:
+                if held is not None:
+                    if x not in fraction:
+                        fraction[x] = Fraction(x, den)
+                    x = fraction[x]
+                columns[j].append((i, x))
+    image = tuple(tuple(columns[p]) for p in pivots)
     return len(pivots), SubspaceBasis(m.cols, kernel), SubspaceBasis(m.rows, image)
 
 
 def rank_of(m: MatrixQ) -> int:
-    return len(_echelon(m.nonzeros))
+    return len(_echelon(m.integer[1]))
 
 
 def solve_particular(m: MatrixQ, b: Row) -> Vector | None:
     """One solution of m x = b, for the vector b of a Row, with every free
-    variable set to 0, else None."""
+    variable set to 0, else None. The rows of m are augmented by b and
+    reduced in the integer view when m holds it, else in Fractions."""
     _check_row(b, m.rows, "matrix rows")
     n = m.cols
-    rhs = dict(b)
-    echelon = _rref(row + ((n, rhs[i]),) if i in rhs else row for i, row in enumerate(m.nonzeros))
+    held = m._view("integer")
+    if held is None:
+        rhs, scale = dict(b), 1
+        echelon = _rref(row + ((n, rhs[i]),) if i in rhs else row for i, row in enumerate(m.nonzeros))
+    else:
+        # m = rows / den and b = w / scale, so rows y = den w for y = scale x
+        (den, rows), (scale, w) = held, _integer_row(b)
+        echelon = _reduced(_echelon(row + ((n, den * w[i]),) if i in w else row for i, row in enumerate(rows)))
     if echelon and echelon[-1][0] == n:
         return None
     x = [ZERO] * n
     for p, row in echelon:
         if n in row:
-            x[p] = Fraction(row[n], row[p])
+            x[p] = Fraction(row[n], row[p] * scale)
     return tuple(x)
 
 
@@ -433,9 +546,9 @@ def right_inverse_on_image(m: MatrixQ) -> MatrixQ:
     m[R, P] is invertible, and s = e_P inv(m[R, P]) on the coordinates R,
     zero on the others. Both pivot sets come from the forward pass.
     """
-    col_pivots = [c for c, _ in _echelon(m.nonzeros)]
-    columns = m.transpose().nonzeros
-    row_pivots = [c for c, _ in _echelon(columns[p] for p in col_pivots)]
+    col_pivots = [c for c, _ in _echelon(_scaled(m.nonzeros))]
+    columns = _transposed(m.nonzeros, m.cols)
+    row_pivots = [c for c, _ in _echelon(_scaled(columns[p] for p in col_pivots))]
     at = {p: a for a, p in enumerate(col_pivots)}
     square = tuple(tuple((at[c], x) for c, x in m.nonzeros[r] if c in at) for r in row_pivots)
     inverse = invert(MatrixQ(len(at), len(at), square)).nonzeros

@@ -387,8 +387,10 @@ def test_cohomologous_no_eliminates_each_differential_once(monkeypatch) -> None:
     d1 = built[1]
 
     def on_d1(rows):
-        # solve_particular augments some rows with the right-hand side, at column d1.cols
-        return [tuple((c, x) for c, x in row if c < d1.cols) for row in rows] == list(d1.nonzeros)
+        # solve_particular augments some integer rows of d_1 with the
+        # right-hand side, at column d1.cols; Fraction rows enter scaled, as dicts
+        rows = [tuple(row.items()) if isinstance(row, dict) else row for row in rows]
+        return [tuple((c, x) for c, x in row if c < d1.cols) for row in rows] == list(d1.integer[1])
 
     assert sum(map(on_d1, passes)) == 1
     assert kernels == [built[2]]

@@ -271,6 +271,27 @@ def test_class_coordinates_kill_coboundaries():
         assert h.class_coordinates(db) == zero_vector(h.dimension)
 
 
+def test_class_coordinates_scale_the_kernel_once(monkeypatch):
+    import preliecoh.cochain as cochain
+
+    rep = Representation.trivial(ABELIAN2, 1)
+    h = cohomology(rep, 2)
+    assert h.dimension > 1
+    scalings = []
+    original = cochain.integer_rows
+
+    def counting(rows):
+        rows = list(rows)
+        if rows == list(h.kernel.rows):
+            scalings.append(rows)
+        return original(rows)
+
+    monkeypatch.setattr(cochain, "integer_rows", counting)
+    assert h.class_coordinates(h.representatives[0]) == (F(1), *[F(0)] * (h.dimension - 1))
+    assert h.class_coordinates(h.representatives[1]) == (F(0), F(1), *[F(0)] * (h.dimension - 2))
+    assert len(scalings) == 1
+
+
 def test_are_cohomologous_positive_and_negative():
     rng = random.Random(15)
     rep = Representation.trivial(ABELIAN2, 1)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from preliecoh import linalg
 from preliecoh.algebra import Representation
-from preliecoh.catalog import sparse_algebra
+from preliecoh.catalog import BAD_ALGEBRA, sparse_algebra
 from preliecoh.cochain import Cochain, coboundary, coboundary_matrix
 from preliecoh.documents import document_from_obj
 from preliecoh.errors import BadBasis, DimensionMismatch, ShapeError
@@ -795,3 +795,104 @@ def test_integer_rows_share_one_denominator(rows):
     assert all(den % x.denominator == 0 for row in rows for _, x in row)
     assert [[(j, F(x, den)) for j, x in row] for row in scaled] == [list(row) for row in rows]
     assert den == lcm(*(x.denominator for row in rows for _, x in row))
+
+
+# --- the integer view and the Fraction view of one MatrixQ --------------------
+
+
+def fraction_product(a, b):
+    """a @ b summed in Fractions, one dict per output row: the oracle of
+    MatrixQ.__matmul__."""
+    rows = []
+    for row in a.nonzeros:
+        acc = {}
+        for k, x in row:
+            for j, y in b.nonzeros[k]:
+                acc[j] = acc.get(j, F(0)) + x * y
+        rows.append(tuple(sorted((j, v) for j, v in acc.items() if v)))
+    return MatrixQ(a.rows, b.cols, tuple(rows))
+
+
+@st.composite
+def both_views(draw, r, c):
+    """One matrix built twice: from its Rows, and from integer rows over a
+    denominator that may carry a factor common to every entry. Entries
+    have mixed denominators, and some rows are empty."""
+    rows = [
+        row if draw(st.booleans()) else [F(0)] * c
+        for row in draw(st.lists(st.lists(mixed_fracs, min_size=c, max_size=c), min_size=r, max_size=r))
+    ]
+    sparse = tuple(map(sparse_row, rows))
+    den, scaled = integer_rows(sparse)
+    k = draw(st.sampled_from([1, 2, 6]))
+    integer = (den * k, tuple(tuple((j, x * k) for j, x in row) for row in scaled))
+    return MatrixQ(r, c, sparse), MatrixQ(r, c, integer=integer)
+
+
+def integer_built(m):
+    """A copy of m that holds only the integer view of m."""
+    return MatrixQ(m.rows, m.cols, integer=m.integer)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 4), st.data())
+def test_integer_built_matrices_equal_fraction_built_ones(r, c, k, data):
+    f, i = data.draw(both_views(r, c))
+    # every read below runs on a fresh integer-built copy, so none of them
+    # reads a Fraction view that another one formed
+    assert integer_built(i).is_zero() == f.is_zero()
+    assert rank_of(integer_built(i)) == rank_of(f)
+    assert rank_kernel_image(integer_built(i)) == rank_kernel_image(f)
+    t = integer_built(i).transpose()
+    assert t._view("nonzeros") is None and t == f.transpose()
+    _, ker, _ = rank_kernel_image(f)
+    vectors = [*ker.rows, *(sparse_row(data.draw(st.lists(mixed_fracs, min_size=c, max_size=c))) for _ in range(2))]
+    for v in vectors:
+        assert in_kernel(integer_built(i), [v]) == in_kernel(f, [v])
+    b = sparse_row(data.draw(st.lists(mixed_fracs, min_size=r, max_size=r)))
+    assert solve_particular(integer_built(i), b) == solve_particular(f, b)
+    g, j = data.draw(both_views(c, k))
+    want = fraction_product(f, g)
+    for product in (integer_built(i) @ integer_built(j), integer_built(i) @ g, f @ integer_built(j), f @ g):
+        assert product == want and product.is_zero() == want.is_zero()
+    assert (integer_built(i) @ integer_built(j))._view("nonzeros") is None
+    # equality, hashing and repr are those of the Rows, and reading the
+    # Rows of an integer-built matrix gives back the same Rows
+    assert i == f and hash(i) == hash(f) and repr(i) == repr(f)
+    assert i.nonzeros == f.nonzeros and all(type(x) is F for row in i.nonzeros for _, x in row)
+
+
+def test_the_square_of_a_non_prelie_coboundary_equals_the_fraction_product():
+    # BAD_ALGEBRA is not pre-Lie, so d_2 d_1 of its regular "representation"
+    # is not zero: the integer product must sum to the same nonzero rows
+    rep = Representation.regular(BAD_ALGEBRA)
+    d1, d2 = coboundary_matrix(rep, 1), coboundary_matrix(rep, 2)
+    dd = d2 @ d1
+    assert dd._view("nonzeros") is None and not dd.is_zero()
+    assert dd == fraction_product(d2, d1)
+    assert sum(1 for row in dd.nonzeros if row) == 3
+
+
+def test_a_matrix_is_scaled_to_integers_once_for_its_rank_and_kernel_tests(monkeypatch):
+    m = mat([[F(1, 3), F(-2, 5)], [F(2, 3), F(-4, 5)], [0, 0]])
+    own_rows = {row for row in m.nonzeros if row}
+    scalings = []
+    integer_rows_, integer_row = linalg.integer_rows, linalg._integer_row
+
+    def counting_rows(rows):
+        rows = list(rows)
+        if own_rows & set(rows):
+            scalings.append(rows)
+        return integer_rows_(rows)
+
+    def counting_row(row):
+        if row in own_rows:
+            scalings.append([row])
+        return integer_row(row)
+
+    monkeypatch.setattr(linalg, "integer_rows", counting_rows)
+    monkeypatch.setattr(linalg, "_integer_row", counting_row)
+    assert rank_of(m) == 1
+    assert in_kernel(m, [sparse_row(vector(["6/5", 1]))])
+    assert not in_kernel(m, [sparse_row(vector([1, 1]))])
+    assert len(scalings) == 1

@@ -134,14 +134,21 @@ def test_each_map_is_factored_once(monkeypatch, capsys):
     their sections, check_extension included, and an ideal inclusion
     factors its inclusion once and tests its span once: two products,
     their coordinates, the coordinates mapped back, and the ideal's
-    product are 7 compose calls."""
+    product are 7 compose calls. Every pass enters the elimination at its
+    one integer entry, `_echelon`, with integer rows."""
     from preliecoh import algebra, cli, linalg
     from preliecoh.catalog import fixture_path
 
     factored, composed, passes = [], [], []
     original, echelon = xmodules.right_inverse_on_image, linalg._echelon
+
+    def counting_echelon(rows):
+        rows = list(rows)
+        passes.append([dict(row) for row in rows])
+        return echelon(rows)
+
     monkeypatch.setattr(xmodules, "right_inverse_on_image", lambda m: factored.append(m) or original(m))
-    monkeypatch.setattr(linalg, "_echelon", lambda rows: passes.append(1) or echelon(rows))
+    monkeypatch.setattr(linalg, "_echelon", counting_echelon)
     argv = ["tmap", str(fixture_path("ext_dbl_regular")), "--sections", "random", "--seed", "7"]
     assert cli.main(argv) == 0
     assert "classes agree: PASS" in capsys.readouterr().out
@@ -150,6 +157,7 @@ def test_each_map_is_factored_once(monkeypatch, capsys):
     # 1; it was 18 when check_extension ranked each map with rank_of and
     # class_coordinates solved against the reduced representatives
     assert len(passes) == 12
+    assert all(type(x) is int for rows in passes for row in rows for x in row.values())
     factored.clear()
     for module in (algebra, xmodules):
         monkeypatch.setattr(module, "compose", lambda *a, _c=module.compose, **k: composed.append(a) or _c(*a, **k))
