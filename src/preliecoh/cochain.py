@@ -489,15 +489,15 @@ def cohomology(rep: Representation | CochainComplex, n: int) -> CohomologySpace:
     # the columns of d_{n-1} at F, free column j at coordinate top - t for
     # kernel row t; visiting F from the right appends in increasing order.
     # They are read off the integer view, den times d_{n-1}, whose columns
-    # span the same W.
-    columns: list[list[tuple[int, Fraction]]] = []
+    # span the same W, and enter the quotient's elimination as they are.
+    columns: list[list[tuple[int, int]]] = []
     if n > 1:
         d = cx.d(n - 1)
         rows = d.integer[1]
         columns = [[] for _ in range(d.cols)]
         for t in range(top, -1, -1):
             for c, x in rows[kernel.rows[t][-1][0]]:
-                columns[c].append((top - t, Fraction(x)))
+                columns[c].append((top - t, x))
     quot = QuotientMap.build(kernel.dim, SubspaceBasis(kernel.dim, tuple(map(tuple, columns))), spanning=True)
     kept = [top - r for r in reversed(quot.complement)]
     return CohomologySpace(

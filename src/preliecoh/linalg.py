@@ -14,12 +14,11 @@ Rows are formed only when something reads them. Every pass reads the
 pairs of one view, so its cost follows the nonzeros rather than
 rows * cols.
 
-The elimination is integer and fraction-free, and its one entry is the
-forward pass over integer rows, kept sparse as {column: int}. rank_of
-reads the integer view of its matrix, formed once for a matrix built
-from Fractions; rank_kernel_image and solve_particular read it when the
-matrix holds it. Rows of Fractions otherwise enter scaled, each by the
-lcm of its denominators, as in QuotientMap.build and
+The elimination is integer and fraction-free, and works on integer
+rows, kept sparse as {column: int}. rank_of, rank_kernel_image and
+solve_particular read the integer view of their matrix, formed once for
+a matrix built from Fractions. Rows of Fractions enter scaled, each by
+the lcm of its denominators, as in QuotientMap.build, invert and
 right_inverse_on_image. A row r is cleared against a pivot row p at
 column c by r <- a r - b p with a/b = p[c]/r[c] in lowest terms, after
 which r is divided by the gcd of its entries (its content). The
@@ -37,9 +36,8 @@ Subspaces stay sparse too. A SubspaceBasis stores one Row per basis
 vector: kernel rows are read off the reduced rows and image rows are
 columns of the matrix, and its dense `vectors` are a view for callers.
 A QuotientMap keeps the reduced rows of its subspace over one common
-denominator. QuotientMap.reduce_row, in_kernel and solve_particular take
-Rows and scale them to integers like the elimination; in_kernel reads
-the integer view of its matrix.
+denominator. QuotientMap.reduce_row, in_kernel and solve_particular take Rows and
+scale them to integers like the elimination.
 """
 
 from __future__ import annotations
@@ -346,11 +344,10 @@ def _clear(r: dict[int, int], p: dict[int, int], c: int) -> None:
 
 
 def _echelon(rows: Iterable[IntRow]) -> list[tuple[int, dict[int, int]]]:
-    """Forward pass, the one entry of every elimination: the nonzero
-    integer rows reduced to (pivot column, {column: integer}) pairs in
-    increasing column order. The back substitution changes no pivot, so
-    these are the pivots of the rref. Rows of Fractions enter through
-    `_scaled`.
+    """Forward pass: the nonzero integer rows reduced to (pivot column,
+    {column: integer}) pairs in increasing column order. The back
+    substitution changes no pivot, so these are the pivots of the rref.
+    Rows of Fractions enter through `_scaled`.
 
     Columns are visited left to right; among the rows leading at a column,
     the one with fewest entries (then smallest pivot) clears the others.
@@ -382,9 +379,13 @@ def _echelon(rows: Iterable[IntRow]) -> list[tuple[int, dict[int, int]]]:
     return echelon
 
 
-def _scaled(rows: Iterable[Row]) -> Iterator[dict[int, int]]:
-    """Each Row times the lcm of its denominators, as {column: integer}."""
-    return (_integer_row(row)[1] for row in rows)
+def _scaled(rows: Iterable[Row]) -> Iterator[IntRow]:
+    """Each Row times the lcm of its denominators, as an IntRow. Any
+    rational values are read, so a row of ints (denominator 1) keeps its
+    values."""
+    for row in rows:
+        den = lcm(*(x.denominator for _, x in row))
+        yield tuple([(j, x.numerator * (den // x.denominator)) for j, x in row])
 
 
 def _reduced(echelon: list[tuple[int, dict[int, int]]]) -> list[tuple[int, dict[int, int]]]:
@@ -409,11 +410,12 @@ def _reduced(echelon: list[tuple[int, dict[int, int]]]) -> list[tuple[int, dict[
     return echelon
 
 
-def _rref(rows: Iterable[Row]) -> list[tuple[int, dict[int, int]]]:
-    """The reduced row echelon form of Rows of Fractions, in integers:
-    (pivot column, {column: integer}) pairs in increasing pivot order,
-    zero rows dropped, as `_reduced` scales them."""
-    return _reduced(_echelon(_scaled(rows)))
+def _rref(rows: Iterable[IntRow]) -> list[tuple[int, dict[int, int]]]:
+    """The reduced row echelon form of integer rows, the one entry of
+    every reduction: (pivot column, {column: integer}) pairs in increasing
+    pivot order, zero rows dropped, as `_reduced` scales them. Rows of
+    Fractions enter through `_scaled`."""
+    return _reduced(_echelon(rows))
 
 
 @dataclass(frozen=True)
@@ -456,15 +458,10 @@ def rank_kernel_image(m: MatrixQ) -> tuple[int, SubspaceBasis, SubspaceBasis]:
 
     Kernel vectors are ordered by increasing free column, with the free
     coordinate set to 1. Image vectors are the original columns of m at
-    the pivot positions, in order. The integer view of m is reduced when
-    m holds it, else its Rows, so neither view is formed for this.
+    the pivot positions, in order. The integer view of m is reduced.
     """
-    held = m._view("integer")
-    if held is None:
-        rows, echelon = m.nonzeros, _rref(m.nonzeros)
-    else:
-        den, rows = held
-        echelon = _reduced(_echelon(rows))
+    den, rows = m.integer
+    echelon = _rref(rows)
     pivots = [c for c, _ in echelon]
     # the kernel row of free column j holds -x at pivot p for each entry x
     # of column j in the reduced row of p; every such p is below j and
@@ -487,11 +484,9 @@ def rank_kernel_image(m: MatrixQ) -> tuple[int, SubspaceBasis, SubspaceBasis]:
     for i, row in enumerate(rows):
         for j, x in row:
             if j in columns:
-                if held is not None:
-                    if x not in fraction:
-                        fraction[x] = Fraction(x, den)
-                    x = fraction[x]
-                columns[j].append((i, x))
+                if x not in fraction:
+                    fraction[x] = Fraction(x, den)
+                columns[j].append((i, fraction[x]))
     image = tuple(tuple(columns[p]) for p in pivots)
     return len(pivots), SubspaceBasis(m.cols, kernel), SubspaceBasis(m.rows, image)
 
@@ -502,18 +497,13 @@ def rank_of(m: MatrixQ) -> int:
 
 def solve_particular(m: MatrixQ, b: Row) -> Vector | None:
     """One solution of m x = b, for the vector b of a Row, with every free
-    variable set to 0, else None. The rows of m are augmented by b and
-    reduced in the integer view when m holds it, else in Fractions."""
+    variable set to 0, else None. The integer view of m is augmented by
+    b and reduced."""
     _check_row(b, m.rows, "matrix rows")
     n = m.cols
-    held = m._view("integer")
-    if held is None:
-        rhs, scale = dict(b), 1
-        echelon = _rref(row + ((n, rhs[i]),) if i in rhs else row for i, row in enumerate(m.nonzeros))
-    else:
-        # m = rows / den and b = w / scale, so rows y = den w for y = scale x
-        (den, rows), (scale, w) = held, _integer_row(b)
-        echelon = _reduced(_echelon(row + ((n, den * w[i]),) if i in w else row for i, row in enumerate(rows)))
+    # m = rows / den and b = w / scale, so rows y = den w for y = scale x
+    (den, rows), (scale, w) = m.integer, _integer_row(b)
+    echelon = _rref(row + ((n, den * w[i]),) if i in w else row for i, row in enumerate(rows))
     if echelon and echelon[-1][0] == n:
         return None
     x = [ZERO] * n
@@ -528,7 +518,7 @@ def invert(m: MatrixQ) -> MatrixQ:
     if m.rows != m.cols:
         raise ShapeError("only square matrices can be inverted")
     n = m.rows
-    echelon = _rref(row + ((n + i, ONE),) for i, row in enumerate(m.nonzeros))
+    echelon = _rref(_scaled(row + ((n + i, ONE),) for i, row in enumerate(m.nonzeros)))
     if [c for c, _ in echelon] != list(range(n)):
         raise BadBasis("matrix is singular")
     rows = (sorted((j - n, Fraction(x, row[c])) for j, x in row.items() if j >= n) for c, row in echelon)
@@ -583,10 +573,11 @@ class QuotientMap:
     def build(cls, ambient_dim: int, sub: SubspaceBasis, spanning: bool = False) -> "QuotientMap":
         """The quotient by span(sub). Its rows must be independent (else
         BadBasis) unless `spanning` is set, when any spanning set will do,
-        such as all the columns of a matrix."""
+        such as all the columns of a matrix. Rows may hold ints as well
+        as Fractions."""
         if sub.ambient_dim != ambient_dim:
             raise DimensionMismatch("subspace lives in a different ambient space")
-        echelon = _rref(sub.rows)
+        echelon = _rref(_scaled(sub.rows))
         if not spanning and len(echelon) != sub.dim:
             raise BadBasis("subspace vectors are linearly dependent")
         pivots = tuple(c for c, _ in echelon)

@@ -24,6 +24,7 @@ from preliecoh.linalg import (
     QuotientMap,
     SubspaceBasis,
     _rref,
+    _scaled,
     dense_vector,
     in_kernel,
     integer_rows,
@@ -394,9 +395,10 @@ def dense_rref_fractions(rows):
 
 
 def dense_rref_rows(rows):
-    """dense_rref behind the signature of linalg._rref: sparse rows in,
-    (pivot column, {column: integer}) pairs out, each reduced row scaled
-    by the lcm of its denominators."""
+    """dense_rref behind the signature of linalg._rref: sparse rows of
+    integers (or Fractions) in, (pivot column, {column: integer}) pairs
+    out, each reduced row scaled by the lcm of its denominators."""
+    rows = [tuple((j, F(x)) for j, x in row) for row in rows]
     return [(c, dict(integer_rows([row])[1][0])) for c, row in dense_rref_fractions(rows)]
 
 
@@ -464,15 +466,15 @@ def rational_rows(draw, max_dim=6):
 @example([[F(0)] * 3] * 3)
 def test_rref_equals_dense_oracle(rows):
     sparse = [sparse_row(r) for r in rows]
-    assert _rref(sparse) == dense_rref_rows(sparse)
-    assert fraction_view(_rref(sparse)) == dense_rref_fractions(sparse)
+    assert _rref(_scaled(sparse)) == dense_rref_rows(sparse)
+    assert fraction_view(_rref(_scaled(sparse))) == dense_rref_fractions(sparse)
 
 
 @settings(max_examples=200, deadline=None)
 @given(rational_rows(), st.data())
 def test_echelon_is_canonical(rows, data):
     sparse = [sparse_row(r) for r in rows]
-    echelon = _rref(sparse)
+    echelon = _rref(_scaled(sparse))
     pivots = [c for c, _ in echelon]
     assert pivots == sorted(set(pivots))
     for c, r in echelon:
@@ -483,7 +485,7 @@ def test_echelon_is_canonical(rows, data):
     order = data.draw(st.permutations(range(len(rows))))
     nonzero = st.builds(F, st.integers(-30, 30).filter(bool), st.sampled_from([1, 2, 3, 5, 7, 12]))
     factors = data.draw(st.lists(nonzero, min_size=len(rows), max_size=len(rows)))
-    assert _rref(sparse_row([x * f for x in rows[i]]) for i, f in zip(order, factors)) == echelon
+    assert _rref(_scaled(sparse_row([x * f for x in rows[i]]) for i, f in zip(order, factors))) == echelon
 
 
 def outcome(fn, *args):
@@ -572,7 +574,7 @@ def first_row_full(n):
 @example(first_row_full(30))
 def test_pattern_back_substitution_equals_dense_oracle(rows):
     sparse = [sparse_row(r) for r in rows]
-    assert _rref(sparse) == dense_rref_rows(sparse)
+    assert _rref(_scaled(sparse)) == dense_rref_rows(sparse)
 
 
 # --- sparse subspaces against the dense path they replaced -------------------
@@ -582,7 +584,7 @@ def dense_rank_kernel_image(m):
     """rank_kernel_image as it was before subspaces were stored as Rows,
     kept as its oracle: (rank, kernel vectors, image vectors), every
     vector dense. Inside dense_engine() it runs on dense_rref."""
-    echelon = fraction_view(linalg._rref(m.nonzeros))
+    echelon = fraction_view(linalg._rref(m.integer[1]))
     pivots = [c for c, _ in echelon]
     at_pivots = {}
     for p, row in echelon:
@@ -609,7 +611,7 @@ class DenseQuotient:
     dense_rref."""
 
     def __init__(self, ambient_dim, vectors):
-        echelon = fraction_view(linalg._rref(map(sparse_row, vectors)))
+        echelon = fraction_view(linalg._rref(_scaled(map(sparse_row, vectors))))
         if len(echelon) != len(vectors):
             raise BadBasis("subspace vectors are linearly dependent")
         self.ambient_dim = ambient_dim
@@ -750,7 +752,7 @@ def test_integer_quotient_and_closedness_equal_fraction_oracles(rows, data):
     m = MatrixQ.from_rows(rows) if rows else MatrixQ.zero(0, cols)
     _, ker, img = rank_kernel_image(m)
     q = QuotientMap.build(m.rows, img)
-    rref = fraction_view(_rref(img.rows))
+    rref = fraction_view(_rref(_scaled(img.rows)))
     assert tuple(p for p, _ in rref) == q.pivots
     assert type(q.den) is int and all(type(x) is int for row in q.pivot_rows.values() for _, x in row)
     vectors = [tuple(data.draw(st.lists(mixed_fracs, min_size=m.rows, max_size=m.rows))) for _ in range(3)]
@@ -834,23 +836,37 @@ def integer_built(m):
     return MatrixQ(m.rows, m.cols, integer=m.integer)
 
 
+def fraction_built(m):
+    """A copy of m that holds only the Rows of m, so that a reader must
+    form its integer view from them."""
+    copy = MatrixQ(m.rows, m.cols, m.nonzeros)
+    assert copy._view("integer") is None
+    return copy
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 4), st.data())
 def test_integer_built_matrices_equal_fraction_built_ones(r, c, k, data):
     f, i = data.draw(both_views(r, c))
-    # every read below runs on a fresh integer-built copy, so none of them
-    # reads a Fraction view that another one formed
-    assert integer_built(i).is_zero() == f.is_zero()
-    assert rank_of(integer_built(i)) == rank_of(f)
-    assert rank_kernel_image(integer_built(i)) == rank_kernel_image(f)
+    # every read below runs on a fresh copy, so none of them reads a view
+    # that another one formed; the eliminations are also held to the
+    # dense oracle
+    assert integer_built(i).is_zero() == fraction_built(f).is_zero() == (not any(f.nonzeros))
+    assert rank_of(integer_built(i)) == rank_of(fraction_built(f)) == len(dense_rref(row_list(f)))
+    with dense_engine():
+        want = rank_kernel_image(fraction_built(f))
+    assert rank_kernel_image(integer_built(i)) == rank_kernel_image(fraction_built(f)) == want
     t = integer_built(i).transpose()
-    assert t._view("nonzeros") is None and t == f.transpose()
-    _, ker, _ = rank_kernel_image(f)
+    assert t._view("nonzeros") is None and t == fraction_built(f).transpose()
+    _, ker, _ = want
     vectors = [*ker.rows, *(sparse_row(data.draw(st.lists(mixed_fracs, min_size=c, max_size=c))) for _ in range(2))]
     for v in vectors:
-        assert in_kernel(integer_built(i), [v]) == in_kernel(f, [v])
+        vanishes = is_zero_vector(f.mul_vec(dense_vector(v, c)))
+        assert in_kernel(integer_built(i), [v]) == in_kernel(fraction_built(f), [v]) == vanishes
     b = sparse_row(data.draw(st.lists(mixed_fracs, min_size=r, max_size=r)))
-    assert solve_particular(integer_built(i), b) == solve_particular(f, b)
+    with dense_engine():
+        want = solve_particular(fraction_built(f), b)
+    assert solve_particular(integer_built(i), b) == solve_particular(fraction_built(f), b) == want
     g, j = data.draw(both_views(c, k))
     want = fraction_product(f, g)
     for product in (integer_built(i) @ integer_built(j), integer_built(i) @ g, f @ integer_built(j), f @ g):
