@@ -45,6 +45,7 @@ from .linalg import (
     MatrixQ,
     Row,
     Vector,
+    _transposed,
     as_fraction,
     dense_vector,
     integer_rows,
@@ -162,23 +163,27 @@ def compose(
     argument of t, g into the second and h applied to the value, each the
     identity when None. It is built from the nonzero pairs of t and the
     nonzeros of f, g and h: t[a][b] reaches (i, j) through the entries
-    f[a][i] and g[b][j] of row a of f and row b of g."""
-    f, g, h = (MatrixQ.identity(d) if m is None else m for m, d in zip((f, g, h), t.shape))
-    if (f.rows, g.rows, h.cols) != t.shape:
+    f[a][i] and g[b][j] of row a of f and row b of g. A None map is read
+    as the unit rows of the identity, with no matrix built."""
+    (f_rows, f_cols, f_nz), (g_rows, g_cols, g_nz), (h_rows, h_cols, h_nz) = (
+        (d, d, tuple(((i, ONE),) for i in range(d))) if m is None else (m.rows, m.cols, m.nonzeros)
+        for m, d in zip((f, g, h), t.shape)
+    )
+    if (f_rows, g_rows, h_cols) != t.shape:
         raise ShapeError(
-            f"cannot feed {f.rows}- and {g.rows}-dimensional values into a {t.shape} tensor"
-            f" and map its values from dimension {h.cols}"
+            f"cannot feed {f_rows}- and {g_rows}-dimensional values into a {t.shape} tensor"
+            f" and map its values from dimension {h_cols}"
         )
-    h_cols = h.transpose().nonzeros
+    h_t = _transposed(h_nz, h_cols)
     cells: dict[tuple[int, int, int], Fraction] = {}
     for (a, b), row in t.pairs:
-        for (i, x), (j, y) in itertools.product(f.nonzeros[a], g.nonzeros[b]):
+        for (i, x), (j, y) in itertools.product(f_nz[a], g_nz[b]):
             xy = x * y
             for k, z in row:
                 xyz = xy * z
-                for r, w in h_cols[k]:
+                for r, w in h_t[k]:
                     cells[i, j, r] = cells.get((i, j, r), ZERO) + xyz * w
-    return sparse_tensor(f.cols, g.cols, h.rows, cells)
+    return sparse_tensor(f_cols, g_cols, h_rows, cells)
 
 
 # A tensor scaled to integers: its nonzero index pairs (i, j), each with

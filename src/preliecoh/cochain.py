@@ -22,10 +22,10 @@ are implemented independently and compared in the tests.
 
 The matrices of both differentials are assembled in integers from the
 nonzero structure constants, scaled once per matrix by their common
-denominator, and kept as those integers (MatrixQ's integer view);
-`coboundary`, the term-by-term formula in Fraction
-arithmetic, is the reference of the pre-Lie one. Closedness and classes
-are decided on the matrices alone.
+denominator, and kept as those integers, the one stored form of a
+MatrixQ; `coboundary`, the term-by-term formula in Fraction arithmetic,
+is the reference of the pre-Lie one. Closedness and classes are decided
+on the matrices alone.
 
 A Cochain is stored as the Row of its nonzero coordinates, so its cost
 follows its nonzeros, not the size of C^n.
@@ -293,7 +293,7 @@ def _assemble(rows: int, cols: int, den: int, terms: Iterable[tuple[int, int, in
     The row rules below yield one integer triple per nonzero constant
     they visit, each scaled by the common denominator den, so zero
     entries cost nothing and the sums are exact in ints. The matrix is
-    built from those sums as its integer view, with no Fraction, and a
+    built from those sums as its integer form, with no Fraction, and a
     dict is made only for a row that some term reaches.
     """
     acc: list[dict[int, int] | None] = [None] * rows
@@ -488,7 +488,7 @@ def cohomology(rep: Representation | CochainComplex, n: int) -> CohomologySpace:
     top = kernel.dim - 1
     # the columns of d_{n-1} at F, free column j at coordinate top - t for
     # kernel row t; visiting F from the right appends in increasing order.
-    # They are read off the integer view, den times d_{n-1}, whose columns
+    # They are read off the integer rows, den times d_{n-1}, whose columns
     # span the same W, and enter the quotient's elimination as they are.
     columns: list[list[tuple[int, int]]] = []
     if n > 1:
@@ -592,51 +592,6 @@ def hom_module(rep: Representation) -> LieModule:
     return LieModule(subadjacent_lie(a), w_dim, sparse_tensor(d, w_dim, w_dim, cells))
 
 
-@dataclass(frozen=True)
-class LieCochain:
-    """Alternating k-cochain on a Lie algebra with module values; k >= 0.
-
-    Values are indexed by strictly increasing k-tuples in lex order;
-    the degree-0 space is the module itself (one value at the empty tuple).
-    """
-
-    arity: int
-    algebra_dim: int
-    module_dim: int
-    values: tuple[Vector, ...]
-
-    def __post_init__(self) -> None:
-        want = comb(self.algebra_dim, self.arity)
-        if len(self.values) != want:
-            raise ShapeError(f"arity-{self.arity} Lie cochain needs {want} values")
-        for v in self.values:
-            if len(v) != self.module_dim:
-                raise ShapeError("Lie cochain value has wrong module dimension")
-
-    @classmethod
-    def from_coordinates(cls, arity: int, algebra_dim: int, module_dim: int, coords: Sequence[Fraction]) -> "LieCochain":
-        tuples = increasing_tuples(algebra_dim, arity)
-        if len(coords) != len(tuples) * module_dim:
-            raise ShapeError("coordinate vector has wrong length")
-        values = tuple(
-            tuple(coords[p * module_dim + b] for b in range(module_dim))
-            for p in range(len(tuples))
-        )
-        return cls(arity, algebra_dim, module_dim, values)
-
-    def to_coordinates(self) -> Vector:
-        return tuple(c for v in self.values for c in v)
-
-    def value_at(self, args: Sequence[int]) -> Vector:
-        if len(args) != self.arity:
-            raise ArityMismatch(f"expected {self.arity} arguments, got {len(args)}")
-        key, sign = sort_with_sign(args)
-        if sign == 0:
-            return zero_vector(self.module_dim)
-        v = self.values[tuple_rank(key, self.algebra_dim)]
-        return v if sign == 1 else vec_scale(Fraction(-1), v)
-
-
 def _lie_terms(k: int, d: int, m: int, action: IntTensor, bracket: IntTensor) -> Iterator[tuple[int, int, int]]:
     """Row rule of the Chevalley-Eilenberg d: C^k -> C^{k+1} on
     integer-scaled structure rows, action at (x, w) (x . w) and bracket
@@ -705,22 +660,3 @@ def lie_cohomology_dimension(mod: LieModule | LieComplex, k: int) -> int:
         return nullity
     return nullity - cx.rank(k - 1)
 
-
-# --- the comparison map -----------------------------------------------------
-
-
-def phi_map(f: Cochain) -> LieCochain:
-    """Relabel f in C^n(g,V) as an (n-1)-cochain valued in Hom(g,V):
-    (phi f)(x_1..x_{n-1}) is the map x_n -> f(x_1..x_n)."""
-    a_dim = f.algebra_dim
-    v = f.carrier_dim
-    w_dim = a_dim * v
-    values = []
-    for prefix in increasing_tuples(a_dim, f.arity - 1):
-        w = [ZERO] * w_dim
-        for j in range(a_dim):
-            val = f.value_at(prefix + (j,))
-            for b in range(v):
-                w[j * v + b] = val[b]
-        values.append(tuple(w))
-    return LieCochain(f.arity - 1, a_dim, w_dim, tuple(values))

@@ -6,38 +6,38 @@ pivot positions), right inverses and quotient coordinates are the same on
 every run and do not depend on how the elimination picks its pivots.
 Scalars are fractions.Fraction throughout; floats are refused.
 
-A matrix is stored as its nonzeros per row, in one of two views or
-both: Rows, the sorted (column, value) pairs with a nonzero value, or
-integer rows over one common denominator. A matrix summed in integers,
-as the coboundary matrices are, is built from its integer rows, and its
-Rows are formed only when something reads them. Every pass reads the
-pairs of one view, so its cost follows the nonzeros rather than
-rows * cols.
+A matrix is stored in one form, its nonzeros per row in integers over
+one common denominator. A matrix summed in integers, as the coboundary
+matrices are, is built in that form; one built from Rows, the sorted
+(column, value) pairs with a nonzero value, is scaled once by
+`integer_rows`, the one helper that scales Fractions to integers.
+Products, transposes, the zero test and every elimination read the
+integer rows, and Rows are formed only for readers of entries. Every
+pass reads the pairs of the nonzeros, so its cost follows the nonzeros
+rather than rows * cols.
 
-The elimination is integer and fraction-free, and works on integer
-rows, kept sparse as {column: int}. rank_of, rank_kernel_image and
-solve_particular read the integer view of their matrix, formed once for
-a matrix built from Fractions. Rows of Fractions enter scaled, each by
-the lcm of its denominators, as in QuotientMap.build, invert and
-right_inverse_on_image. A row r is cleared against a pivot row p at
-column c by r <- a r - b p with a/b = p[c]/r[c] in lowest terms, after
-which r is divided by the gcd of its entries (its content). The
-forward pass and the back substitution both work this way; the back
-substitution goes by pattern, as in Gilbert and Peierls (SIAM J. Sci.
-Stat. Comput. 9, 1988) and Davis, Direct Methods for Sparse Linear
-Systems (SIAM 2006, ch. 3): each row is cleared only at the later pivot
-columns it holds. The reduced rows stay integers, with content 1 and a
-positive pivot entry, which is the row's denominator, so equal matrices
-give equal echelons. Every reader works on that one form, and fractions
-are formed only for what is returned: kernel rows, solutions, inverses
-and quotient coordinates.
+The elimination is integer and fraction-free, and works on integer rows,
+kept sparse as {column: int}; Rows of Fractions enter it through
+`integer_rows`. A row r is cleared against a pivot row p at column c by
+r <- a r - b p with a/b = p[c]/r[c] in lowest terms, after which r is
+divided by the gcd of its entries (its content). The forward pass and
+the back substitution both work this way; the back substitution goes by
+pattern, as in Gilbert and Peierls (SIAM J. Sci. Stat. Comput. 9, 1988)
+and Davis, Direct Methods for Sparse Linear Systems (SIAM 2006, ch. 3):
+each row is cleared only at the later pivot columns it holds. The
+reduced rows stay integers, with content 1 and a positive pivot entry,
+which is the row's denominator, so equal matrices give equal echelons.
+Every reader works on that one form, and fractions are formed only for
+what is returned: kernel rows, solutions and quotient coordinates;
+inverses and right inverses are returned as integer rows over one
+denominator.
 
 Subspaces stay sparse too. A SubspaceBasis stores one Row per basis
 vector: kernel rows are read off the reduced rows and image rows are
 columns of the matrix, and its dense `vectors` are a view for callers.
 A QuotientMap keeps the reduced rows of its subspace over one common
-denominator. QuotientMap.reduce_row, in_kernel and solve_particular take Rows and
-scale them to integers like the elimination.
+denominator. QuotientMap.reduce_row, in_kernel and solve_particular take
+Rows and scale them with `integer_rows`.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import BadBasis, DimensionMismatch, ShapeError
 
@@ -148,20 +148,16 @@ def _product(a: Sequence[tuple], b: Sequence[tuple]) -> tuple:
 
 
 class MatrixQ:
-    """Rational matrix, immutable, stored as its nonzeros per row in one
-    of two views, or both:
+    """Rational matrix, immutable, stored as `integer` = (den, rows):
+    rows[i] is the IntRow of row i times den, den > 0, so that the matrix
+    is rows / den. `nonzeros`, the Row of each row, is formed from it when
+    first read and kept.
 
-    - `nonzeros`: nonzeros[i] is the Row of row i;
-    - `integer`: (den, rows), where rows[i] is the IntRow of row i times
-      den, den > 0, so that the matrix is rows / den.
-
-    A matrix is built with one view, `MatrixQ(rows, cols, nonzeros)` or
-    `MatrixQ(rows, cols, integer=(den, rows))`, and the other is formed
-    from it when first read and kept. Eliminations and products read the
-    integer view, so a matrix summed in integers never forms a Fraction
-    unless its entries are read. Equality, hashing and repr are those of
-    (rows, cols, nonzeros), which are canonical, so equal matrices compare
-    and hash equal whichever view they were built with.
+    `MatrixQ(rows, cols, integer=(den, rows))` takes that form as it is;
+    `MatrixQ(rows, cols, nonzeros)` scales the Rows once through
+    `integer_rows` and keeps them as `nonzeros`. Equality, hashing and
+    repr are those of (rows, cols, nonzeros), which are canonical, so
+    equal matrices compare and hash equal however they were built.
     """
 
     def __init__(self, rows: int, cols: int, nonzeros: tuple[Row, ...] | None = None, *,
@@ -169,14 +165,16 @@ class MatrixQ:
         if rows < 0 or cols < 0:
             raise ShapeError("negative matrix dimension")
         if (nonzeros is None) == (integer is None):
-            raise ShapeError("a matrix is built from exactly one of its nonzeros and its integer view")
-        if integer is not None and integer[0] <= 0:
+            raise ShapeError("a matrix is built from exactly one of its nonzeros and its integer form")
+        if integer is None:
+            den, scaled = integer_rows(nonzeros)
+            integer = den, tuple(scaled)
+            self.__dict__["nonzeros"] = nonzeros
+        elif integer[0] <= 0:
             raise ShapeError("matrix denominator must be positive")
-        held = nonzeros if integer is None else integer[1]
-        if len(held) != rows:
-            raise ShapeError(f"{rows}x{cols} matrix needs {rows} rows, got {len(held)}")
-        self.__dict__.update(rows=rows, cols=cols)
-        self.__dict__["nonzeros" if integer is None else "integer"] = nonzeros if integer is None else integer
+        if len(integer[1]) != rows:
+            raise ShapeError(f"{rows}x{cols} matrix needs {rows} rows, got {len(integer[1])}")
+        self.__dict__.update(rows=rows, cols=cols, integer=integer)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -197,24 +195,11 @@ class MatrixQ:
 
     @cached_property
     def nonzeros(self) -> tuple[Row, ...]:
-        """The Row of each row; formed from the integer view on first read,
-        with one Fraction per distinct entry."""
+        """The Row of each row; formed from `integer` on first read, with
+        one Fraction per distinct entry."""
         den, rows = self.integer
         fraction = {x: Fraction(x, den) for x in {x for row in rows for _, x in row}}
         return tuple(tuple([(c, fraction[x]) for c, x in row]) if row else () for row in rows)
-
-    @cached_property
-    def integer(self) -> tuple[int, tuple[IntRow, ...]]:
-        """(den, rows): rows[i] is row i times den in integers, den the
-        common denominator of the entries; formed from the Rows on first
-        read."""
-        den, rows = integer_rows(self.nonzeros)
-        return den, tuple(rows)
-
-    def _view(self, name: str) -> object:
-        """The view `name` ("nonzeros" or "integer") if it is formed, else
-        None; unlike reading the attribute, this never forms it."""
-        return self.__dict__.get(name)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[object]], cols: int | None = None) -> "MatrixQ":
@@ -257,8 +242,6 @@ class MatrixQ:
         return dense_vector(self.nonzeros[i], self.cols)
 
     def transpose(self) -> "MatrixQ":
-        if self._view("nonzeros") is not None:
-            return MatrixQ(self.cols, self.rows, _transposed(self.nonzeros, self.cols))
         den, rows = self.integer
         return MatrixQ(self.cols, self.rows, integer=(den, _transposed(rows, self.cols)))
 
@@ -268,12 +251,9 @@ class MatrixQ:
         return tuple(sum((x * v[j] for j, x in row), ZERO) for row in self.nonzeros)
 
     def __matmul__(self, other: "MatrixQ") -> "MatrixQ":
-        """The product, summed in Fractions when both factors hold them
-        and in integers otherwise."""
+        """The product, summed in integers."""
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        if self._view("nonzeros") is not None and other._view("nonzeros") is not None:
-            return MatrixQ(self.rows, other.cols, _product(self.nonzeros, other.nonzeros))
         (da, a), (db, b) = self.integer, other.integer
         return MatrixQ(self.rows, other.cols, integer=(da * db, _product(a, b)))
 
@@ -283,8 +263,7 @@ class MatrixQ:
         return MatrixQ(self.rows, self.cols, tuple(_summed(r + s) for r, s in zip(self.nonzeros, other.nonzeros)))
 
     def is_zero(self) -> bool:
-        held = self._view("integer")
-        return not any(self.nonzeros if held is None else held[1])
+        return not any(self.integer[1])
 
 
 def integer_rows(rows: Iterable[Row]) -> tuple[int, list[IntRow]]:
@@ -296,13 +275,6 @@ def integer_rows(rows: Iterable[Row]) -> tuple[int, list[IntRow]]:
     return den, [tuple([(j, x.numerator * (den // x.denominator)) for j, x in row]) if row else () for row in rows]
 
 
-def _integer_row(row: Row) -> tuple[int, dict[int, int]]:
-    """(den, r): den is the lcm of the row's denominators and r is the row
-    times den, as {column: integer}."""
-    den = lcm(*(x.denominator for _, x in row))
-    return den, {j: x.numerator * (den // x.denominator) for j, x in row}
-
-
 def _check_row(row: Row, n: int, what: str) -> None:
     """DimensionMismatch unless every column of the row is below n."""
     if row and not 0 <= row[0][0] <= row[-1][0] < n:
@@ -310,13 +282,13 @@ def _check_row(row: Row, n: int, what: str) -> None:
 
 
 def in_kernel(m: MatrixQ, rows: Iterable[Row]) -> bool:
-    """Whether m v = 0 for the vector v of every Row. The integer view of
+    """Whether m v = 0 for the vector v of every Row. The integer rows of
     m and each v scaled to integers are multiplied, which does not change
     whether a product vanishes."""
     scaled = [r for r in m.integer[1] if r]
     for row in rows:
         _check_row(row, m.cols, "matrix columns")
-        w = _integer_row(row)[1]
+        w = dict(integer_rows((row,))[1][0])
         if any(sum(x * w[j] for j, x in r if j in w) for r in scaled):
             return False
     return True
@@ -347,7 +319,7 @@ def _echelon(rows: Iterable[IntRow]) -> list[tuple[int, dict[int, int]]]:
     """Forward pass: the nonzero integer rows reduced to (pivot column,
     {column: integer}) pairs in increasing column order. The back
     substitution changes no pivot, so these are the pivots of the rref.
-    Rows of Fractions enter through `_scaled`.
+    Rows of Fractions enter through `integer_rows`.
 
     Columns are visited left to right; among the rows leading at a column,
     the one with fewest entries (then smallest pivot) clears the others.
@@ -379,15 +351,6 @@ def _echelon(rows: Iterable[IntRow]) -> list[tuple[int, dict[int, int]]]:
     return echelon
 
 
-def _scaled(rows: Iterable[Row]) -> Iterator[IntRow]:
-    """Each Row times the lcm of its denominators, as an IntRow. Any
-    rational values are read, so a row of ints (denominator 1) keeps its
-    values."""
-    for row in rows:
-        den = lcm(*(x.denominator for _, x in row))
-        yield tuple([(j, x.numerator * (den // x.denominator)) for j, x in row])
-
-
 def _reduced(echelon: list[tuple[int, dict[int, int]]]) -> list[tuple[int, dict[int, int]]]:
     """The echelon of `_echelon` brought to reduced row echelon form, in
     place and in integers: each row gets content 1, a positive pivot entry
@@ -414,7 +377,7 @@ def _rref(rows: Iterable[IntRow]) -> list[tuple[int, dict[int, int]]]:
     """The reduced row echelon form of integer rows, the one entry of
     every reduction: (pivot column, {column: integer}) pairs in increasing
     pivot order, zero rows dropped, as `_reduced` scales them. Rows of
-    Fractions enter through `_scaled`."""
+    Fractions enter through `integer_rows`."""
     return _reduced(_echelon(rows))
 
 
@@ -458,7 +421,7 @@ def rank_kernel_image(m: MatrixQ) -> tuple[int, SubspaceBasis, SubspaceBasis]:
 
     Kernel vectors are ordered by increasing free column, with the free
     coordinate set to 1. Image vectors are the original columns of m at
-    the pivot positions, in order. The integer view of m is reduced.
+    the pivot positions, in order. The integer rows of m are reduced.
     """
     den, rows = m.integer
     echelon = _rref(rows)
@@ -497,12 +460,14 @@ def rank_of(m: MatrixQ) -> int:
 
 def solve_particular(m: MatrixQ, b: Row) -> Vector | None:
     """One solution of m x = b, for the vector b of a Row, with every free
-    variable set to 0, else None. The integer view of m is augmented by
+    variable set to 0, else None. The integer rows of m are augmented by
     b and reduced."""
     _check_row(b, m.rows, "matrix rows")
     n = m.cols
     # m = rows / den and b = w / scale, so rows y = den w for y = scale x
-    (den, rows), (scale, w) = m.integer, _integer_row(b)
+    den, rows = m.integer
+    scale, (w,) = integer_rows((b,))
+    w = dict(w)
     echelon = _rref(row + ((n, den * w[i]),) if i in w else row for i, row in enumerate(rows))
     if echelon and echelon[-1][0] == n:
         return None
@@ -514,15 +479,19 @@ def solve_particular(m: MatrixQ, b: Row) -> Vector | None:
 
 
 def invert(m: MatrixQ) -> MatrixQ:
-    """Inverse of a square invertible matrix; BadBasis if singular."""
+    """Inverse of a square invertible matrix; BadBasis if singular. With
+    m = rows / den, [rows | den I] reduces to [I | inv(m)]."""
     if m.rows != m.cols:
         raise ShapeError("only square matrices can be inverted")
     n = m.rows
-    echelon = _rref(_scaled(row + ((n + i, ONE),) for i, row in enumerate(m.nonzeros)))
+    den, rows = m.integer
+    echelon = _rref(row + ((n + i, den),) for i, row in enumerate(rows))
     if [c for c, _ in echelon] != list(range(n)):
         raise BadBasis("matrix is singular")
-    rows = (sorted((j - n, Fraction(x, row[c])) for j, x in row.items() if j >= n) for c, row in echelon)
-    return MatrixQ(n, n, tuple(map(tuple, rows)))
+    # each pivot entry is its row's denominator
+    d = lcm(*(r[c] for c, r in echelon))
+    inverse = (tuple(sorted((j - n, x * (d // r[c])) for j, x in r.items() if j >= n)) for c, r in echelon)
+    return MatrixQ(n, n, integer=(d, tuple(inverse)))
 
 
 def right_inverse_on_image(m: MatrixQ) -> MatrixQ:
@@ -536,15 +505,16 @@ def right_inverse_on_image(m: MatrixQ) -> MatrixQ:
     m[R, P] is invertible, and s = e_P inv(m[R, P]) on the coordinates R,
     zero on the others. Both pivot sets come from the forward pass.
     """
-    col_pivots = [c for c, _ in _echelon(_scaled(m.nonzeros))]
-    columns = _transposed(m.nonzeros, m.cols)
-    row_pivots = [c for c, _ in _echelon(_scaled(columns[p] for p in col_pivots))]
+    den, m_rows = m.integer
+    col_pivots = [c for c, _ in _echelon(m_rows)]
+    columns = _transposed(m_rows, m.cols)
+    row_pivots = [c for c, _ in _echelon(columns[p] for p in col_pivots)]
     at = {p: a for a, p in enumerate(col_pivots)}
-    square = tuple(tuple((at[c], x) for c, x in m.nonzeros[r] if c in at) for r in row_pivots)
-    inverse = invert(MatrixQ(len(at), len(at), square)).nonzeros
+    square = tuple(tuple((at[c], x) for c, x in m_rows[r] if c in at) for r in row_pivots)
+    d, inverse = invert(MatrixQ(len(at), len(at), integer=(den, square))).integer
     # row c of s is, for c in P, row at[c] of the inverse read at the coordinates R
     rows = (tuple((row_pivots[b], x) for b, x in inverse[at[c]]) if c in at else () for c in range(m.cols))
-    return MatrixQ(m.cols, m.rows, tuple(rows))
+    return MatrixQ(m.cols, m.rows, integer=(d, tuple(rows)))
 
 
 @dataclass(frozen=True)
@@ -577,7 +547,7 @@ class QuotientMap:
         as Fractions."""
         if sub.ambient_dim != ambient_dim:
             raise DimensionMismatch("subspace lives in a different ambient space")
-        echelon = _rref(_scaled(sub.rows))
+        echelon = _rref(integer_rows(sub.rows)[1])
         if not spanning and len(echelon) != sub.dim:
             raise BadBasis("subspace vectors are linearly dependent")
         pivots = tuple(c for c, _ in echelon)
@@ -597,9 +567,9 @@ class QuotientMap:
         Row over the complement positions."""
         _check_row(row, self.ambient_dim, "ambient dimension")
         # row = w / den_v, so the result is (den w_j - sum_p w_p row_p[j]) / (den_v den)
-        den_v, w = _integer_row(row)
+        den_v, (w,) = integer_rows((row,))
         acc: dict[int, int] = {}
-        for j, x in w.items():
+        for j, x in w:
             pivot_row = self.pivot_rows.get(j)
             if pivot_row is None:
                 acc[j] = acc.get(j, 0) + x * self.den

@@ -709,6 +709,20 @@ def test_compose_equals_bilinear_on_columns(data):
         compose(t, h=MatrixQ.zero(1, d3 + 1))
 
 
+def test_compose_reads_none_maps_as_explicit_identities_on_catalog_tensors(monkeypatch):
+    tensors = [a.product for a in [*ALGEBRAS.values(), BAD_ALGEBRA]]
+    tensors += [t for _, rep in representation_pairs() for t in (rep.left, rep.right)]
+    tensors += [subadjacent_lie(a).bracket for a in ALGEBRAS.values()]
+    explicit = [(t, *(MatrixQ.identity(d) for d in t.shape)) for t in tensors]
+    # a None map is read as unit rows: compose builds no identity matrix
+    monkeypatch.setattr(MatrixQ, "identity", None)
+    for t, f, g, h in explicit:
+        want = compose(t, f, g, h)
+        assert compose(t) == want == t
+        assert compose(t, f) == compose(t, g=g) == compose(t, h=h) == want
+        assert compose(t, f, g) == compose(t, f, h=h) == compose(t, g=g, h=h) == want
+
+
 def morphisms():
     """Morphisms of the catalog, and maps between the positive algebras."""
     out = []

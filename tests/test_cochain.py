@@ -12,6 +12,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,6 @@ from preliecoh.cochain import (
     Cochain,
     CochainBasis,
     CochainComplex,
-    LieCochain,
     LieModule,
     are_cohomologous,
     coboundary,
@@ -35,7 +35,6 @@ from preliecoh.cochain import (
     increasing_tuples,
     lie_coboundary_matrix,
     lie_cohomology_dimension,
-    phi_map,
     sort_with_sign,
     tuple_rank,
 )
@@ -84,6 +83,72 @@ def check_lie_module(mod):
         if lhs != rhs:
             return False
     return True
+
+
+# The tests' own Lie side of the comparison map: Lie cochains and the
+# relabelling phi, independent of the matrices of hom_module's complex.
+
+
+@dataclass(frozen=True)
+class LieCochain:
+    """Alternating k-cochain on a Lie algebra with module values; k >= 0.
+
+    Values are indexed by strictly increasing k-tuples in lex order;
+    the degree-0 space is the module itself (one value at the empty tuple).
+    """
+
+    arity: int
+    algebra_dim: int
+    module_dim: int
+    values: tuple
+
+    def __post_init__(self):
+        want = math.comb(self.algebra_dim, self.arity)
+        if len(self.values) != want:
+            raise ShapeError(f"arity-{self.arity} Lie cochain needs {want} values")
+        for v in self.values:
+            if len(v) != self.module_dim:
+                raise ShapeError("Lie cochain value has wrong module dimension")
+
+    @classmethod
+    def from_coordinates(cls, arity, algebra_dim, module_dim, coords):
+        tuples = increasing_tuples(algebra_dim, arity)
+        if len(coords) != len(tuples) * module_dim:
+            raise ShapeError("coordinate vector has wrong length")
+        values = tuple(
+            tuple(coords[p * module_dim + b] for b in range(module_dim))
+            for p in range(len(tuples))
+        )
+        return cls(arity, algebra_dim, module_dim, values)
+
+    def to_coordinates(self):
+        return tuple(c for v in self.values for c in v)
+
+    def value_at(self, args):
+        if len(args) != self.arity:
+            raise ArityMismatch(f"expected {self.arity} arguments, got {len(args)}")
+        key, sign = sort_with_sign(args)
+        if sign == 0:
+            return zero_vector(self.module_dim)
+        v = self.values[tuple_rank(key, self.algebra_dim)]
+        return v if sign == 1 else vec_scale(Fraction(-1), v)
+
+
+def phi_map(f):
+    """Relabel f in C^n(g,V) as an (n-1)-cochain valued in Hom(g,V):
+    (phi f)(x_1..x_{n-1}) is the map x_n -> f(x_1..x_n)."""
+    a_dim = f.algebra_dim
+    v = f.carrier_dim
+    w_dim = a_dim * v
+    values = []
+    for prefix in increasing_tuples(a_dim, f.arity - 1):
+        w = [F(0)] * w_dim
+        for j in range(a_dim):
+            val = f.value_at(prefix + (j,))
+            for b in range(v):
+                w[j * v + b] = val[b]
+        values.append(tuple(w))
+    return LieCochain(f.arity - 1, a_dim, w_dim, tuple(values))
 
 
 def phi_inverse(f, carrier_dim):

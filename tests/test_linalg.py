@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from preliecoh import linalg
 from preliecoh.algebra import Representation
-from preliecoh.catalog import BAD_ALGEBRA, sparse_algebra
+from preliecoh.catalog import ALGEBRAS, BAD_ALGEBRA, sparse_algebra
 from preliecoh.cochain import Cochain, coboundary, coboundary_matrix
 from preliecoh.documents import document_from_obj
 from preliecoh.errors import BadBasis, DimensionMismatch, ShapeError
@@ -24,7 +24,6 @@ from preliecoh.linalg import (
     QuotientMap,
     SubspaceBasis,
     _rref,
-    _scaled,
     dense_vector,
     in_kernel,
     integer_rows,
@@ -41,6 +40,16 @@ from preliecoh.linalg import (
 )
 
 F = Fraction
+
+
+def _scaled(rows):
+    """Each Row times the lcm of its denominators, as an IntRow: rows of
+    Fractions for `_rref`, each scaled on its own rather than over one
+    common denominator as `integer_rows` does. Any rational values are
+    read, so a row of ints keeps its values."""
+    for row in rows:
+        den = lcm(*(x.denominator for _, x in row))
+        yield tuple([(j, x.numerator * (den // x.denominator)) for j, x in row])
 
 
 def quotient_reduce(ambient_dim, sub, v):
@@ -628,9 +637,9 @@ class DenseQuotient:
 
     def reduce(self, v):
         assert len(v) == self.ambient_dim
-        den_v, w = linalg._integer_row(sparse_row(v))
+        den_v, (w,) = integer_rows([sparse_row(v)])
         acc = {}
-        for j, x in w.items():
+        for j, x in w:
             row = self.pivot_rows.get(j)
             if row is None:
                 acc[j] = acc.get(j, 0) + x * self.den
@@ -657,7 +666,7 @@ def greedy_independent(rows):
     echelon = {}
     kept = []
     for i, row in enumerate(rows):
-        r = linalg._integer_row(row)[1]
+        r = dict(integer_rows([row])[1][0])
         while r:
             c = min(r)
             if c not in echelon:
@@ -799,7 +808,7 @@ def test_integer_rows_share_one_denominator(rows):
     assert den == lcm(*(x.denominator for row in rows for _, x in row))
 
 
-# --- the integer view and the Fraction view of one MatrixQ --------------------
+# --- one MatrixQ built from its Rows and from its integer rows ---------------
 
 
 def fraction_product(a, b):
@@ -832,23 +841,22 @@ def both_views(draw, r, c):
 
 
 def integer_built(m):
-    """A copy of m that holds only the integer view of m."""
+    """A copy of m built from the integer rows of m, so that a reader of
+    its Rows must form them."""
     return MatrixQ(m.rows, m.cols, integer=m.integer)
 
 
 def fraction_built(m):
-    """A copy of m that holds only the Rows of m, so that a reader must
-    form its integer view from them."""
-    copy = MatrixQ(m.rows, m.cols, m.nonzeros)
-    assert copy._view("integer") is None
-    return copy
+    """A copy of m built from the Rows of m, so that its integer rows are
+    scaled from them."""
+    return MatrixQ(m.rows, m.cols, m.nonzeros)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 4), st.data())
 def test_integer_built_matrices_equal_fraction_built_ones(r, c, k, data):
     f, i = data.draw(both_views(r, c))
-    # every read below runs on a fresh copy, so none of them reads a view
+    # every read below runs on a fresh copy, so none of them reads Rows
     # that another one formed; the eliminations are also held to the
     # dense oracle
     assert integer_built(i).is_zero() == fraction_built(f).is_zero() == (not any(f.nonzeros))
@@ -857,7 +865,7 @@ def test_integer_built_matrices_equal_fraction_built_ones(r, c, k, data):
         want = rank_kernel_image(fraction_built(f))
     assert rank_kernel_image(integer_built(i)) == rank_kernel_image(fraction_built(f)) == want
     t = integer_built(i).transpose()
-    assert t._view("nonzeros") is None and t == fraction_built(f).transpose()
+    assert t == fraction_built(f).transpose()
     _, ker, _ = want
     vectors = [*ker.rows, *(sparse_row(data.draw(st.lists(mixed_fracs, min_size=c, max_size=c))) for _ in range(2))]
     for v in vectors:
@@ -871,7 +879,6 @@ def test_integer_built_matrices_equal_fraction_built_ones(r, c, k, data):
     want = fraction_product(f, g)
     for product in (integer_built(i) @ integer_built(j), integer_built(i) @ g, f @ integer_built(j), f @ g):
         assert product == want and product.is_zero() == want.is_zero()
-    assert (integer_built(i) @ integer_built(j))._view("nonzeros") is None
     # equality, hashing and repr are those of the Rows, and reading the
     # Rows of an integer-built matrix gives back the same Rows
     assert i == f and hash(i) == hash(f) and repr(i) == repr(f)
@@ -884,16 +891,49 @@ def test_the_square_of_a_non_prelie_coboundary_equals_the_fraction_product():
     rep = Representation.regular(BAD_ALGEBRA)
     d1, d2 = coboundary_matrix(rep, 1), coboundary_matrix(rep, 2)
     dd = d2 @ d1
-    assert dd._view("nonzeros") is None and not dd.is_zero()
+    assert not dd.is_zero()
     assert dd == fraction_product(d2, d1)
     assert sum(1 for row in dd.nonzeros if row) == 3
 
 
+@pytest.mark.parametrize("read", [(), (1,), (2,), (1, 2)], ids=["none", "d1", "d2", "both"])
+@pytest.mark.parametrize("name", ["bad", "affine3"])
+def test_products_and_transposes_sum_in_integers_whichever_rows_were_read(monkeypatch, read, name):
+    # d_2 d_1 of BAD_ALGEBRA's regular "representation" is not zero, that
+    # of affine3 is; reading a factor's Rows first must not change the
+    # arithmetic of d_2 @ d_1, d_1.transpose() or is_zero
+    rep = Representation.regular(BAD_ALGEBRA if name == "bad" else ALGEBRAS[name])
+    seen = set()
+    product, transposed = linalg._product, linalg._transposed
+
+    def recording(a, b):
+        seen.update(type(x) for rows in (a, b) for row in rows for _, x in row)
+        return product(a, b)
+
+    def recording_transposed(rows, cols):
+        seen.update(type(x) for row in rows for _, x in row)
+        return transposed(rows, cols)
+
+    monkeypatch.setattr(linalg, "_product", recording)
+    monkeypatch.setattr(linalg, "_transposed", recording_transposed)
+    results = []
+    for first in ((), read):
+        d = {n: coboundary_matrix(rep, n) for n in (1, 2)}
+        for n in first:
+            assert d[n].nonzeros
+        dd = d[2] @ d[1]
+        results.append((dd, dd.is_zero(), d[1].transpose(), d[2].transpose()))
+    assert results[0] == results[1]
+    assert results[0][0] == fraction_product(d[2], d[1])
+    assert results[0][1] == (name != "bad")
+    assert seen == {int}
+
+
 def test_a_matrix_is_scaled_to_integers_once_for_its_rank_and_kernel_tests(monkeypatch):
-    m = mat([[F(1, 3), F(-2, 5)], [F(2, 3), F(-4, 5)], [0, 0]])
-    own_rows = {row for row in m.nonzeros if row}
+    rows = [[F(1, 3), F(-2, 5)], [F(2, 3), F(-4, 5)], [0, 0]]
+    own_rows = {row for row in (sparse_row(vector(r)) for r in rows) if row}
     scalings = []
-    integer_rows_, integer_row = linalg.integer_rows, linalg._integer_row
+    integer_rows_ = linalg.integer_rows
 
     def counting_rows(rows):
         rows = list(rows)
@@ -901,14 +941,14 @@ def test_a_matrix_is_scaled_to_integers_once_for_its_rank_and_kernel_tests(monke
             scalings.append(rows)
         return integer_rows_(rows)
 
-    def counting_row(row):
-        if row in own_rows:
-            scalings.append([row])
-        return integer_row(row)
-
+    # counted from construction on: the Rows are scaled once, when the
+    # matrix is built, and every later reader takes its integer rows
     monkeypatch.setattr(linalg, "integer_rows", counting_rows)
-    monkeypatch.setattr(linalg, "_integer_row", counting_row)
+    m = mat(rows)
+    assert len(scalings) == 1
     assert rank_of(m) == 1
     assert in_kernel(m, [sparse_row(vector(["6/5", 1]))])
     assert not in_kernel(m, [sparse_row(vector([1, 1]))])
+    assert m.transpose().transpose() == m and not m.is_zero()
+    assert m @ right_inverse_on_image(m) @ m == m
     assert len(scalings) == 1
