@@ -20,9 +20,14 @@ Every checker here and in the crossed-module and functor modules runs
 on one integer engine, _first_failure. It scales every tensor an
 identity reads once by the common denominator D of all their entries,
 so both sides of every identity carry the factor D^2 and are compared
-in integers; the witness divides them by D^2. It visits only the tuples
-at which some coefficient row is nonzero: at every other tuple both
-sides are 0. A linear map f enters an identity through its columns f e_w
+in integers; the witness divides them by D^2. It sums each identity's
+lhs - rhs as a sparse join in the manner of Gustavson (ACM TOMS 4(3),
+1978): every nonzero coefficient entry meets the nonzero rows it reads,
+so a sum is formed only at a tuple some nonzero product reaches, and at
+every other tuple both sides are 0. The join is built one slice at a
+time, the tuples with one first index x0, in increasing x0; the first
+slice with a nonzero sum holds the first failure, and no later slice is
+built. A linear map f enters an identity through its columns f e_w
 (_columns), applied to a coefficient row, or through compose, which
 feeds f into an argument of a tensor or applies it to the tensor's
 values. integer_pairs is the one integer form of a tensor; the checkers,
@@ -33,9 +38,11 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatch, ShapeError
 from .linalg import (
@@ -206,7 +213,8 @@ def integer_pairs(*tensors: Tensor3) -> tuple[int, list[IntTensor]]:
 #     sign * sum_w coeffs[idx[a]][idx[b]][w] * rows[idx[c]][w],
 # or for sign * sum_w coeffs[idx[a]][idx[b]][w] * rows[0][w] when c is
 # None; rows is then a map's columns (_columns). Both are Tensor3s, and
-# IntTensors once the engine has scaled them.
+# IntTensors once the engine has scaled them. a, b and c (a and b when c
+# is None) name every position of the index tuple, each once.
 Term = tuple[int, Tensor3, tuple[int, int], Tensor3, int | None]
 # A basis identity: its name, the terms of its two sides and, optionally,
 # the positions of the index tuple its witness reports, in order.
@@ -254,16 +262,89 @@ def _accumulate(out: dict[int, int], terms: Iterable[Term], idx: tuple[int, ...]
                     out[k] = out.get(k, 0) + x * y
 
 
-def _candidates(shape: tuple[int, ...], terms: Iterable[Term]) -> list[tuple[int, ...]]:
-    """The index tuples of the shape, in lexicographic order, at which some
-    term has a nonzero coefficient row; at every other tuple each side
-    is 0."""
-    found: set[tuple[int, ...]] = set()
-    for coeffs, (a, b) in {(id(t[1]), t[2]): (t[1], t[2]) for t in terms}.values():
-        for x, y in coeffs:
-            ranges = [(x,) if p == a else (y,) if p == b else range(n) for p, n in enumerate(shape)]
-            found.update(itertools.product(*ranges))
-    return sorted(found)
+# The index tuple from (x, y, i) for each placement (a, b, c) of a term's
+# indices, or from (x, y) for (a, b) when c is None.
+_PLACES = {
+    slots: itemgetter(*(slots.index(p) for p in range(len(slots))))
+    for r in (2, 3)
+    for slots in itertools.permutations(range(r))
+}
+
+
+class _Join:
+    """The nonzero products of integer terms, joined as in Gustavson's
+    row-by-row sparse product (ACM TOMS 4(3), 1978): a term's coefficient
+    pair (x, y) with entry w reaches the rows of the term's row tensor at
+    (i, w), and each such row adds into the tuple with x at position a,
+    y at b and i at c. Nothing is read at a tuple no product reaches.
+    The groupings of a tensor's pairs are built once per engine call."""
+
+    def __init__(self) -> None:
+        self._groups: dict[tuple[int, int], dict[int, list]] = {}
+
+    def _grouped(self, t: IntTensor, by: int) -> dict[int, list]:
+        """t's pairs ((i, j), row) grouped by i (by 0) or by j (by 1), or
+        with by 2 its entries ((i, j), x) of a row at w, grouped by w."""
+        found = self._groups.get((id(t), by))
+        if found is None:
+            found = self._groups[id(t), by] = {}
+            for ij, row in t.items():
+                if by == 2:
+                    for w, x in row:
+                        found.setdefault(w, []).append((ij, x))
+                else:
+                    found.setdefault(ij[by], []).append((ij, row))
+        return found
+
+    def keyed(self, term: Term, arity: int) -> tuple[dict[int, list], Callable[[dict, list], None]]:
+        """The term's products by the index x0 they put at position 0 of
+        its arity-index tuples: (by_x0, visit), where by_x0 maps each such
+        x0 to the nonzero pairs that reach it, and visit(diff, by_x0[x0])
+        adds their products into diff[idx][k], diff a defaultdict(dict)."""
+        sign, coeffs, (a, b), rows, c = term
+        slots = (a, b) if c is None else (a, b, c)
+        place = _PLACES.get(slots) if len(slots) == arity else None
+        if place is None:
+            raise ShapeError(f"a term reads positions {slots} of {arity}-index tuples")
+
+        if c is None:
+            # one row, rows[0][w], per coefficient entry w
+            def visit(diff: dict, pairs: list) -> None:
+                for xy, coeff_row in pairs:
+                    cell = diff[place(xy)]
+                    for w, z in coeff_row:
+                        z *= sign
+                        for k, v in rows.get((0, w), ()):
+                            cell[k] = cell.get(k, 0) + z * v
+
+        elif c == 0:
+            # position 0 holds the row index i: join the rows (i, w) with
+            # the coefficient entries at w
+            at_w = self._grouped(coeffs, 2)
+
+            def visit(diff: dict, pairs: list) -> None:
+                for (i, w), row in pairs:
+                    for (x, y), z in at_w.get(w, ()):
+                        z *= sign
+                        cell = diff[place((x, y, i))]
+                        for k, v in row:
+                            cell[k] = cell.get(k, 0) + z * v
+
+            return self._grouped(rows, 0), visit
+
+        else:
+            rows_at = self._grouped(rows, 1)
+
+            def visit(diff: dict, pairs: list) -> None:
+                for (x, y), coeff_row in pairs:
+                    for w, z in coeff_row:
+                        z *= sign
+                        for (i, _), row in rows_at.get(w, ()):
+                            cell = diff[place((x, y, i))]
+                            for k, v in row:
+                                cell[k] = cell.get(k, 0) + z * v
+
+        return self._grouped(coeffs, 0 if a == 0 else 1), visit
 
 
 def _integer_terms(terms: Sequence[Term]) -> tuple[int, list[Term]]:
@@ -285,13 +366,18 @@ def _first_failure(families: Sequence[Family], n: int) -> "Violation | None":
 
     The work is in integers: the terms of every identity are scaled
     together by _integer_terms, so each side is D^2 times its value;
-    fractions are formed only for the witness. Tuples at which every
-    coefficient row is empty read 0 = 0 and are not visited.
+    fractions are formed only for the witness, by _accumulate at the one
+    failing tuple. Each identity's lhs - rhs is summed as a sparse join
+    (_Join), one first index x0 at a time: the slice at x0 holds the sum
+    at every tuple (x0, ...) that some nonzero product reaches, and the
+    slices are visited in increasing x0, so the first one with a nonzero
+    sum holds the first failure and no later slice is built.
     """
     den, scaled = _integer_terms(
         [t for _, identities in families for _, lhs, rhs, *_ in identities for t in (*lhs, *rhs)]
     )
     it = iter(scaled)
+    join = _Join()
 
     def side(terms: list[Term], idx: tuple[int, ...]) -> Vector:
         out: dict[int, int] = {}
@@ -299,18 +385,27 @@ def _first_failure(families: Sequence[Family], n: int) -> "Violation | None":
         return tuple(Fraction(out[k], den * den) if out.get(k) else ZERO for k in range(n))
 
     for shape, identities in families:
-        checks = []
+        # slices[x0]: (identity position, visit, pairs) of every term's products at x0
+        checks: list = []
+        slices: dict[int, list] = {}
         for axiom, lhs, rhs, *order in identities:
             lhs_int, rhs_int = list(itertools.islice(it, len(lhs))), list(itertools.islice(it, len(rhs)))
-            # both: lhs - rhs as one list of terms
-            checks.append((axiom, order, lhs_int, rhs_int, lhs_int + [(-s, *rest) for s, *rest in rhs_int]))
-        for idx in _candidates(shape, [t for *_, both in checks for t in both]):
-            for axiom, order, lhs, rhs, both in checks:
-                diff: dict[int, int] = {}
-                _accumulate(diff, both, idx)
-                if any(diff.values()):
-                    indices = tuple(idx[p] for p in order[0]) if order else idx
-                    return Violation(axiom, indices, side(lhs, idx), side(rhs, idx))
+            # lhs - rhs as one list of terms
+            for term in lhs_int + [(-s, *rest) for s, *rest in rhs_int]:
+                by_x0, visit = join.keyed(term, len(shape))
+                for x0, pairs in by_x0.items():
+                    slices.setdefault(x0, []).append((len(checks), visit, pairs))
+            checks.append((axiom, order, lhs_int, rhs_int))
+        for x0 in sorted(slices):
+            diffs: list[dict[tuple[int, ...], dict[int, int]]] = [defaultdict(dict) for _ in checks]
+            for position, visit, pairs in slices[x0]:
+                visit(diffs[position], pairs)
+            failing = [(idx, p) for p, diff in enumerate(diffs) for idx, cell in diff.items() if any(cell.values())]
+            if failing:
+                idx, position = min(failing)
+                axiom, order, lhs, rhs = checks[position]
+                indices = tuple(idx[p] for p in order[0]) if order else idx
+                return Violation(axiom, indices, side(lhs, idx), side(rhs, idx))
     return None
 
 
@@ -325,6 +420,8 @@ class Violation:
     rhs: Vector
 
     def __str__(self) -> str:
+        if not self.indices:  # a property of whole maps, such as exactness
+            return f"{self.axiom} fails"
         idx = ", ".join(str(i + 1) for i in self.indices)
         lhs = "(" + ", ".join(str(c) for c in self.lhs) + ")"
         rhs = "(" + ", ".join(str(c) for c in self.rhs) + ")"

@@ -128,7 +128,8 @@ def _load(path: str, *kinds: str) -> DocumentModel:
     doc = parse_document(path)
     if doc.kind not in kinds:
         expected = " or ".join(kinds)
-        raise ParseError(f"{path}: expected a {expected} document, got {doc.kind}")
+        article = "an" if expected[0] in "aeiou" else "a"
+        raise ParseError(f"{path}: expected {article} {expected} document, got {doc.kind}")
     return doc
 
 

@@ -8,6 +8,7 @@ import importlib
 import itertools
 import pkgutil
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -27,15 +28,15 @@ from preliecoh.algebra import (
     subadjacent_lie,
     zero_tensor3,
 )
-from preliecoh.algebra import LieAlgebra, Tensor3, bilinear, compose, sparse_tensor, tensor3
+from preliecoh.algebra import LieAlgebra, Tensor3, bilinear, compose, minus_transposed, sparse_tensor, tensor3
 import preliecoh
-from preliecoh import algebra
+from preliecoh import algebra, xmodules
 from preliecoh.catalog import ALGEBRAS, BAD_ALGEBRA, fixture_documents, representation_pairs
 from preliecoh.documents import document_from_obj, verify_document
 from preliecoh.functors import DendriformAlgebra, LieCrossedModule, check_dendriform, check_lie_crossed_module
 from preliecoh.errors import NotAnIdeal, ShapeError
 from preliecoh.linalg import MatrixQ, SubspaceBasis, rank_kernel_image, solve_particular, sparse_row, standard_basis_vector, vec_add, vec_sub, vector, zero_vector
-from preliecoh.xmodules import ideal_inclusion_xmod
+from preliecoh.xmodules import CrossedModule, check_crossed_module, ideal_inclusion_xmod
 
 from test_linalg import col
 
@@ -664,16 +665,87 @@ def test_integer_engine_witness_has_the_fraction_sides():
     assert on_both_engines(check_prelie, a) == want == check_prelie_dense(a)
 
 
-def test_zero_products_skip_every_tuple(monkeypatch):
-    visited = []
-    accumulate = algebra._accumulate
-    monkeypatch.setattr(algebra, "_accumulate", lambda out, terms, idx: visited.append(idx) or accumulate(out, terms, idx))
-    assert check_prelie(abelian(60)) is None
-    assert check_lie(LieAlgebra(60, zero_tensor3(60, 60, 60))) is None
-    assert visited == []
-    # one nonzero pair: only the tuples that read it are visited
-    assert check_prelie(sparse_algebra(3, {(1, 2, 0): 1})) == check_prelie_dense(sparse_algebra(3, {(1, 2, 0): 1}))
-    assert visited and all(1 in idx and 2 in idx for idx in visited)
+@contextlib.contextmanager
+def joined():
+    """Record the sparse join of every engine call: the first indices of
+    the slices it can build, and the index tuples each built slice adds
+    into (repeats included)."""
+    slices, tuples = set(), []
+    keyed = algebra._Join.keyed
+
+    def spy(self, term, arity):
+        by_x0, visit = keyed(self, term, arity)
+        slices.update(by_x0)
+
+        def recorded(diff, pairs):
+            visit(diff, pairs)
+            tuples.extend(diff)
+
+        return by_x0, recorded
+
+    with mock.patch.object(algebra._Join, "keyed", spy):
+        yield slices, tuples
+
+
+def test_zero_products_build_no_slice():
+    with joined() as (slices, tuples):
+        assert check_prelie(abelian(60)) is None
+        assert check_lie(LieAlgebra(60, zero_tensor3(60, 60, 60))) is None
+    assert slices == set() and tuples == []
+    # one nonzero pair (1, 2): every tuple the join reaches contains 1 and 2;
+    # e_1 e_2 = e_0 has only zero products, and e_1 e_2 = e_1 reaches
+    # (1, 2, 2), where left-symmetry fails, before its slice 2 is built
+    for entries, reached in (({(1, 2, 0): 1}, set()), ({(1, 2, 1): 1}, {(1, 2, 2)})):
+        a = sparse_algebra(3, entries)
+        with joined() as (slices, tuples):
+            assert check_prelie(a) == check_prelie_dense(a)
+        assert slices and set(tuples) == reached
+        assert all(1 in idx and 2 in idx for idx in tuples)
+
+
+def test_a_failure_in_the_first_slice_builds_no_later_slice():
+    # e_i e_j = e_0 for every pair: (e_i e_j) e_k = e_0 e_k = e_0 for all
+    # (i, j, k), and left-symmetry holds; e_0 e_0 = e_1 as well breaks it
+    # first at (0, 1, 0), and every first index still has products
+    a = sparse_algebra(3, {**{(i, j, 0): 1 for i in range(3) for j in range(3)}, (0, 0, 1): 1})
+    with joined() as (slices, tuples):
+        bad = check_prelie(a)
+    assert bad == check_prelie_dense(a) and bad.indices == (0, 1, 0)
+    assert slices == {0, 1, 2} and tuples and {idx[0] for idx in tuples} == {0}
+
+
+def test_equivariance_left_reports_its_witness_in_its_own_order():
+    # mu = id on a 2-dimensional space, zero products and right action:
+    # mu(e_1 . m_0) = e_0 but e_1 * mu(m_0) = 0, first at (u, i) = (0, 1)
+    n_alg = m_alg = abelian(2)
+    left = sparse_tensor(2, 2, 2, {(1, 0, 0): 1})
+    x = CrossedModule(AlgebraMorphism(m_alg, n_alg, MatrixQ.identity(2)), ActionData(n_alg, m_alg, left, zero_tensor3(2, 2, 2)))
+    with mock.patch.multiple(xmodules, check_action=lambda act: None):
+        bad = on_both_engines(check_crossed_module, x)
+    assert bad == Violation("equivariance-left", (1, 0), (F(1), F(0)), (F(0), F(0)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_sliced_join_equals_fraction_engine_where_many_tuples_fail(data):
+    # random tensors fail at many tuples of either family or of both, and
+    # a zero tensor lets an earlier family or identity pass
+    d, v = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+
+    def maybe(*shape):
+        return random_tensor(data, *shape) if data.draw(st.booleans()) else zero_tensor3(*shape)
+
+    a = PreLieAlgebra(d, random_tensor(data, d, d, d))
+    on_both_engines(check_representation, Representation(a, v, maybe(d, v, v), maybe(v, d, v)))
+    t = tensor3(random_tensor(data, d, d, d), d, d, d)
+    on_both_engines(check_lie, LieAlgebra(d, data.draw(st.sampled_from([t, minus_transposed(t, t)]))))
+    m_alg, n_alg = PreLieAlgebra(v, maybe(v, v, v)), PreLieAlgebra(d, maybe(d, d, d))
+    action = ActionData(n_alg, m_alg, maybe(d, v, v), maybe(v, d, v))
+    x = CrossedModule(AlgebraMorphism(m_alg, n_alg, random_matrix(data, d, v)), action)
+    # equivariance-right, equivariance-left (witness order (1, 0)) and the
+    # Peiffer identities, past the checks that run before them
+    with mock.patch.multiple(xmodules, check_prelie=lambda a: None, check_morphism=lambda f: None, check_action=lambda act: None):
+        on_both_engines(check_crossed_module, x)
 
 
 def test_fraction_engine_patches_every_module_that_binds_the_engine():

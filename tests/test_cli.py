@@ -258,6 +258,16 @@ def test_wrong_document_kind_is_an_input_error() -> None:
     assert code == 1 and "expected a representation document" in err
 
 
+def test_wrong_document_kind_error_reads_an_before_a_vowel() -> None:
+    code, _, err = run_cli("tmap", fx("rep_lmult2_regular"))
+    assert code == 1 and "expected an extension document, got representation" in err
+
+
+def test_whole_map_violation_names_no_indices() -> None:
+    code, out, _ = run_cli("validate", fx("ext_bad_pi"))
+    assert code == 2 and out.splitlines()[-1] == "violation: pi-surjective fails"
+
+
 def test_invalid_representation_exits_two() -> None:
     code, _, err = run_cli("tmap", fx("ext_bad_pi"))
     assert code == 2 and "pi-surjective" in err
